@@ -8,6 +8,7 @@ contract stays provider-agnostic.
 """
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -467,10 +468,31 @@ class HashEmbedder:
         return vec / np.linalg.norm(vec)
 
 
+def _encode_cache_line(key: str, vector: np.ndarray) -> str:
+    f64 = base64.b64encode(np.asarray(vector, dtype="<f8").tobytes()).decode("ascii")
+    return json.dumps({"hash": key, "f64": f64}) + "\n"
+
+
+def _decode_cache_line(line: bytes) -> tuple[str, np.ndarray]:
+    rec = json.loads(line)
+    if "f64" in rec:
+        raw = base64.b64decode(rec["f64"], validate=True)
+        vector = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    else:  # the JSON-list format of earlier campaign directories
+        vector = np.asarray(rec["vector"], dtype=np.float64)
+    return rec["hash"], vector
+
+
 class EmbeddingService:
     """Content-hash cache plus ledger accounting around an embedding backend.
 
-    A cache hit performs no provider call and records no tokens.
+    A cache hit performs no provider call and records no tokens. The cache
+    file holds one JSON line per text, ``{"hash": <sha256 of the text>,
+    "f64": <base64 of the little-endian float64 bytes>}``, which round-trips
+    exactly; lines of the older ``{"hash", "vector": [...]}`` format still
+    load. A final line torn by a kill mid-append is dropped from the file.
+    A miss (backend call, ledger entry, cache append) runs under one lock,
+    so concurrent callers embed and bill each text once.
     """
 
     def __init__(self, backend, ledger: CostLedger, cache_path: Path | None = None):
@@ -478,12 +500,32 @@ class EmbeddingService:
         self.ledger = ledger
         self.dim = backend.dim
         self._cache: dict[str, np.ndarray] = {}
+        self._lock = threading.Lock()
         self._cache_path = Path(cache_path) if cache_path else None
         if self._cache_path and self._cache_path.exists():
-            for line in self._cache_path.read_text().splitlines():
-                if line.strip():
-                    rec = json.loads(line)
-                    self._cache[rec["hash"]] = np.asarray(rec["vector"], dtype=np.float64)
+            self._load_cache()
+
+    def _load_cache(self) -> None:
+        data = self._cache_path.read_bytes()
+        lines = data.splitlines(keepends=True)
+        kept = len(data)
+        for i, line in enumerate(lines):
+            if not line.strip():
+                continue
+            try:
+                key, vector = _decode_cache_line(line)
+            except (ValueError, KeyError, TypeError):
+                if i < len(lines) - 1:
+                    raise
+                kept -= len(line)  # torn: the next append must start a fresh line
+                break
+            self._cache[key] = vector
+        if kept < len(data):
+            with open(self._cache_path, "r+b") as fh:
+                fh.truncate(kept)
+        elif data and not data.endswith(b"\n"):
+            with open(self._cache_path, "ab") as fh:
+                fh.write(b"\n")
 
     def embed_text(self, text: str) -> np.ndarray:
         if not text:
@@ -492,16 +534,20 @@ class EmbeddingService:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        vector = self.backend.embed_text(text)
-        self.ledger.record(
-            stage="embedding",
-            model_id=self.backend.model_id,
-            input_tokens=approx_tokens(text),
-            output_tokens=0,
-            approximate=True,
-        )
-        self._cache[key] = vector
-        if self._cache_path:
-            with open(self._cache_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps({"hash": key, "vector": vector.tolist()}) + "\n")
+        with self._lock:
+            cached = self._cache.get(key)
+            if cached is not None:
+                return cached
+            vector = self.backend.embed_text(text)
+            self.ledger.record(
+                stage="embedding",
+                model_id=self.backend.model_id,
+                input_tokens=approx_tokens(text),
+                output_tokens=0,
+                approximate=True,
+            )
+            if self._cache_path:
+                with open(self._cache_path, "a", encoding="utf-8") as fh:
+                    fh.write(_encode_cache_line(key, vector))
+            self._cache[key] = vector
         return vector

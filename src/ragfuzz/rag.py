@@ -120,8 +120,24 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     return min(max(d, 0.0), 2.0)
 
 
+def _with_norms(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return matrix, np.sqrt(np.vecdot(matrix, matrix))
+
+
 class VectorIndex:
     """Flat, exhaustively scanned embedding index with JSON+npy persistence.
+
+    ``retrieve`` scores every chunk in one pass over a contiguous float64
+    row matrix whose row norms are computed with it. Both are built once,
+    on the first ``retrieve`` or ``save``, and dropped by ``add``; ``save``
+    writes that matrix and ``load`` adopts the ``.npy`` file as it.
+
+    The scan uses ``np.vecdot``, which takes the same per-row BLAS ``ddot``
+    as ``np.dot`` on two vectors, so every distance equals
+    ``cosine_distance`` bit for bit, and with it the
+    ``(distance, doc_id, ordinal)`` order. ``M @ q``, ``np.matvec`` and
+    ``einsum`` sum in another order, differ in the last ulp on most rows,
+    and ``@`` also starts BLAS's thread pool.
 
     Indexing is idempotent per chunk_id (re-adding overwrites). Mutation is
     not thread-safe; campaigns index once up front and then only read.
@@ -136,6 +152,8 @@ class VectorIndex:
         self._chunks: list[Chunk] = []
         self._vectors: list[np.ndarray] = []
         self._row_by_id: dict[str, int] = {}
+        # (row matrix, row norms); one attribute so a reader never sees half
+        self._scan: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -148,6 +166,7 @@ class VectorIndex:
             self.dim = int(vector.shape[0])
         if vector.shape[0] != self.dim:
             raise DimensionMismatch(f"index dim {self.dim}, embedding dim {vector.shape[0]}")
+        self._scan = None
         row = self._row_by_id.get(chunk.chunk_id)
         if row is None:
             self._row_by_id[chunk.chunk_id] = len(self._chunks)
@@ -163,6 +182,15 @@ class VectorIndex:
             self.add(chunk, embedder.embed_text(chunk.text))
         return IndexStats(count=len(self._chunks), dim=self.dim or 0)
 
+    def _scan_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        scan = self._scan
+        if scan is None:
+            matrix = (
+                np.vstack(self._vectors) if self._vectors else np.zeros((0, self.dim or 0))
+            )
+            scan = self._scan = _with_norms(matrix)
+        return scan
+
     def retrieve(self, query_text: str, threshold: float, k: int, embedder) -> list[RetrievedChunk]:
         """Up to k chunks with distance < threshold, closest first.
 
@@ -174,14 +202,26 @@ class VectorIndex:
             raise ValueError(f"k must be >= 1, got {k}")
         if not self._chunks:
             raise EmptyIndex("retrieve on an empty index")
-        q = embedder.embed_text(query_text)
-        scored = []
-        for chunk, vec in zip(self._chunks, self._vectors):
-            d = cosine_distance(q, vec)
-            if d < threshold:
-                scored.append(RetrievedChunk(chunk=chunk, distance=d))
-        scored.sort(key=lambda r: (r.distance, r.chunk.doc_id, r.chunk.ordinal))
-        return scored[:k]
+        q = np.asarray(embedder.embed_text(query_text), dtype=np.float64)
+        if q.shape != (self.dim,):
+            raise DimensionMismatch(f"dim {q.shape} vs {(self.dim,)}")
+        matrix, norms = self._scan_arrays()
+        nq = float(np.linalg.norm(q))
+        if nq == 0.0 or not norms.all():
+            raise ZeroVector("cosine distance is undefined for the all-zero vector")
+        dist = np.clip(1.0 - np.vecdot(matrix, q) / (nq * norms), 0.0, 2.0)
+        # An equal row scores within a few ulp of zero; pin it to exactly 0.0.
+        for row in np.flatnonzero(dist < 1e-12):
+            if np.array_equal(matrix[row], q):
+                dist[row] = 0.0
+        rows = np.flatnonzero(dist < threshold)
+        if len(rows) > k:
+            # keep every row tied with the k-th distance for the exact tie-break
+            kth = np.partition(dist[rows], k - 1)[k - 1]
+            rows = rows[dist[rows] <= kth]
+        hits = [RetrievedChunk(self._chunks[row], float(dist[row])) for row in rows]
+        hits.sort(key=lambda r: (r.distance, r.chunk.doc_id, r.chunk.ordinal))
+        return hits[:k]
 
     # --- persistence ---
 
@@ -191,10 +231,7 @@ class VectorIndex:
         with open(directory / self.MANIFEST, "w", encoding="utf-8") as fh:
             for chunk in self._chunks:
                 fh.write(json.dumps(chunk.__dict__, sort_keys=True) + "\n")
-        matrix = (
-            np.vstack(self._vectors) if self._vectors else np.zeros((0, self.dim or 0))
-        )
-        np.save(directory / self.MATRIX, matrix)
+        np.save(directory / self.MATRIX, self._scan_arrays()[0])
         (directory / self.META).write_text(
             json.dumps({"count": len(self._chunks), "dim": self.dim}, sort_keys=True)
         )
@@ -204,9 +241,14 @@ class VectorIndex:
         directory = Path(directory)
         meta = json.loads((directory / cls.META).read_text())
         index = cls(dim=meta["dim"])
-        matrix = np.load(directory / cls.MATRIX)
         with open(directory / cls.MANIFEST, encoding="utf-8") as fh:
-            for row, line in enumerate(fh):
-                rec = json.loads(line)
-                index.add(Chunk(**rec), matrix[row])
+            index._chunks = [Chunk(**json.loads(line)) for line in fh]
+        matrix = np.load(directory / cls.MATRIX)
+        if matrix.shape != (len(index._chunks), index.dim or 0):
+            raise DimensionMismatch(
+                f"matrix shape {matrix.shape} vs {len(index._chunks)} chunks of dim {index.dim}"
+            )
+        index._row_by_id = {c.chunk_id: row for row, c in enumerate(index._chunks)}
+        index._vectors = list(matrix)
+        index._scan = _with_norms(matrix)
         return index

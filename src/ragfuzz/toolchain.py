@@ -232,6 +232,8 @@ def _execute(
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        encoding="utf-8",
+        errors="replace",  # a program's bytes are untrusted; never abort on them
         start_new_session=True,
         preexec_fn=preexec,
     )

@@ -1,5 +1,12 @@
 from __future__ import annotations
 
+import base64
+import hashlib
+import json
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -188,6 +195,119 @@ def test_embedding_cache_persists(tmp_path):
     v2 = s2.embed_text("persist me")
     assert np.allclose(v1, v2)
     assert len(ledger2) == 0  # served from disk cache
+
+
+class CountingEmbedder(HashEmbedder):
+    def __init__(self, dim: int = 16, delay: float = 0.0):
+        super().__init__(dim=dim)
+        self.calls = 0
+        self.delay = delay
+
+    def embed_text(self, text: str) -> np.ndarray:
+        self.calls += 1
+        time.sleep(self.delay)
+        return super().embed_text(text)
+
+
+def test_embedding_cache_line_is_exact_binary(tmp_path):
+    cache = tmp_path / "emb.jsonl"
+    v1 = EmbeddingService(HashEmbedder(dim=16), CostLedger(), cache_path=cache).embed_text("x")
+    rec = json.loads(cache.read_text())
+    assert set(rec) == {"hash", "f64"}
+    assert rec["hash"] == hashlib.sha256(b"x").hexdigest()
+    assert base64.b64decode(rec["f64"]) == v1.astype("<f8").tobytes()
+    v2 = EmbeddingService(HashEmbedder(dim=16), CostLedger(), cache_path=cache).embed_text("x")
+    assert v2.tobytes() == v1.tobytes()
+
+
+def test_embedding_cache_reads_list_format_lines(tmp_path):
+    cache = tmp_path / "emb.jsonl"
+    old = HashEmbedder(dim=16).embed_text("from an older campaign")
+    key = hashlib.sha256(b"from an older campaign").hexdigest()
+    cache.write_text(json.dumps({"hash": key, "vector": old.tolist()}) + "\n")
+    backend = CountingEmbedder()
+    ledger = CostLedger()
+    service = EmbeddingService(backend, ledger, cache_path=cache)
+    assert np.array_equal(service.embed_text("from an older campaign"), old)
+    assert backend.calls == 0 and len(ledger) == 0
+    service.embed_text("new text")  # appended in the binary format after the old line
+    reloaded = EmbeddingService(CountingEmbedder(), CostLedger(), cache_path=cache)
+    assert reloaded.embed_text("from an older campaign").tobytes() == old.tobytes()
+    assert [set(json.loads(line)) for line in cache.read_text().splitlines()] == [
+        {"hash", "vector"}, {"hash", "f64"},
+    ]
+
+
+def test_torn_final_cache_line_is_dropped(tmp_path):
+    cache = tmp_path / "emb.jsonl"
+    s1 = EmbeddingService(HashEmbedder(dim=16), CostLedger(), cache_path=cache)
+    for text in ("one", "two", "three"):
+        s1.embed_text(text)
+    whole = cache.read_bytes()
+    cache.write_bytes(whole[:-40])  # a kill tore the last append
+    backend = CountingEmbedder()
+    ledger = CostLedger()
+    s2 = EmbeddingService(backend, ledger, cache_path=cache)
+    s2.embed_text("one")
+    s2.embed_text("two")
+    assert backend.calls == 0
+    assert np.array_equal(s2.embed_text("three"), s1.embed_text("three"))
+    assert backend.calls == 1 and len(ledger) == 1
+    assert cache.read_bytes() == whole  # the torn tail was cut before the re-append
+    s3 = EmbeddingService(CountingEmbedder(), CostLedger(), cache_path=cache)
+    assert len(s3._cache) == 3
+
+
+def test_final_cache_line_without_newline_is_kept(tmp_path):
+    cache = tmp_path / "emb.jsonl"
+    EmbeddingService(HashEmbedder(dim=16), CostLedger(), cache_path=cache).embed_text("one")
+    cache.write_bytes(cache.read_bytes().rstrip(b"\n"))
+    backend = CountingEmbedder()
+    service = EmbeddingService(backend, CostLedger(), cache_path=cache)
+    service.embed_text("one")
+    service.embed_text("two")
+    assert backend.calls == 1
+    assert len(EmbeddingService(HashEmbedder(dim=16), CostLedger(), cache_path=cache)._cache) == 2
+
+
+def test_corrupt_inner_cache_line_still_raises(tmp_path):
+    cache = tmp_path / "emb.jsonl"
+    s1 = EmbeddingService(HashEmbedder(dim=16), CostLedger(), cache_path=cache)
+    s1.embed_text("one")
+    s1.embed_text("two")
+    first, second = cache.read_text().splitlines(keepends=True)
+    cache.write_text(first[:20] + "\n" + second)
+    with pytest.raises(ValueError):
+        EmbeddingService(HashEmbedder(dim=16), CostLedger(), cache_path=cache)
+
+
+def test_concurrent_misses_embed_and_bill_once(tmp_path):
+    cache = tmp_path / "emb.jsonl"
+    backend = CountingEmbedder(delay=0.05)
+    ledger = CostLedger()
+    service = EmbeddingService(backend, ledger, cache_path=cache)
+    barrier = threading.Barrier(8)
+    results = []
+
+    def worker():
+        barrier.wait()
+        results.append(service.embed_text("same text"))
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8 and all(r is results[0] for r in results)
+    assert backend.calls == 1
+    assert [e.stage for e in ledger.entries()] == ["embedding"]
+    assert len(cache.read_text().splitlines()) == 1
 
 
 def test_rate_limiter_waits_when_window_full():

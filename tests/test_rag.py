@@ -263,3 +263,81 @@ def test_save_load_round_trip(tmp_path):
     assert [(r.chunk.chunk_id, r.distance) for r in a] == [
         (r.chunk.chunk_id, r.distance) for r in b
     ]
+
+
+# --- exactness of the one-pass scan at paper scale ---
+
+PAPER_ROWS, PAPER_DIM = 1000, 1536
+
+
+def _paper_index():
+    """1000 chunks at dim 1536; texts repeat every 900 rows, so ties occur."""
+    embedder = HashEmbedder(dim=PAPER_DIM, seed=7)
+    chunks = [
+        Chunk(f"doc{i % 37}#{i // 37}", f"doc{i % 37}", f"paper-scale fragment {i % 900}", i // 37)
+        for i in range(PAPER_ROWS)
+    ]
+    idx = VectorIndex()
+    idx.index_chunks(chunks, embedder)
+    vectors = [embedder.embed_text(c.text) for c in chunks]
+    return idx, chunks, vectors, embedder
+
+
+def _scalar_scan(chunks, vectors, q, threshold, k):
+    scored = sorted(
+        (cosine_distance(q, v), c.doc_id, c.ordinal, c.chunk_id) for c, v in zip(chunks, vectors)
+    )
+    return [(cid, d) for d, _, _, cid in scored if d < threshold][:k]
+
+
+def _hits(idx, query, threshold, k, embedder):
+    return [(r.chunk.chunk_id, r.distance) for r in idx.retrieve(query, threshold, k, embedder)]
+
+
+def test_scan_equals_scalar_cosine_at_paper_scale(tmp_path):
+    idx, chunks, vectors, embedder = _paper_index()
+    idx.save(tmp_path / "index")
+    loaded = VectorIndex.load(tmp_path / "index")
+    rng = random.Random(1536)
+    queries = [
+        (f"query {rng.randint(0, 10_000)}", rng.uniform(0.5, 2.0), rng.randint(1, 8))
+        for _ in range(12)
+    ]
+    queries += [
+        ("paper-scale fragment 5", 2.0, 4),  # two equal rows tie at 0.0
+        ("paper-scale fragment 899", 1.0, 1),  # self-query of a unique text
+        ("anything at all", 2.0, len(idx)),  # the whole index, in order
+    ]
+    for query, threshold, k in queries:
+        expected = _scalar_scan(chunks, vectors, embedder.embed_text(query), threshold, k)
+        assert _hits(idx, query, threshold, k, embedder) == expected, query
+        assert _hits(loaded, query, threshold, k, embedder) == expected, query
+
+
+def test_scan_tie_break_and_self_distance_at_paper_scale():
+    idx, _chunks, _vectors, embedder = _paper_index()
+    everything = _hits(idx, "paper-scale fragment 5", 2.0, len(idx), embedder)
+    assert len(everything) == PAPER_ROWS
+    # fragment 5 sits at rows 5 and 905: doc5#0 and doc17#24, ordered by doc_id
+    assert everything[:2] == [("doc17#24", 0.0), ("doc5#0", 0.0)]
+    assert everything[2][1] > 0.0
+    assert _hits(idx, "paper-scale fragment 899", 2.0, 1, embedder) == [("doc11#24", 0.0)]
+
+
+def test_scan_errors_at_paper_scale():
+    idx, _chunks, _vectors, embedder = _paper_index()
+    with pytest.raises(DimensionMismatch):
+        idx.retrieve("wrong dimension", 2.0, 3, HashEmbedder(dim=64))
+    idx.add(Chunk("zero#0", "zero", "zero row", 0), np.zeros(PAPER_DIM))
+    with pytest.raises(ZeroVector):
+        idx.retrieve("paper-scale fragment 1", 2.0, 3, embedder)
+
+
+def test_add_after_retrieve_rebuilds_the_scan():
+    embedder = HashEmbedder(dim=32)
+    idx = VectorIndex()
+    idx.index_chunks(_chunks(5), embedder)
+    idx.retrieve("warm the scan", 2.0, 1, embedder)
+    late = Chunk("late#0", "late", "added after the first retrieve", 0)
+    idx.add(late, embedder.embed_text(late.text))
+    assert _hits(idx, late.text, 2.0, 1, embedder) == [("late#0", 0.0)]

@@ -254,3 +254,15 @@ def test_live_toolchain_smoke_all_opt_levels(tmp_path):
         rr = run_job(expand_run_jobs(result, [DeviceConfig("host")], None)[0])
         assert rr.status == RunStatus.OK
         assert "Output value from device kernel: 1" in rr.stdout
+
+
+def test_non_utf8_program_output_is_replaced_not_raised(tmp_path):
+    from ragfuzz.toolchain import CellKey, RunJob
+
+    binary = tmp_path / "binary.sh"
+    binary.write_text("#!/bin/sh\nprintf 'bad \\377 out'\nprintf '\\376' >&2\n")
+    binary.chmod(0o755)
+    rr = run_job(RunJob("c", CellKey("cc", "t", "-O0", "d"), str(binary)))
+    assert rr.status == RunStatus.OK
+    assert rr.stdout == "bad \ufffd out"
+    assert rr.stderr == "\ufffd"
