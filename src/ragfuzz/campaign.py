@@ -13,6 +13,7 @@ import glob as globlib
 import hashlib
 import json
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -612,7 +613,6 @@ class CampaignRunner:
             unsupported_patterns=config.report.unsupported_patterns,
             suppress_source_patterns=config.report.suppress_source_patterns,
         )
-        self.internal_faults = 0
         self._timing: dict[str, float] = {}
         if self.store.timing_path.exists():
             self._timing = json.loads(self.store.timing_path.read_text())
@@ -671,24 +671,27 @@ class CampaignRunner:
             if llm_cfg.requests_per_minute > 0:
                 rate_limiter = RateLimiter(llm_cfg.requests_per_minute)
 
+        exchange_lock = threading.Lock()
+
         def log_exchange(prompt, completion):
-            with open(self.store.exchanges_path, "a", encoding="utf-8") as fh:
-                fh.write(
-                    json.dumps(
-                        {
-                            "template_id": prompt.template_id,
-                            "prompt_sha256": hashlib.sha256(
-                                prompt.text.encode("utf-8")
-                            ).hexdigest(),
-                            "response": completion.text,
-                            "input_tokens": completion.input_tokens,
-                            "output_tokens": completion.output_tokens,
-                            "model_id": completion.model_id,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+            line = json.dumps(
+                {
+                    "template_id": prompt.template_id,
+                    "prompt_sha256": hashlib.sha256(
+                        prompt.text.encode("utf-8")
+                    ).hexdigest(),
+                    "response": completion.text,
+                    "input_tokens": completion.input_tokens,
+                    "output_tokens": completion.output_tokens,
+                    "model_id": completion.model_id,
+                },
+                sort_keys=True,
+            )
+            # repair workers log concurrently; one writer at a time keeps
+            # each exchange on one whole line
+            with exchange_lock:
+                with open(self.store.exchanges_path, "a", encoding="utf-8") as fh:
+                    fh.write(line + "\n")
 
         llm = LLMService(
             backend,
@@ -842,7 +845,6 @@ class CampaignRunner:
                             selection=selection,
                             abandon_reason=f"generation_failed: {exc}",
                         )
-                        self.internal_faults += 1
                     self.store.save_case(case)
 
     def _gate_compile(self, case_id: str):
@@ -885,19 +887,14 @@ class CampaignRunner:
 
         def repair_one(case: TestCase) -> None:
             try:
-                outcome = self.pipeline.repair_loop(
+                self.pipeline.repair_loop(
                     case,
                     self._gate_compile(case.case_id),
                     max_attempts=self.config.generation.max_repair_attempts,
                 )
-                if not outcome.succeeded and not case.abandon_reason.startswith(
-                    "compile_failed"
-                ):
-                    self.internal_faults += 1
             except RagfuzzError as exc:
                 case.status = CaseStatus.ABANDONED
                 case.abandon_reason = f"repair_failed: {exc}"
-                self.internal_faults += 1
             self.store.save_case(case)
 
         _pmap(repair_one, drafts, self.config.workers_llm)
@@ -928,7 +925,6 @@ class CampaignRunner:
                         parent_id=case.case_id,
                         abandon_reason=f"generation_failed: {exc}",
                     )
-                    self.internal_faults += 1
                 self.store.save_case(child)
 
     def _stage_repair_mutants(self) -> None:

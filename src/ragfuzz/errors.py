@@ -83,6 +83,10 @@ class ToolNotFound(RagfuzzError):
     pass
 
 
+class InvalidInterpreter(RagfuzzError):
+    """An interpreter path that a "#!" line cannot name."""
+
+
 # --- differential testing ---
 
 class InsufficientCells(RagfuzzError):

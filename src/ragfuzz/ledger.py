@@ -11,10 +11,43 @@ import threading
 from dataclasses import asdict, dataclass
 from decimal import Decimal
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .errors import UnpricedModel
 
 STAGES = ("characteristics", "codegen", "repair", "mutation", "embedding")
+
+T = TypeVar("T")
+
+
+def read_jsonl(path: Path, decode: Callable[[bytes], T]) -> list[T]:
+    """Decode every line of an append-only JSONL file, mending a torn tail.
+
+    A final line that ``decode`` rejects (ValueError, KeyError or TypeError)
+    was torn by a kill mid-append: it is cut from the file, so the next
+    append starts a fresh line. A valid final line missing its newline gets
+    one. A line that fails anywhere else is corruption and raises.
+    """
+    data = Path(path).read_bytes()
+    lines = data.splitlines(keepends=True)
+    records: list[T] = []
+    kept = len(data)
+    for i, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            records.append(decode(line))
+        except (ValueError, KeyError, TypeError):
+            if i < len(lines) - 1:
+                raise
+            kept -= len(line)
+    if kept < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(kept)
+    elif data and not data.endswith(b"\n"):
+        with open(path, "ab") as fh:
+            fh.write(b"\n")
+    return records
 
 
 @dataclass(frozen=True)
@@ -74,16 +107,19 @@ def default_pricing() -> PricingTable:
 
 
 class CostLedger:
-    """Append-only usage log; safe to feed from many worker threads."""
+    """Append-only usage log; safe to feed from many worker threads.
+
+    Reopening the log drops a final line torn by a kill mid-append.
+    """
 
     def __init__(self, path: Path | None = None):
         self._entries: list[UsageEntry] = []
         self._lock = threading.Lock()
         self._path = Path(path) if path else None
         if self._path and self._path.exists():
-            for line in self._path.read_text().splitlines():
-                if line.strip():
-                    self._entries.append(UsageEntry(**json.loads(line)))
+            self._entries = read_jsonl(
+                self._path, lambda line: UsageEntry(**json.loads(line))
+            )
 
     def record(
         self,

@@ -18,25 +18,35 @@ coordinates plus the RAGFUZZ_DEVICE environment variable; ``"*"`` (or an
 omitted field) matches anything. On a successful compile the mock compiler
 writes a runnable script as the output binary, so the full subprocess path
 (including signals and timeouts) is exercised without any real compiler.
+
+Both scripts start as ``#!<interpreter> -IS``, where the interpreter is the
+``sys.executable`` that wrote them: a job runs under the harness's own Python
+whatever ``PATH`` its env sets, ``-I`` keeps ``PYTHON*`` variables and the
+script's directory out of its imports, and ``-S`` skips site-packages (the
+mock needs only the stdlib, and ``.pth`` hooks there can cost several times
+the mock's own start-up).
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import sys
 from pathlib import Path
+
+from .errors import InvalidInterpreter
 
 TABLE_ENV = "RAGFUZZ_MOCK_TABLE"
 DEVICE_ENV = "RAGFUZZ_DEVICE"
 
-_COMPILER_SCRIPT = '''#!/usr/bin/env python3
+_COMPILER_SCRIPT = '''#!@@PY@@ -IS
 """Mock compiler: behavior scripted by a JSON table keyed by source sha256."""
 import hashlib, json, os, sys, time
 
 TABLE_ENV = @@TABLE_ENV@@
 DEVICE_ENV = @@DEVICE_ENV@@
 
-RUNNER_TEMPLATE = """#!/usr/bin/env python3
+RUNNER_TEMPLATE = """#!@@PY@@ -IS
 import json, os, signal, sys, time
 
 DIGEST = @@D@@
@@ -133,7 +143,7 @@ def main():
     sys.stderr.write(comp.get("stderr", ""))
     code = int(comp.get("exit", 0))
     if code == 0 and out:
-        runner = RUNNER_TEMPLATE
+        runner = RUNNER_TEMPLATE.replace("@@PY@@", sys.executable)
         for marker, value in (("@@D@@", digest), ("@@C@@", compiler_id),
                               ("@@T@@", target), ("@@O@@", opt),
                               ("@@TB@@", table_path), ("@@DE@@", DEVICE_ENV)):
@@ -153,11 +163,30 @@ def source_digest(source_text: str) -> str:
     return hashlib.sha256(source_text.encode("utf-8")).hexdigest()
 
 
+# the kernel reads at most this many bytes of a "#!" line (BINPRM_BUF_SIZE)
+_SHEBANG_MAX = 256
+
+
 def write_mock_compiler(path: Path) -> Path:
+    """Write the mock compiler, to run under this process's interpreter."""
+    interpreter = sys.executable
+    shebang = f"#!{interpreter} -IS\n"
+    if (
+        not os.path.isabs(interpreter)
+        or any(ch.isspace() for ch in interpreter)
+        or len(shebang.encode("utf-8")) > _SHEBANG_MAX
+    ):
+        raise InvalidInterpreter(
+            f"cannot start the mock toolchain with {interpreter!r}: a shebang "
+            f"needs an absolute path without whitespace, and the line "
+            f"{shebang.strip()!r} must fit in {_SHEBANG_MAX} bytes"
+        )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    script = _COMPILER_SCRIPT.replace("@@TABLE_ENV@@", repr(TABLE_ENV)).replace(
-        "@@DEVICE_ENV@@", repr(DEVICE_ENV)
+    script = (
+        _COMPILER_SCRIPT.replace("@@PY@@", interpreter, 1)
+        .replace("@@TABLE_ENV@@", repr(TABLE_ENV))
+        .replace("@@DEVICE_ENV@@", repr(DEVICE_ENV))
     )
     path.write_text(script)
     os.chmod(path, 0o755)

@@ -28,7 +28,7 @@ from .errors import (
     ProviderUnavailable,
     TransportError,
 )
-from .ledger import CostLedger
+from .ledger import CostLedger, read_jsonl
 from .prompts import RenderedPrompt
 from .rag import RetrievedChunk
 
@@ -503,29 +503,7 @@ class EmbeddingService:
         self._lock = threading.Lock()
         self._cache_path = Path(cache_path) if cache_path else None
         if self._cache_path and self._cache_path.exists():
-            self._load_cache()
-
-    def _load_cache(self) -> None:
-        data = self._cache_path.read_bytes()
-        lines = data.splitlines(keepends=True)
-        kept = len(data)
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                key, vector = _decode_cache_line(line)
-            except (ValueError, KeyError, TypeError):
-                if i < len(lines) - 1:
-                    raise
-                kept -= len(line)  # torn: the next append must start a fresh line
-                break
-            self._cache[key] = vector
-        if kept < len(data):
-            with open(self._cache_path, "r+b") as fh:
-                fh.truncate(kept)
-        elif data and not data.endswith(b"\n"):
-            with open(self._cache_path, "ab") as fh:
-                fh.write(b"\n")
+            self._cache = dict(read_jsonl(self._cache_path, _decode_cache_line))
 
     def embed_text(self, text: str) -> np.ndarray:
         if not text:

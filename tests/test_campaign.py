@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from decimal import Decimal
 
 import pytest
 
 from ragfuzz.campaign import (
     CampaignReport,
+    CampaignRunner,
     CampaignStore,
     emit_report,
     load_config,
@@ -20,6 +22,8 @@ from ragfuzz.campaign import (
 from ragfuzz.errors import ConfigError, ConfigMismatch, CorruptManifest
 from ragfuzz.ledger import CostLedger
 from ragfuzz.pipeline import CaseStatus
+from ragfuzz.prompts import RenderedPrompt
+from ragfuzz.providers import Completion
 from ragfuzz.scenarios import build_tiny, materialize_scenario
 
 GEN_STAGES = {"characteristics", "codegen", "repair", "mutation"}
@@ -291,3 +295,32 @@ def test_partition_validator_detects_violation():
     bad = {"P": {"functions": 1, "characteristics": 1, "generated": 5,
                  "compiled": 3, "failed": 1, "abandoned": 0}}
     assert not validate_partition(bad)
+
+
+def test_concurrent_exchange_log_lines_stay_whole(tmp_path):
+    config = load_config_file(materialize_scenario(build_tiny(), tmp_path / "work"))
+    runner = CampaignRunner(config, tmp_path / "campaign")
+
+    class BigBackend:
+        def complete(self, text):
+            # more than one 8 KiB write buffer per exchange
+            return Completion(text + "x" * 20_000, 1, 1, "gpt-4")
+
+    runner.llm.backend = BigBackend()
+
+    def worker(n):
+        for i in range(10):
+            prompt = RenderedPrompt("codegen", f"prompt {n}.{i}", {})
+            runner.llm.llm_complete(prompt, [], "codegen")
+
+    threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    lines = runner.store.exchanges_path.read_text().splitlines()
+    assert len(lines) == 80
+    responses = sorted(json.loads(line)["response"] for line in lines)
+    assert responses == sorted(
+        f"prompt {n}.{i}" + "x" * 20_000 for n in range(8) for i in range(10)
+    )

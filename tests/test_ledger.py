@@ -134,3 +134,29 @@ def test_default_pricing_table_has_dated_gpt4_rates():
     assert rate.input_per_million == Decimal("30")
     assert rate.output_per_million == Decimal("60")
     assert pricing.as_of
+
+
+def test_torn_final_line_is_dropped_and_next_record_appends_cleanly(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    ledger = CostLedger(path)
+    for tokens in (1, 2, 3):
+        ledger.record(stage="codegen", model_id="gpt-4", input_tokens=tokens, output_tokens=1)
+    whole = path.read_bytes()
+    path.write_bytes(whole[:-15])  # a kill tore the last append
+    reloaded = CostLedger(path)
+    assert reloaded.entries() == ledger.entries()[:2]
+    entry = reloaded.record(stage="codegen", model_id="gpt-4", input_tokens=3, output_tokens=1)
+    assert entry.call_id == 2
+    assert path.read_bytes() == whole  # the torn tail was cut before the append
+    assert CostLedger(path).entries() == ledger.entries()
+
+
+def test_corrupt_inner_ledger_line_still_raises(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    ledger = CostLedger(path)
+    ledger.record(stage="codegen", model_id="gpt-4", input_tokens=1, output_tokens=1)
+    ledger.record(stage="repair", model_id="gpt-4", input_tokens=2, output_tokens=2)
+    first, second = path.read_text().splitlines(keepends=True)
+    path.write_text(first[:20] + "\n" + second)
+    with pytest.raises(ValueError):
+        CostLedger(path)

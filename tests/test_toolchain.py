@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
-from ragfuzz.errors import ToolNotFound
+from ragfuzz.errors import InvalidInterpreter, ToolNotFound
 from ragfuzz.mocktool import (
     DEVICE_ENV,
     TABLE_ENV,
@@ -266,3 +268,55 @@ def test_non_utf8_program_output_is_replaced_not_raised(tmp_path):
     assert rr.status == RunStatus.OK
     assert rr.stdout == "bad \ufffd out"
     assert rr.stderr == "\ufffd"
+
+
+def _compile_and_run(source, toolchain, out_dir, env):
+    """Compile with the toolchain and run on devA, both with ``env`` added."""
+    toolchain = dataclasses.replace(toolchain, env={**toolchain.env, **env})
+    result = compile_job(build_matrix("case0", source, [toolchain], out_dir)[0])
+    assert result.status == CompileStatus.OK, result.stderr
+    device = DeviceConfig("devA", {DEVICE_ENV: "devA", **env})
+    return result, run_job(expand_run_jobs(result, [device], None)[0])
+
+
+def test_mock_scripts_start_under_this_interpreter_isolated(mock_env):
+    tmp_path, source, _, _, toolchain = mock_env
+    shebang = f"#!{sys.executable} -IS\n"
+    with open(toolchain.executable) as fh:
+        assert fh.readline() == shebang
+    result, rr = _compile_and_run(source, toolchain, tmp_path / "out", {})
+    with open(result.binary_path) as fh:
+        assert fh.readline() == shebang
+    assert rr.stdout == "Output value from device kernel: 1\n"
+
+
+def test_mock_toolchain_needs_no_python3_on_path(mock_env):
+    tmp_path, source, _, _, toolchain = mock_env
+    empty_bin = tmp_path / "empty_bin"
+    empty_bin.mkdir()
+    _, rr = _compile_and_run(source, toolchain, tmp_path / "out", {"PATH": str(empty_bin)})
+    assert rr.status == RunStatus.OK
+    assert rr.stdout == "Output value from device kernel: 1\n"
+
+
+def test_mock_toolchain_ignores_pythonpath(mock_env):
+    tmp_path, source, _, _, toolchain = mock_env
+    poisoned = tmp_path / "poisoned"
+    poisoned.mkdir()
+    (poisoned / "json.py").write_text("raise ImportError('poisoned json')\n")
+    _, rr = _compile_and_run(
+        source, toolchain, tmp_path / "out", {"PYTHONPATH": str(poisoned)}
+    )
+    assert rr.status == RunStatus.OK
+    assert rr.stdout == "Output value from device kernel: 1\n"
+
+
+@pytest.mark.parametrize(
+    "interpreter",
+    ["python3", "/opt/my python/bin/python3", "/" + "p" * 255, "/" + "p" * 250],
+)
+def test_unusable_interpreter_path_is_rejected(tmp_path, monkeypatch, interpreter):
+    monkeypatch.setattr(sys, "executable", interpreter)
+    with pytest.raises(InvalidInterpreter, match="shebang"):
+        write_mock_compiler(tmp_path / "mockcc")
+    assert not (tmp_path / "mockcc").exists()
