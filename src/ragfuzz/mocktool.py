@@ -13,11 +13,18 @@ one record per source hash, with an optional ``"*"`` fallback:
       }
     }
 
-Run entries are matched most-specific-first against the binary's compile
-coordinates plus the RAGFUZZ_DEVICE environment variable; ``"*"`` (or an
-omitted field) matches anything. On a successful compile the mock compiler
-writes a runnable script as the output binary, so the full subprocess path
-(including signals and timeouts) is exercised without any real compiler.
+On a successful compile the mock compiler writes a runnable script as the
+output binary, so the full subprocess path (including signals and timeouts)
+is exercised without any real compiler. The compiler fixes the binary's run
+entries at compile time: it writes the ``runs`` list of the source's record
+into the binary as a Python literal, so editing the table afterwards does
+not change binaries already built. At run time the binary picks one entry,
+most specific first, against its compile coordinates plus the RAGFUZZ_DEVICE
+environment variable; ``"*"`` (or an omitted field) matches anything, and
+when nothing matches it prints ``mock run ok``. A binary imports only ``os``
+and ``sys`` eagerly (``time`` and ``signal`` only for an entry that sleeps or
+raises a signal): most of a campaign's jobs are runs, and ``json`` or
+``signal`` would each pull in ``enum`` and double a run's start-up cost.
 
 Both scripts start as ``#!<interpreter> -IS``, where the interpreter is the
 ``sys.executable`` that wrote them: a job runs under the harness's own Python
@@ -31,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -39,22 +47,18 @@ from .errors import InvalidInterpreter
 TABLE_ENV = "RAGFUZZ_MOCK_TABLE"
 DEVICE_ENV = "RAGFUZZ_DEVICE"
 
-_COMPILER_SCRIPT = '''#!@@PY@@ -IS
-"""Mock compiler: behavior scripted by a JSON table keyed by source sha256."""
-import hashlib, json, os, sys, time
+# One pass over the template, so text a value brings in is never rewritten.
+_MARKER = re.compile(r"@@(\w+)@@")
 
-TABLE_ENV = @@TABLE_ENV@@
-DEVICE_ENV = @@DEVICE_ENV@@
+_RUNNER_SCRIPT = r"""#!@@PY@@ -IS
+# Mock binary: run entries fixed at compile time, picked by device at run time.
+import os, sys
 
-RUNNER_TEMPLATE = """#!@@PY@@ -IS
-import json, os, signal, sys, time
-
-DIGEST = @@D@@
 COMPILER = @@C@@
 TARGET = @@T@@
 OPT = @@O@@
-TABLE = @@TB@@
 DEVICE_ENV = @@DE@@
+RUNS = @@RUNS@@
 
 
 def pick(runs, device):
@@ -76,21 +80,19 @@ def pick(runs, device):
 
 
 def main():
-    device = os.environ.get(DEVICE_ENV, "")
-    with open(TABLE) as fh:
-        table = json.load(fh)
-    entry = table.get(DIGEST) or table.get("*") or {}
-    r = pick(entry.get("runs", []), device)
+    r = pick(RUNS, os.environ.get(DEVICE_ENV, ""))
     if r is None:
-        r = {"stdout": "mock run ok\\\\n", "exit": 0}
+        r = {"stdout": "mock run ok\n", "exit": 0}
     sys.stdout.write(r.get("stdout", ""))
     sys.stdout.flush()
     sys.stderr.write(r.get("stderr", ""))
     sys.stderr.flush()
     if r.get("sleep"):
+        import time
         time.sleep(float(r["sleep"]))
     sig = r.get("signal")
     if sig:
+        import signal
         os.kill(os.getpid(), getattr(signal, sig))
     sys.exit(int(r.get("exit", 0)))
 
@@ -98,6 +100,14 @@ def main():
 if __name__ == "__main__":
     main()
 """
+
+_COMPILER_SCRIPT = r"""#!@@PY@@ -IS
+# Mock compiler: behavior scripted by a JSON table keyed by source sha256.
+import hashlib, json, os, re, sys, time
+
+TABLE_ENV = @@TABLE_ENV@@
+DEVICE_ENV = @@DEVICE_ENV@@
+RUNNER_SCRIPT = @@RUNNER@@
 
 
 def main():
@@ -126,7 +136,7 @@ def main():
         i += 1
     table_path = os.environ.get(TABLE_ENV, "")
     if not table_path or source is None:
-        sys.stderr.write("mockcc: missing fixture table or source file\\n")
+        sys.stderr.write("mockcc: missing fixture table or source file\n")
         sys.exit(91)
     with open(source, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
@@ -134,7 +144,7 @@ def main():
         table = json.load(fh)
     entry = table.get(digest) or table.get("*")
     if entry is None:
-        sys.stderr.write("mockcc: no fixture entry for source %s\\n" % digest[:12])
+        sys.stderr.write("mockcc: no fixture entry for source %s\n" % digest[:12])
         sys.exit(90)
     comp = entry.get("compile", {})
     if comp.get("sleep"):
@@ -143,12 +153,11 @@ def main():
     sys.stderr.write(comp.get("stderr", ""))
     code = int(comp.get("exit", 0))
     if code == 0 and out:
-        runner = RUNNER_TEMPLATE.replace("@@PY@@", sys.executable)
-        for marker, value in (("@@D@@", digest), ("@@C@@", compiler_id),
-                              ("@@T@@", target), ("@@O@@", opt),
-                              ("@@TB@@", table_path), ("@@DE@@", DEVICE_ENV)):
-            runner = runner.replace(marker, repr(value))
-        with open(out, "w") as fh:
+        fills = {"PY": sys.executable, "C": repr(compiler_id), "T": repr(target),
+                 "O": repr(opt), "DE": repr(DEVICE_ENV),
+                 "RUNS": repr(entry.get("runs", []))}
+        runner = re.sub(r"@@(\w+)@@", lambda m: fills[m.group(1)], RUNNER_SCRIPT)
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(runner)
         os.chmod(out, 0o755)
     sys.exit(code)
@@ -156,7 +165,7 @@ def main():
 
 if __name__ == "__main__":
     main()
-'''
+"""
 
 
 def source_digest(source_text: str) -> str:
@@ -183,12 +192,15 @@ def write_mock_compiler(path: Path) -> Path:
         )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    script = (
-        _COMPILER_SCRIPT.replace("@@PY@@", interpreter, 1)
-        .replace("@@TABLE_ENV@@", repr(TABLE_ENV))
-        .replace("@@DEVICE_ENV@@", repr(DEVICE_ENV))
+    fills = {
+        "PY": interpreter,
+        "TABLE_ENV": repr(TABLE_ENV),
+        "DEVICE_ENV": repr(DEVICE_ENV),
+        "RUNNER": repr(_RUNNER_SCRIPT),
+    }
+    path.write_text(
+        _MARKER.sub(lambda m: fills[m.group(1)], _COMPILER_SCRIPT), encoding="utf-8"
     )
-    path.write_text(script)
     os.chmod(path, 0o755)
     return path
 

@@ -85,17 +85,21 @@ class RateLimiter:
         self._clock = clock
         self._sleep = sleep
         self._window: list[float] = []
+        self._lock = threading.Lock()
 
     def acquire(self) -> None:
         if self.limit <= 0:
             return
-        now = self._clock()
-        self._window = [t for t in self._window if now - t < 60.0]
-        if len(self._window) >= self.limit:
-            wait = 60.0 - (now - self._window[0])
-            if wait > 0:
-                self._sleep(wait)
-        self._window.append(self._clock())
+        # one lock over check, wait and append: two threads must never both
+        # see room in a full window
+        with self._lock:
+            now = self._clock()
+            self._window = [t for t in self._window if now - t < 60.0]
+            if len(self._window) >= self.limit:
+                wait = 60.0 - (now - self._window[0])
+                if wait > 0:
+                    self._sleep(wait)
+            self._window.append(self._clock())
 
 
 # --------------------------------------------------------------------------

@@ -128,6 +128,19 @@ def test_campaign_is_bit_reproducible(tiny_campaign, tmp_path):
     assert report2.to_canonical_dict() == tiny_campaign.report.to_canonical_dict()
 
 
+def test_report_is_byte_identical_across_worker_counts(tiny_campaign, tmp_path):
+    reports = []
+    for workers in (1, 4):
+        config = load_config_file(
+            tiny_campaign.config_path,
+            overrides={"campaign.workers_llm": workers, "campaign.workers_tool": workers},
+        )
+        assert (config.workers_llm, config.workers_tool) == (workers, workers)
+        run_campaign(config, tmp_path / f"workers{workers}")
+        reports.append((tmp_path / f"workers{workers}" / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_findings_jsonl_line_count_matches_discrepancies(tiny_campaign):
     lines = [
         l

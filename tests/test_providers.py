@@ -321,6 +321,29 @@ def test_rate_limiter_waits_when_window_full():
     assert slept and slept[0] == pytest.approx(60.0)
 
 
+def test_rate_limiter_admits_one_of_two_concurrent_calls():
+    """Each clock read waits (up to 0.5 s) for the other caller's read, so
+    without a lock both callers check the window before either appends."""
+    rendezvous = threading.Barrier(2, timeout=0.5)
+    slept = []
+
+    def clock():
+        try:
+            rendezvous.wait()
+        except threading.BrokenBarrierError:  # the other caller is held off
+            pass
+        return 0.0
+
+    limiter = RateLimiter(1, clock=clock, sleep=slept.append)
+    threads = [threading.Thread(target=limiter.acquire) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert slept == [pytest.approx(60.0)]
+
+
 def test_approx_tokens():
     assert approx_tokens("") == 0
     assert approx_tokens("abcd") == 1

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -320,3 +322,79 @@ def test_unusable_interpreter_path_is_rejected(tmp_path, monkeypatch, interprete
     with pytest.raises(InvalidInterpreter, match="shebang"):
         write_mock_compiler(tmp_path / "mockcc")
     assert not (tmp_path / "mockcc").exists()
+
+
+def _compile_with_table(tmp_path, toolchain, name, runs):
+    """Compile a fresh source whose table record holds ``runs``."""
+    text = f"int main() {{ /* {name} */ }}\n"
+    source = tmp_path / f"{name}.cpp"
+    source.write_text(text)
+    table_path = write_mock_table(
+        tmp_path / f"{name}_table.json", {source_digest(text): table_entry(runs=runs)}
+    )
+    toolchain = dataclasses.replace(
+        toolchain, opt_levels=("-O0",), env={TABLE_ENV: str(table_path)}
+    )
+    result = compile_job(build_matrix(name, source, [toolchain], tmp_path / name)[0])
+    assert result.status == CompileStatus.OK, result.stderr
+    return result, table_path
+
+
+def _run_on(result, device_id):
+    device = DeviceConfig(device_id, {DEVICE_ENV: device_id})
+    return run_job(expand_run_jobs(result, [device], None)[0])
+
+
+def test_baked_run_entry_text_comes_back_byte_exact(mock_env, tmp_path):
+    _, _, _, _, toolchain = mock_env
+    text = (
+        "@@DE@@ @@RUNS@@ @@PY@@ @@C@@ \"double\" 'single' '''triple\"\"\" "
+        "back\\slash \\n \\\\ \\x00 grüße 中文 ☃\nsecond line\n"
+    )
+    result, _ = _compile_with_table(
+        tmp_path, toolchain, "verbatim",
+        [{"device": "devA", "stdout": text, "stderr": text[::-1], "exit": 3}],
+    )
+    rr = _run_on(result, "devA")
+    assert rr.status == RunStatus.NONZERO_EXIT and rr.exit_code == 3
+    assert rr.stdout == text
+    assert rr.stderr == text[::-1]
+
+
+def test_binary_keeps_its_compile_time_run_entries(mock_env, tmp_path):
+    _, _, _, _, toolchain = mock_env
+    result, table_path = _compile_with_table(
+        tmp_path, toolchain, "baked",
+        [
+            {"device": "devA", "stdout": "Output value from device kernel: 1\n"},
+            {"device": "devB", "stdout": "Output value from device kernel: 2\n"},
+        ],
+    )
+    write_mock_table(table_path, {})
+    assert _run_on(result, "devA").stdout == "Output value from device kernel: 1\n"
+    assert _run_on(result, "devB").stdout == "Output value from device kernel: 2\n"
+    assert _run_on(result, "devC").stdout == "mock run ok\n"
+
+
+def test_printing_binary_imports_no_json_re_enum_or_signal(mock_env, tmp_path):
+    _, _, _, _, toolchain = mock_env
+    result, _ = _compile_with_table(
+        tmp_path, toolchain, "light",
+        [{"device": "devA", "stdout": "Output value from device kernel: 1\n"}],
+    )
+    proc = subprocess.run(
+        [sys.executable, "-IS", "-X", "importtime", result.binary_path],
+        env={**os.environ, DEVICE_ENV: "devA"},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "Output value from device kernel: 1\n"
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "os" in imported  # the log is the one we think it is
+    assert imported.isdisjoint({"json", "re", "enum", "signal"}), sorted(imported)
