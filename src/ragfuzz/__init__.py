@@ -26,7 +26,6 @@ from .difftest import (
 )
 from .extraction import PassFunction, PassSource, extract_functions, filter_candidates
 from .ledger import CostLedger, PricingTable, estimate_cost
-from .oracles import brute_force_classify
 from .pipeline import (
     FeatureCatalog,
     GenerationPipeline,
@@ -72,7 +71,6 @@ __all__ = [
     "TestCase",
     "ToolchainConfig",
     "VectorIndex",
-    "brute_force_classify",
     "build_matrix",
     "chunk_document",
     "classify",

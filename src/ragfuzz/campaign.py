@@ -19,15 +19,17 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .difftest import ComparisonPolicy, ResultsMatrix, classify
+from .difftest import ComparisonPolicy, Discrepancy, ResultsMatrix, classify, summarize
 from .errors import (
     ConfigError,
     ConfigMismatch,
     CorruptManifest,
     InsufficientCells,
     RagfuzzError,
+    RecordError,
 )
-from .extraction import DefinitionKind, PassFunction, PassSource, extract_functions, filter_candidates
+from .extraction import PassFunction, PassSource, extract_functions, filter_candidates
+from .ledger import STAGES as LEDGER_STAGES
 from .ledger import CostLedger, PricingTable, default_pricing, estimate_cost
 from .pipeline import (
     CaseStatus,
@@ -47,19 +49,17 @@ from .providers import (
     LLMService,
     ProviderConfig,
     RateLimiter,
-    ReplayBackend,
     ScriptedLLM,
 )
 from .rag import ChunkPolicy, VectorIndex, chunk_document
+from .records import from_record, to_record
 from .scenarios import load_scenario, seed_case_id, selection_seed
 from .toolchain import (
     CellKey,
     CompileResult,
-    CompileStatus,
     DeviceConfig,
     RunLimits,
     RunResult,
-    RunStatus,
     TargetSpec,
     ToolchainConfig,
     build_matrix,
@@ -82,6 +82,9 @@ STAGES = (
 )
 
 MANIFEST_VERSION = 1
+
+# most compile/repair rounds a config may ask for per case
+REPAIR_HARD_CAP = 5
 
 
 # --------------------------------------------------------------------------
@@ -112,9 +115,8 @@ class RagConfig:
 
 @dataclass(frozen=True)
 class ProvidersSpec:
-    mode: str = "mock"  # mock | http | replay
+    mode: str = "mock"  # mock | http
     scenario: str = ""
-    cassette: str = ""
     llm: dict = field(default_factory=dict)
     embedding: dict = field(default_factory=dict)
 
@@ -123,7 +125,6 @@ class ProvidersSpec:
 class GenerationConfig:
     mutations_per_seed: int = 2
     max_repair_attempts: int = 5
-    repair_hard_cap: int = 5
     seeds_per_function: int = 1
     catalogs: str = ""
 
@@ -143,14 +144,6 @@ class LimitsConfig:
     file_size_mb: int = 64
 
 
-@dataclass(frozen=True)
-class ReportPolicy:
-    float_sig_digits: int = 6
-    unsupported_patterns: tuple[str, ...] = ("unsupported", "not supported", "UNSUPPORTED")
-    suppress_source_patterns: tuple[str, ...] = ()
-    pricing: str = ""
-
-
 @dataclass
 class CampaignConfig:
     seed: int
@@ -166,7 +159,8 @@ class CampaignConfig:
     devices: list[DeviceConfig]
     compatibility: dict[str, list[str]]
     limits: LimitsConfig
-    report: ReportPolicy
+    report: ComparisonPolicy
+    pricing: str  # config key report.pricing; "" = the packaged table
     base_dir: Path
     raw: dict = field(default_factory=dict, repr=False)
 
@@ -195,6 +189,14 @@ def _resolve_env(base_dir: Path, env: dict) -> dict:
     return out
 
 
+def _section(cls: type, raw: dict, path: str):
+    """Decode one flat config section; a key it lacks takes the field's default."""
+    try:
+        return from_record(cls, raw)
+    except RecordError as exc:
+        raise ConfigError(f"{path}.{exc.field_path}".rstrip("."), exc.reason) from None
+
+
 def load_config(data: dict, base_dir: Path) -> CampaignConfig:
     """Validate a raw config dict; errors carry the offending field path."""
     base_dir = Path(base_dir)
@@ -220,22 +222,11 @@ def load_config(data: dict, base_dir: Path) -> CampaignConfig:
     if len(set(names)) != len(names):
         raise ConfigError("passes", "pass_name values must be unique")
 
-    ext_raw = data.get("extraction", {})
-    extraction = ExtractionConfig(
-        min_lines=int(ext_raw.get("min_lines", 1)),
-        name_patterns=tuple(ext_raw.get("name_patterns", [])),
-    )
+    extraction = _section(ExtractionConfig, data.get("extraction", {}), "extraction")
     if extraction.min_lines < 1:
         raise ConfigError("extraction.min_lines", "must be >= 1")
 
-    rag_raw = data.get("rag", {})
-    rag = RagConfig(
-        max_chars=int(rag_raw.get("max_chars", 1500)),
-        overlap_chars=int(rag_raw.get("overlap_chars", 200)),
-        threshold=float(rag_raw.get("threshold", 0.5)),
-        k=int(rag_raw.get("k", 4)),
-        embedding_dim=int(rag_raw.get("embedding_dim", 64)),
-    )
+    rag = _section(RagConfig, data.get("rag", {}), "rag")
     if rag.max_chars <= rag.overlap_chars or rag.overlap_chars < 0:
         raise ConfigError("rag", "require max_chars > overlap_chars >= 0")
     if not 0.0 < rag.threshold <= 2.0:
@@ -243,35 +234,18 @@ def load_config(data: dict, base_dir: Path) -> CampaignConfig:
     if rag.k < 1:
         raise ConfigError("rag.k", "must be >= 1")
 
-    prov_raw = data.get("providers", {})
-    providers = ProvidersSpec(
-        mode=prov_raw.get("mode", "mock"),
-        scenario=prov_raw.get("scenario", ""),
-        cassette=prov_raw.get("cassette", ""),
-        llm=dict(prov_raw.get("llm", {})),
-        embedding=dict(prov_raw.get("embedding", {})),
-    )
-    if providers.mode not in ("mock", "http", "replay"):
+    providers = _section(ProvidersSpec, data.get("providers", {}), "providers")
+    if providers.mode not in ("mock", "http"):
         raise ConfigError("providers.mode", f"unknown mode {providers.mode!r}")
     if providers.mode == "mock" and not providers.scenario:
         raise ConfigError("providers.scenario", "mock mode requires a scenario")
-    if providers.mode == "replay" and not providers.cassette:
-        raise ConfigError("providers.cassette", "replay mode requires a cassette")
 
-    gen_raw = data.get("generation", {})
-    generation = GenerationConfig(
-        mutations_per_seed=int(gen_raw.get("mutations_per_seed", 2)),
-        max_repair_attempts=int(gen_raw.get("max_repair_attempts", 5)),
-        repair_hard_cap=int(gen_raw.get("repair_hard_cap", 5)),
-        seeds_per_function=int(gen_raw.get("seeds_per_function", 1)),
-        catalogs=gen_raw.get("catalogs", ""),
-    )
+    generation = _section(GenerationConfig, data.get("generation", {}), "generation")
     if generation.mutations_per_seed < 0:
         raise ConfigError("generation.mutations_per_seed", "must be >= 0")
-    if generation.max_repair_attempts > generation.repair_hard_cap:
+    if generation.max_repair_attempts > REPAIR_HARD_CAP:
         raise ConfigError(
-            "generation.max_repair_attempts",
-            f"exceeds hard cap {generation.repair_hard_cap}",
+            "generation.max_repair_attempts", f"exceeds hard cap {REPAIR_HARD_CAP}"
         )
 
     toolchains_raw = data.get("toolchains", [])
@@ -304,51 +278,18 @@ def load_config(data: dict, base_dir: Path) -> CampaignConfig:
     devices_raw = data.get("devices", [])
     if not devices_raw:
         raise ConfigError("devices", "at least one device is required")
-    devices = [
-        DeviceConfig(
-            device_id=d["device_id"],
-            env=dict(d.get("env", {})),
-            description=d.get("description", ""),
-        )
-        for d in devices_raw
-    ]
+    devices = [_section(DeviceConfig, d, f"devices[{i}]") for i, d in enumerate(devices_raw)]
     if len({d.device_id for d in devices}) != len(devices):
         raise ConfigError("devices", "device_id values must be unique")
 
-    gate_raw = data.get("gate", {})
-    if not gate_raw:
+    if not data.get("gate"):
         raise ConfigError("gate", "a repair gate (compiler_id, target, opt_level) is required")
-    gate = GateConfig(
-        compiler_id=gate_raw["compiler_id"],
-        target=gate_raw["target"],
-        opt_level=gate_raw["opt_level"],
-    )
+    gate = _section(GateConfig, data["gate"], "gate")
     gate_tc = next((t for t in toolchains if t.compiler_id == gate.compiler_id), None)
     if gate_tc is None:
         raise ConfigError("gate.compiler_id", f"unknown compiler {gate.compiler_id!r}")
     if gate.target not in [t.name for t in gate_tc.targets]:
         raise ConfigError("gate.target", f"compiler has no target {gate.target!r}")
-
-    limits_raw = data.get("limits", {})
-    limits = LimitsConfig(
-        compile_timeout=float(limits_raw.get("compile_timeout", 120.0)),
-        run_timeout=float(limits_raw.get("run_timeout", 30.0)),
-        address_space_mb=int(limits_raw.get("address_space_mb", 2048)),
-        file_size_mb=int(limits_raw.get("file_size_mb", 64)),
-    )
-
-    report_raw = data.get("report", {})
-    report = ReportPolicy(
-        float_sig_digits=int(report_raw.get("float_sig_digits", 6)),
-        unsupported_patterns=tuple(
-            report_raw.get(
-                "unsupported_patterns",
-                ("unsupported", "not supported", "UNSUPPORTED"),
-            )
-        ),
-        suppress_source_patterns=tuple(report_raw.get("suppress_source_patterns", [])),
-        pricing=report_raw.get("pricing", ""),
-    )
 
     return CampaignConfig(
         seed=int(campaign.get("seed", 0)),
@@ -363,8 +304,9 @@ def load_config(data: dict, base_dir: Path) -> CampaignConfig:
         toolchains=toolchains,
         devices=devices,
         compatibility={k: list(v) for k, v in data.get("compatibility", {}).items()},
-        limits=limits,
-        report=report,
+        limits=_section(LimitsConfig, data.get("limits", {}), "limits"),
+        report=_section(ComparisonPolicy, data.get("report", {}), "report"),
+        pricing=data.get("report", {}).get("pricing", ""),
         base_dir=base_dir,
         raw=data,
     )
@@ -398,11 +340,19 @@ def _slug(name: str) -> str:
     return "".join(c if c.isalnum() or c in "-." else "_" for c in name)
 
 
-def _write_json(path: Path, payload) -> None:
+def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def _write_json(path: Path, payload) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _read_json(cls: type, path: Path):
+    return from_record(cls, json.loads(path.read_text()))
 
 
 class CampaignStore:
@@ -478,26 +428,20 @@ class CampaignStore:
 
     # persistence helpers
     def save_case(self, case: TestCase) -> None:
-        _write_json(self.case_path(case.case_id), case.to_dict())
-        source = self.source_path(case.case_id)
-        source.parent.mkdir(parents=True, exist_ok=True)
-        tmp = source.with_suffix(".cpp.tmp")
-        tmp.write_text(case.source)
-        os.replace(tmp, source)
+        _write_json(self.case_path(case.case_id), to_record(case))
+        _write_text(self.source_path(case.case_id), case.source)
 
     def load_case(self, case_id: str) -> TestCase | None:
         path = self.case_path(case_id)
         if not path.exists():
             return None
-        return TestCase.from_dict(json.loads(path.read_text()))
+        return _read_json(TestCase, path)
 
     def all_cases(self) -> list[TestCase]:
-        cases_dir = self.root / "cases"
-        if not cases_dir.exists():
-            return []
-        cases = []
-        for case_file in sorted(cases_dir.glob("*/case.json")):
-            cases.append(TestCase.from_dict(json.loads(case_file.read_text())))
+        cases = [
+            _read_json(TestCase, path)
+            for path in sorted((self.root / "cases").glob("*/case.json"))
+        ]
         cases.sort(key=lambda c: c.case_id)
         return cases
 
@@ -539,8 +483,7 @@ def emit_report(report: CampaignReport, out_dir: Path, fmt: str) -> Path:
         return path
     if fmt == "markdown":
         path = out_dir / "report.md"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(render_markdown(report))
+        _write_text(path, render_markdown(report))
         return path
     raise ValueError(f"unknown report format {fmt!r}")
 
@@ -608,11 +551,7 @@ class CampaignRunner:
             retrieval_threshold=config.rag.threshold,
             retrieval_k=config.rag.k,
         )
-        self.policy = ComparisonPolicy(
-            float_sig_digits=config.report.float_sig_digits,
-            unsupported_patterns=config.report.unsupported_patterns,
-            suppress_source_patterns=config.report.suppress_source_patterns,
-        )
+        self.policy = config.report
         self._timing: dict[str, float] = {}
         if self.store.timing_path.exists():
             self._timing = json.loads(self.store.timing_path.read_text())
@@ -654,10 +593,6 @@ class CampaignRunner:
         if spec.mode == "mock":
             scenario = load_scenario(spec.scenario)
             backend = ScriptedLLM(scenario.llm_entries)
-            embed_backend = HashEmbedder(dim=self.config.rag.embedding_dim, seed=0)
-            max_retries, backoff = 0, 0.0
-        elif spec.mode == "replay":
-            backend = ReplayBackend(Path(_resolve(self.config.base_dir, spec.cassette)))
             embed_backend = HashEmbedder(dim=self.config.rag.embedding_dim, seed=0)
             max_retries, backoff = 0, 0.0
         else:
@@ -748,36 +683,10 @@ class CampaignRunner:
                 self.config.extraction.min_lines,
                 list(self.config.extraction.name_patterns),
             )
-            _write_json(
-                out_path,
-                [
-                    {
-                        "pass_name": fn.pass_name,
-                        "qualified_name": fn.qualified_name,
-                        "kind": fn.kind.value,
-                        "body": fn.body,
-                        "line_span": list(fn.line_span),
-                        "char_span": list(fn.char_span),
-                        "depth": fn.depth,
-                    }
-                    for fn in functions
-                ],
-            )
+            _write_json(out_path, to_record(functions))
 
     def _load_functions(self, pass_name: str) -> list[PassFunction]:
-        records = json.loads(self.store.functions_path(pass_name).read_text())
-        return [
-            PassFunction(
-                pass_name=r["pass_name"],
-                qualified_name=r["qualified_name"],
-                kind=DefinitionKind(r["kind"]),
-                body=r["body"],
-                line_span=tuple(r["line_span"]),
-                char_span=tuple(r["char_span"]),
-                depth=r["depth"],
-            )
-            for r in records
-        ]
+        return _read_json(list[PassFunction], self.store.functions_path(pass_name))
 
     def _stage_index(self) -> None:
         meta = self.store.index_dir / VectorIndex.META
@@ -807,24 +716,15 @@ class CampaignRunner:
             for fn in self._load_functions(spec.pass_name):
                 path = self.store.characteristics_path(spec.pass_name, fn.qualified_name)
                 if path.exists():
-                    ch = Characteristics(**json.loads(path.read_text()))
-                    self.pipeline.seed_characteristics_cache(fn, ch)
+                    self.pipeline.seed_characteristics_cache(fn, _read_json(Characteristics, path))
                     continue
-                ch = self.pipeline.generate_characteristics(fn)
-                _write_json(
-                    path,
-                    {
-                        "pass_name": ch.pass_name,
-                        "function_key": ch.function_key,
-                        "text": ch.text,
-                    },
-                )
+                _write_json(path, to_record(self.pipeline.generate_characteristics(fn)))
 
     def _stage_generate(self) -> None:
         for spec in self.config.passes:
             for fn_idx, fn in enumerate(self._load_functions(spec.pass_name)):
                 ch_path = self.store.characteristics_path(spec.pass_name, fn.qualified_name)
-                ch = Characteristics(**json.loads(ch_path.read_text()))
+                ch = _read_json(Characteristics, ch_path)
                 for k in range(self.config.generation.seeds_per_function):
                     case_id = seed_case_id(spec.pass_name, fn_idx, k)
                     if self.store.case_path(case_id).exists():
@@ -949,32 +849,10 @@ class CampaignRunner:
                 compile_key = CellKey(job.compiler_id, job.target, job.opt_level)
                 result_path = self.store.compile_result_path(case.case_id, compile_key)
                 if result_path.exists():
-                    record = json.loads(result_path.read_text())
-                    result = CompileResult(
-                        case_id=record["case_id"],
-                        compiler_id=record["compiler_id"],
-                        target=record["target"],
-                        opt_level=record["opt_level"],
-                        status=CompileStatus(record["status"]),
-                        stderr=record["stderr"],
-                        binary_path=record["binary_path"],
-                        duration=record["duration"],
-                    )
+                    result = _read_json(CompileResult, result_path)
                 else:
                     result = compile_job(job)
-                    _write_json(
-                        result_path,
-                        {
-                            "case_id": result.case_id,
-                            "compiler_id": result.compiler_id,
-                            "target": result.target,
-                            "opt_level": result.opt_level,
-                            "status": result.status.value,
-                            "stderr": result.stderr,
-                            "binary_path": result.binary_path,
-                            "duration": result.duration,
-                        },
-                    )
+                    _write_json(result_path, to_record(result))
                 for run in expand_run_jobs(
                     result,
                     self.config.devices,
@@ -984,44 +862,14 @@ class CampaignRunner:
                     run_path = self.store.run_result_path(case.case_id, run.cell)
                     if run_path.exists():
                         continue
-                    rr = run_job(run, limits)
-                    _write_json(
-                        run_path,
-                        {
-                            "case_id": rr.case_id,
-                            "cell": {
-                                "compiler_id": rr.cell.compiler_id,
-                                "target": rr.cell.target,
-                                "opt_level": rr.cell.opt_level,
-                                "device_id": rr.cell.device_id,
-                            },
-                            "status": rr.status.value,
-                            "exit_code": rr.exit_code,
-                            "stdout": rr.stdout,
-                            "stderr": rr.stderr,
-                            "duration": rr.duration,
-                        },
-                    )
+                    _write_json(run_path, to_record(run_job(run, limits)))
 
         _pmap(process_case, compiled, self.config.workers_tool)
 
     def _load_matrix(self, case: TestCase) -> ResultsMatrix:
-        cells: dict[CellKey, RunResult] = {}
         results_dir = self.store.case_dir(case.case_id) / "results"
-        if results_dir.exists():
-            for path in sorted(results_dir.glob("run_*.json")):
-                record = json.loads(path.read_text())
-                key = CellKey(**record["cell"])
-                cells[key] = RunResult(
-                    case_id=record["case_id"],
-                    cell=key,
-                    status=RunStatus(record["status"]),
-                    exit_code=record["exit_code"],
-                    stdout=record["stdout"],
-                    stderr=record["stderr"],
-                    duration=record["duration"],
-                )
-        return ResultsMatrix(case_id=case.case_id, cells=cells)
+        runs = [_read_json(RunResult, path) for path in sorted(results_dir.glob("run_*.json"))]
+        return ResultsMatrix(case_id=case.case_id, cells={r.cell: r for r in runs})
 
     def _stage_classify(self) -> None:
         if self.store.findings_path.exists():
@@ -1042,29 +890,8 @@ class CampaignRunner:
                 findings = classify(matrix, self.policy)
             except InsufficientCells:
                 continue
-            for d in findings:
-                lines.append(
-                    json.dumps(
-                        {
-                            "case_id": d.case_id,
-                            "kind": d.kind.value,
-                            "axis": d.axis.value,
-                            "issue_class": d.issue_class.value,
-                            "witness": {
-                                "cell_a": d.witness.cell_a.__dict__,
-                                "cell_b": d.witness.cell_b.__dict__,
-                                "status_a": d.witness.status_a,
-                                "status_b": d.witness.status_b,
-                                "output_a": d.witness.output_a,
-                                "output_b": d.witness.output_b,
-                            },
-                        },
-                        sort_keys=True,
-                    )
-                )
-        tmp = self.store.findings_path.with_suffix(".jsonl.tmp")
-        tmp.write_text("\n".join(lines) + ("\n" if lines else ""))
-        os.replace(tmp, self.store.findings_path)
+            lines += [json.dumps(to_record(d), sort_keys=True) + "\n" for d in findings]
+        _write_text(self.store.findings_path, "".join(lines))
 
     def _stage_report(self) -> CampaignReport:
         report = self.build_report()
@@ -1075,10 +902,8 @@ class CampaignRunner:
     # -- report assembly -------------------------------------------------
 
     def _pricing(self) -> PricingTable:
-        if self.config.report.pricing:
-            return PricingTable.load(
-                Path(_resolve(self.config.base_dir, self.config.report.pricing))
-            )
+        if self.config.pricing:
+            return PricingTable.load(Path(_resolve(self.config.base_dir, self.config.pricing)))
         return default_pricing()
 
     def build_report(self) -> CampaignReport:
@@ -1110,38 +935,18 @@ class CampaignRunner:
                 "abandoned": abandoned,
             }
 
-        findings_records = []
+        discrepancies = []
         if self.store.findings_path.exists():
             for line in self.store.findings_path.read_text().splitlines():
                 if line.strip():
-                    findings_records.append(json.loads(line))
-
-        per_case: dict[str, list[list[str]]] = {}
-        for record in findings_records:
-            per_case.setdefault(record["case_id"], []).append(
-                [record["kind"], record["axis"]]
-            )
-        for pairs in per_case.values():
-            pairs.sort()
-        axis_cases: dict[str, set] = {}
-        kind_cases: dict[str, set] = {}
-        for record in findings_records:
-            axis_cases.setdefault(record["axis"], set()).add(record["case_id"])
-            kind_cases.setdefault(record["kind"], set()).add(record["case_id"])
-        flagged = sorted({r["case_id"] for r in findings_records})
-        findings = {
-            "total_flagged": len(flagged),
-            "flagged_cases": flagged,
-            "per_axis": {axis: len(cases) for axis, cases in sorted(axis_cases.items())},
-            "per_kind": {kind: len(cases) for kind, cases in sorted(kind_cases.items())},
-            "per_case": {case_id: per_case[case_id] for case_id in sorted(per_case)},
-        }
+                    discrepancies.append(from_record(Discrepancy, json.loads(line)))
+        findings = to_record(summarize(discrepancies))
 
         entries = self.ledger.entries()
         input_tokens = sum(e.input_tokens for e in entries)
         output_tokens = sum(e.output_tokens for e in entries)
         by_stage = {}
-        for stage in ("characteristics", "codegen", "repair", "mutation", "embedding"):
+        for stage in LEDGER_STAGES:
             stage_entries = [e for e in entries if e.stage == stage]
             by_stage[stage] = {
                 "input_tokens": sum(e.input_tokens for e in stage_entries),
@@ -1173,20 +978,13 @@ def run_campaign(
 
 def resume(campaign_dir: Path, config: CampaignConfig | None = None) -> CampaignReport | None:
     """Complete a previously started campaign from its persisted artifacts."""
-    campaign_dir = Path(campaign_dir)
     store = CampaignStore(campaign_dir)
     if not store.manifest_path.exists():
         raise CorruptManifest(f"no manifest in {campaign_dir}")
-    try:
-        manifest = json.loads(store.manifest_path.read_text())
-        stored_hash = manifest["config_hash"]
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise CorruptManifest(str(store.manifest_path)) from exc
     if config is None:
         if not store.snapshot_path.exists():
             raise CorruptManifest(f"no config snapshot in {campaign_dir}")
         snapshot = json.loads(store.snapshot_path.read_text())
         config = load_config(snapshot["config"], Path(snapshot["base_dir"]))
-    if config.config_hash != stored_hash:
-        raise ConfigMismatch("provided config does not match the campaign manifest")
+    # CampaignRunner checks the manifest against the config hash
     return run_campaign(config, campaign_dir)

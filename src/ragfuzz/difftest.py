@@ -8,12 +8,12 @@ before output comparison so expected cross-architecture noise does not flag.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
 from .errors import InsufficientCells
-from .toolchain import CellKey, CompileResult, RunResult, RunStatus
+from .toolchain import CellKey, RunResult, RunStatus
 
 
 class DiscrepancyKind(str, Enum):
@@ -50,7 +50,6 @@ class ComparisonPolicy:
 class ResultsMatrix:
     case_id: str
     cells: dict[CellKey, RunResult]
-    compile_failures: tuple[CompileResult, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ class CampaignFindings:
     flagged_cases: tuple[str, ...]
     per_axis: dict[str, int]
     per_kind: dict[str, int]
-    per_axis_cases: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    per_case: dict[str, tuple[tuple[str, str], ...]]  # case -> sorted (kind, axis)
 
 
 _FLOAT_TOKEN_RE = re.compile(r"[-+]?\d+\.\d+(?:[eE][-+]?\d+)?|[-+]?\d+[eE][-+]?\d+")
@@ -205,18 +204,21 @@ def classify(matrix: ResultsMatrix, policy: ComparisonPolicy | None = None) -> l
 
 
 def summarize(discrepancies: list[Discrepancy]) -> CampaignFindings:
-    """Distinct flagged cases per axis and kind; total counts each case once."""
-    all_cases: set[str] = set()
-    axis_cases: dict[str, set[str]] = {axis.value: set() for axis in Axis}
-    kind_cases: dict[str, set[str]] = {kind.value: set() for kind in DiscrepancyKind}
+    """Distinct flagged cases per axis and kind; total counts each case once.
+
+    Only axes and kinds with at least one flagged case are listed.
+    """
+    per_case: dict[str, list[tuple[str, str]]] = {}
+    axis_cases: dict[str, set[str]] = {}
+    kind_cases: dict[str, set[str]] = {}
     for d in discrepancies:
-        all_cases.add(d.case_id)
-        axis_cases[d.axis.value].add(d.case_id)
-        kind_cases[d.kind.value].add(d.case_id)
+        per_case.setdefault(d.case_id, []).append((d.kind.value, d.axis.value))
+        axis_cases.setdefault(d.axis.value, set()).add(d.case_id)
+        kind_cases.setdefault(d.kind.value, set()).add(d.case_id)
     return CampaignFindings(
-        total_flagged=len(all_cases),
-        flagged_cases=tuple(sorted(all_cases)),
+        total_flagged=len(per_case),
+        flagged_cases=tuple(sorted(per_case)),
         per_axis={axis: len(cases) for axis, cases in sorted(axis_cases.items())},
         per_kind={kind: len(cases) for kind, cases in sorted(kind_cases.items())},
-        per_axis_cases={axis: tuple(sorted(cases)) for axis, cases in sorted(axis_cases.items())},
+        per_case={case_id: tuple(sorted(per_case[case_id])) for case_id in sorted(per_case)},
     )

@@ -111,6 +111,17 @@ class OpenWorldKey(RagfuzzError):
     """A scripted scenario was asked for a key it does not define."""
 
 
+# --- records ---
+
+class RecordError(RagfuzzError):
+    """A record field that is missing or cannot be read as its type."""
+
+    def __init__(self, field_path: str, reason: str):
+        super().__init__(f"{field_path}: {reason}" if field_path else reason)
+        self.field_path = field_path
+        self.reason = reason
+
+
 # --- campaign / config ---
 
 class ConfigError(RagfuzzError):

@@ -30,7 +30,6 @@ class PassSource:
     pass_name: str
     file_path: Path
     content: str
-    language_hint: str = "cxx"
 
 
 @dataclass(frozen=True)

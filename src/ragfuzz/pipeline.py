@@ -116,33 +116,6 @@ class TestCase:
     repair_transcript: list[RepairAttempt] = field(default_factory=list)
     abandon_reason: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "pass_name": self.pass_name,
-            "source": self.source,
-            "status": self.status.value,
-            "characteristics_key": self.characteristics_key,
-            "selection": self.selection.__dict__ if self.selection else None,
-            "parent_id": self.parent_id,
-            "repair_transcript": [a.__dict__ for a in self.repair_transcript],
-            "abandon_reason": self.abandon_reason,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TestCase":
-        return cls(
-            case_id=data["case_id"],
-            pass_name=data["pass_name"],
-            source=data["source"],
-            status=CaseStatus(data["status"]),
-            characteristics_key=data.get("characteristics_key", ""),
-            selection=FeatureSelection(**data["selection"]) if data.get("selection") else None,
-            parent_id=data.get("parent_id"),
-            repair_transcript=[RepairAttempt(**a) for a in data.get("repair_transcript", [])],
-            abandon_reason=data.get("abandon_reason", ""),
-        )
-
 
 @dataclass(frozen=True)
 class RepairOutcome:

@@ -252,91 +252,6 @@ class ScriptedLLM:
         )
 
 
-class FlakyBackend:
-    """Test helper: raises scripted transport errors before succeeding."""
-
-    model_id = "mock-llm"
-
-    def __init__(self, failures: int, response: str = "ok"):
-        self.failures = failures
-        self.response = response
-        self.calls = 0
-
-    def complete(self, text: str) -> Completion:
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise TransportError(f"scripted transport failure #{self.calls}")
-        return Completion(
-            text=self.response,
-            input_tokens=approx_tokens(text),
-            output_tokens=approx_tokens(self.response),
-            model_id=self.model_id,
-            approximate_usage=True,
-        )
-
-
-# --------------------------------------------------------------------------
-# Record / replay cassettes
-# --------------------------------------------------------------------------
-
-class RecordingBackend:
-    """Wraps a live backend and captures full request/response pairs."""
-
-    def __init__(self, inner, cassette_path: Path):
-        self.inner = inner
-        self.model_id = inner.model_id
-        self.path = Path(cassette_path)
-        self.interactions: list[dict] = []
-
-    def complete(self, text: str) -> Completion:
-        completion = self.inner.complete(text)
-        self.interactions.append(
-            {
-                "request": text,
-                "response": {
-                    "text": completion.text,
-                    "input_tokens": completion.input_tokens,
-                    "output_tokens": completion.output_tokens,
-                    "model_id": completion.model_id,
-                },
-            }
-        )
-        self.save()
-        return completion
-
-    def save(self) -> None:
-        self.path.write_text(json.dumps(self.interactions, indent=2, sort_keys=True))
-
-
-class ReplayBackend:
-    """Plays a recorded cassette back verbatim, in order."""
-
-    def __init__(self, cassette_path: Path, strict: bool = True):
-        self.interactions = json.loads(Path(cassette_path).read_text())
-        self.strict = strict
-        self.cursor = 0
-        self.model_id = (
-            self.interactions[0]["response"]["model_id"] if self.interactions else "replay"
-        )
-
-    def complete(self, text: str) -> Completion:
-        if self.cursor >= len(self.interactions):
-            raise OpenWorldKey("cassette exhausted")
-        interaction = self.interactions[self.cursor]
-        self.cursor += 1
-        if self.strict and interaction["request"] != text:
-            raise OpenWorldKey(
-                f"cassette request #{self.cursor - 1} does not match the live request"
-            )
-        resp = interaction["response"]
-        return Completion(
-            text=resp["text"],
-            input_tokens=resp["input_tokens"],
-            output_tokens=resp["output_tokens"],
-            model_id=resp["model_id"],
-        )
-
-
 # --------------------------------------------------------------------------
 # Services: retry + ledger + cache wiring
 # --------------------------------------------------------------------------

@@ -45,12 +45,6 @@ class ChunkPolicy:
             )
 
 
-@dataclass(frozen=True)
-class IndexStats:
-    count: int
-    dim: int
-
-
 _SENTENCE_END_RE = re.compile(r"[.!?][)\"']*[ \t\n]")
 
 
@@ -176,11 +170,10 @@ class VectorIndex:
             self._chunks[row] = chunk
             self._vectors[row] = vector
 
-    def index_chunks(self, chunks: list[Chunk], embedder) -> IndexStats:
-        """Embed and store every chunk; returns (count, dim) after the pass."""
+    def index_chunks(self, chunks: list[Chunk], embedder) -> None:
+        """Embed and store every chunk."""
         for chunk in chunks:
             self.add(chunk, embedder.embed_text(chunk.text))
-        return IndexStats(count=len(self._chunks), dim=self.dim or 0)
 
     def _scan_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         scan = self._scan

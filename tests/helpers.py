@@ -1,9 +1,12 @@
-"""Shared test helpers: synthetic results matrices for classifier checks."""
+"""Shared test helpers: synthetic results matrices for classifier checks and
+a provider backend that fails on cue."""
 from __future__ import annotations
 
 import random
 
 from ragfuzz.difftest import ResultsMatrix
+from ragfuzz.errors import TransportError
+from ragfuzz.providers import Completion, approx_tokens
 from ragfuzz.toolchain import CellKey, RunResult, RunStatus
 
 STATUS_POOL = [
@@ -82,3 +85,26 @@ def random_matrix(rng: random.Random, case_id: str = "case") -> ResultsMatrix:
                         cells[result.cell] = result
         if len(cells) >= 2:
             return ResultsMatrix(case_id=case_id, cells=cells)
+
+
+class FlakyBackend:
+    """Test helper: raises scripted transport errors before succeeding."""
+
+    model_id = "mock-llm"
+
+    def __init__(self, failures: int, response: str = "ok"):
+        self.failures = failures
+        self.response = response
+        self.calls = 0
+
+    def complete(self, text: str) -> Completion:
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise TransportError(f"scripted transport failure #{self.calls}")
+        return Completion(
+            text=self.response,
+            input_tokens=approx_tokens(text),
+            output_tokens=approx_tokens(self.response),
+            model_id=self.model_id,
+            approximate_usage=True,
+        )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from itertools import combinations
 
-from .difftest import (
+from ragfuzz.difftest import (
     Axis,
     ComparisonPolicy,
     Discrepancy,
@@ -20,7 +20,7 @@ from .difftest import (
     Witness,
     normalize_output,
 )
-from .toolchain import RunResult, RunStatus
+from ragfuzz.toolchain import RunResult, RunStatus
 
 
 def _axis_of(a: RunResult, b: RunResult) -> Axis | None:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from helpers import random_matrix
+from oracles import brute_force_classify
 
 from ragfuzz.campaign import (
     STAGES,
@@ -27,7 +28,6 @@ from ragfuzz.campaign import (
 from ragfuzz.difftest import ResultsMatrix, classify, summarize
 from ragfuzz.extraction import PassSource, extract_functions
 from ragfuzz.ledger import CostLedger, ModelRate, PricingTable, estimate_cost
-from ragfuzz.oracles import brute_force_classify
 from ragfuzz.pipeline import GenerationPipeline, TestCase
 from ragfuzz.prompts import TEMPLATE_PLACEHOLDERS, PromptFactory
 from ragfuzz.providers import HashEmbedder, LLMService, ScriptEntry, ScriptedLLM

@@ -66,6 +66,35 @@ def test_repair_attempts_capped(tmp_path):
     assert "hard cap" in str(exc.value)
 
 
+# each entry breaks the tiny config at the field path it is keyed by
+MALFORMED = {
+    "gate.target": lambda data: data["gate"].pop("target"),
+    "rag.k": lambda data: data["rag"].update(k="four"),
+    "devices[1].device_id": lambda data: data["devices"][1].pop("device_id"),
+    "limits": lambda data: data.update(limits=[30.0, 10.0]),
+}
+
+
+@pytest.mark.parametrize("field_path", sorted(MALFORMED))
+def test_malformed_section_names_its_field_path(tmp_path, field_path):
+    data = minimal_config_dict()
+    MALFORMED[field_path](data)
+    with pytest.raises(ConfigError) as exc:
+        load_config(data, tmp_path)
+    assert exc.value.field_path == field_path
+
+
+def test_missing_section_keys_take_dataclass_defaults(tmp_path):
+    data = minimal_config_dict()
+    for section in ("extraction", "rag", "generation", "limits", "report"):
+        data.pop(section)
+    config = load_config(data, tmp_path)
+    assert config.rag.k == 4 and config.rag.embedding_dim == 64
+    assert config.limits.run_timeout == 30.0
+    assert config.report.unsupported_patterns == ("unsupported", "not supported", "UNSUPPORTED")
+    assert config.pricing == ""
+
+
 def test_gate_must_reference_known_compiler(tmp_path):
     data = minimal_config_dict()
     data["gate"]["compiler_id"] = "ghost"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from test_campaign import MALFORMED
 
 from ragfuzz.cli import main
 from ragfuzz.scenarios import build_tiny, materialize_scenario
@@ -74,6 +75,17 @@ def test_config_error_exits_one(tmp_path, capsys):
     code = main(["run", "--config", str(bad), "--campaign-dir", str(tmp_path / "c")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field_path", sorted(MALFORMED))
+def test_malformed_config_exits_one_with_field_path(workdir, capsys, field_path):
+    config_path, campaign_dir = workdir
+    data = json.loads(config_path.read_text())
+    MALFORMED[field_path](data)
+    config_path.write_text(json.dumps(data))
+    code = main(["run", "--config", str(config_path), "--campaign-dir", str(campaign_dir)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {field_path}: ")
 
 
 def test_resume_without_manifest_exits_one(tmp_path, capsys):

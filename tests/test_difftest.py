@@ -5,6 +5,7 @@ import random
 import pytest
 
 from helpers import make_cell, random_matrix
+from oracles import brute_force_classify
 
 from ragfuzz.difftest import (
     Axis,
@@ -18,7 +19,6 @@ from ragfuzz.difftest import (
     summarize,
 )
 from ragfuzz.errors import InsufficientCells
-from ragfuzz.oracles import brute_force_classify
 from ragfuzz.toolchain import RunStatus
 
 
@@ -202,7 +202,7 @@ def test_brute_force_trivial_rules():
 def test_summarize_empty():
     findings = summarize([])
     assert findings.total_flagged == 0
-    assert all(v == 0 for v in findings.per_axis.values())
+    assert findings.per_axis == findings.per_kind == findings.per_case == {}
 
 
 def _flag(case_id: str, axis: Axis):
@@ -233,3 +233,7 @@ def test_summarize_union_counts_overlap_once():
     assert summary.per_axis["cross_compiler"] == 1
     assert summary.per_axis["cross_device"] == 1
     assert summary.total_flagged == 1
+    assert summary.per_kind == {"output_mismatch": 1}
+    assert summary.per_case == {
+        "shared_case": (("output_mismatch", "cross_compiler"), ("output_mismatch", "cross_device"))
+    }

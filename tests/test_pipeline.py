@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from pathlib import Path
@@ -24,6 +25,7 @@ from ragfuzz.pipeline import (
 )
 from ragfuzz.prompts import PromptFactory
 from ragfuzz.providers import LLMService, ScriptEntry, ScriptedLLM, binding_digest
+from ragfuzz.records import from_record, to_record
 from ragfuzz.toolchain import CompileResult, CompileStatus
 
 
@@ -288,8 +290,7 @@ def test_repair_loop_two_failures_then_success():
 
 def test_repair_loop_provider_error_abandons():
     pipeline, _ = make_pipeline([])  # no repair script -> OpenWorldKey is not ProviderError
-    from ragfuzz.errors import TransportError
-    from ragfuzz.providers import FlakyBackend
+    from helpers import FlakyBackend
 
     service = LLMService(FlakyBackend(failures=99), CostLedger(), max_retries=1, sleep=lambda s: None)
     pipeline.llm = service
@@ -354,8 +355,8 @@ def test_derive_seed_is_stable():
     assert derive_seed("a", 1) != derive_seed("a", 2)
 
 
-def test_testcase_round_trips_through_dict():
+def test_testcase_round_trips_through_the_record_codec():
     case = draft()
     case.selection = sample_features(default_catalog(), 3)
     case.repair_transcript.append(RepairAttempt("e", "f"))
-    assert TestCase.from_dict(case.to_dict()) == case
+    assert from_record(TestCase, json.loads(json.dumps(to_record(case)))) == case

@@ -9,19 +9,16 @@ import time
 
 import numpy as np
 import pytest
+from helpers import FlakyBackend
 
 from ragfuzz.errors import OpenWorldKey, ProviderUnavailable
 from ragfuzz.ledger import CostLedger
 from ragfuzz.prompts import RenderedPrompt
 from ragfuzz.providers import (
-    Completion,
     EmbeddingService,
-    FlakyBackend,
     HashEmbedder,
     LLMService,
     RateLimiter,
-    RecordingBackend,
-    ReplayBackend,
     ScriptEntry,
     ScriptedLLM,
     approx_tokens,
@@ -112,55 +109,6 @@ def test_context_prepended_with_delimiters():
     assert wire.index("chunk one") < wire.index("chunk two") < wire.index("PROMPT BODY")
     assert "=== Retrieved context ===" in wire
     assert build_request_text(prompt(), []) == "PROMPT BODY"
-
-
-def test_record_then_replay_is_byte_identical(tmp_path):
-    cassette = tmp_path / "session.json"
-    live = ScriptedLLM(
-        [ScriptEntry("codegen", {"pass_name": "*"}, ["live answer"], usages=[(100, 50)])]
-    )
-    ledger = CostLedger()
-    service = LLMService(live, ledger, sleep=lambda s: None)
-    recorded: list[Completion] = []
-
-    class PromptAwareRecorder(RecordingBackend):
-        def complete_prompt(self, p, wire):
-            completion = self.inner.complete_prompt(p, wire)
-            self.interactions.append(
-                {
-                    "request": wire,
-                    "response": {
-                        "text": completion.text,
-                        "input_tokens": completion.input_tokens,
-                        "output_tokens": completion.output_tokens,
-                        "model_id": completion.model_id,
-                    },
-                }
-            )
-            self.save()
-            return completion
-
-    recorder = PromptAwareRecorder(live, cassette)
-    rec_service = LLMService(recorder, CostLedger(), sleep=lambda s: None)
-    recorded.append(rec_service.llm_complete(prompt(), ctx("c"), "codegen"))
-
-    replay_service = LLMService(ReplayBackend(cassette), CostLedger(), sleep=lambda s: None)
-    replayed = replay_service.llm_complete(prompt(), ctx("c"), "codegen")
-    assert replayed.text == recorded[0].text
-    assert replayed.input_tokens == recorded[0].input_tokens
-    assert replayed.output_tokens == recorded[0].output_tokens
-    assert replayed.model_id == recorded[0].model_id
-
-
-def test_replay_strict_mismatch(tmp_path):
-    cassette = tmp_path / "c.json"
-    cassette.write_text(
-        '[{"request": "other", "response": {"text": "t", "input_tokens": 1, '
-        '"output_tokens": 1, "model_id": "m"}}]'
-    )
-    service = LLMService(ReplayBackend(cassette), CostLedger(), sleep=lambda s: None)
-    with pytest.raises(OpenWorldKey):
-        service.llm_complete(prompt(), [], "codegen")
 
 
 def test_hash_embedder_determinism_and_separation():

@@ -151,17 +151,18 @@ def _chunks(n: int, doc: str = "doc") -> list[Chunk]:
 
 def test_index_counts():
     idx = VectorIndex()
-    stats = idx.index_chunks(_chunks(5), HashEmbedder(dim=32))
-    assert stats.count == 5
-    assert stats.dim == 32
+    idx.index_chunks(_chunks(5), HashEmbedder(dim=32))
+    assert len(idx) == 5
+    assert idx.dim == 32
 
 
 def test_reindex_is_idempotent():
     idx = VectorIndex()
     embedder = HashEmbedder(dim=32)
     idx.index_chunks(_chunks(5), embedder)
-    stats = idx.index_chunks(_chunks(5), embedder)
-    assert stats.count == 5
+    idx.index_chunks(_chunks(5), embedder)
+    assert len(idx) == 5
+    assert idx.dim == 32
 
 
 def test_dim_mismatch_on_add():
