@@ -6,9 +6,11 @@ interrupted campaign resumes exactly where it stopped and never re-bills the
 provider for finished generation work. The canonical report contains no
 wall-clock data; timings live in a sidecar so repeated mock runs emit
 byte-identical reports.
-"""
-from __future__ import annotations
 
+Annotations here are evaluated at import, not postponed: the record codec
+reads each config field's type as an object instead of compiling its string
+when a campaign sets up.
+"""
 import glob as globlib
 import hashlib
 import json
@@ -16,7 +18,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .difftest import ComparisonPolicy, Discrepancy, ResultsMatrix, classify, summarize
@@ -60,7 +62,6 @@ from .toolchain import (
     DeviceConfig,
     RunLimits,
     RunResult,
-    TargetSpec,
     ToolchainConfig,
     build_matrix,
     compile_job,
@@ -92,6 +93,13 @@ REPAIR_HARD_CAP = 5
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class RunConfig:
+    seed: int = 0
+    workers_llm: int = 1
+    workers_tool: int = 1
+
+
+@dataclass(frozen=True)
 class PassSpec:
     pass_name: str
     sources: tuple[str, ...]
@@ -117,8 +125,8 @@ class RagConfig:
 class ProvidersSpec:
     mode: str = "mock"  # mock | http
     scenario: str = ""
-    llm: dict = field(default_factory=dict)
-    embedding: dict = field(default_factory=dict)
+    llm: ProviderConfig = ProviderConfig()
+    embedding: ProviderConfig = ProviderConfig()
 
 
 @dataclass(frozen=True)
@@ -144,25 +152,30 @@ class LimitsConfig:
     file_size_mb: int = 64
 
 
+@dataclass(frozen=True)
+class ReportConfig(ComparisonPolicy):
+    pricing: str = ""  # "" = the packaged table
+
+
 @dataclass
 class CampaignConfig:
-    seed: int
-    workers_llm: int
-    workers_tool: int
-    passes: list[PassSpec]
-    extraction: ExtractionConfig
-    rag: RagConfig
-    providers: ProvidersSpec
-    generation: GenerationConfig
-    gate: GateConfig
-    toolchains: list[ToolchainConfig]
-    devices: list[DeviceConfig]
-    compatibility: dict[str, list[str]]
-    limits: LimitsConfig
-    report: ComparisonPolicy
-    pricing: str  # config key report.pricing; "" = the packaged table
-    base_dir: Path
-    raw: dict = field(default_factory=dict, repr=False)
+    """A decoded config file: each field but base_dir and raw holds the
+    top-level key of its name, and a missing key takes the field's default."""
+
+    campaign: RunConfig = RunConfig()
+    passes: list[PassSpec] = field(default_factory=list)
+    extraction: ExtractionConfig = ExtractionConfig()
+    rag: RagConfig = RagConfig()
+    providers: ProvidersSpec = ProvidersSpec()
+    generation: GenerationConfig = GenerationConfig()
+    gate: GateConfig | None = None
+    toolchains: list[ToolchainConfig] = field(default_factory=list)
+    devices: list[DeviceConfig] = field(default_factory=list)
+    compatibility: dict[str, list[str]] = field(default_factory=dict)
+    limits: LimitsConfig = LimitsConfig()
+    report: ReportConfig = ReportConfig()
+    base_dir: Path = field(init=False)
+    raw: dict = field(init=False, repr=False)
 
     @property
     def config_hash(self) -> str:
@@ -173,60 +186,56 @@ class CampaignConfig:
 
 def _resolve(base_dir: Path, value: str) -> str:
     """Relative paths in the config resolve against the config directory."""
-    candidate = Path(value)
-    if candidate.is_absolute():
-        return str(candidate)
-    return str((base_dir / candidate).resolve())
+    if os.path.isabs(value):
+        return str(Path(value))
+    return os.path.realpath(os.path.join(base_dir, value))
 
 
 def _resolve_env(base_dir: Path, env: dict) -> dict:
     out = {}
     for key, value in env.items():
-        if isinstance(value, str) and (base_dir / value).exists():
-            out[key] = str((base_dir / value).resolve())
+        if isinstance(value, str) and os.path.exists(os.path.join(base_dir, value)):
+            out[key] = os.path.realpath(os.path.join(base_dir, value))
         else:
             out[key] = value
     return out
 
 
-def _section(cls: type, raw: dict, path: str):
-    """Decode one flat config section; a key it lacks takes the field's default."""
-    try:
-        return from_record(cls, raw)
-    except RecordError as exc:
-        raise ConfigError(f"{path}.{exc.field_path}".rstrip("."), exc.reason) from None
-
-
 def load_config(data: dict, base_dir: Path) -> CampaignConfig:
-    """Validate a raw config dict; errors carry the offending field path."""
-    base_dir = Path(base_dir)
+    """Decode and check a raw config dict; every error names its field path."""
+    try:
+        config = from_record(CampaignConfig, data)
+    except RecordError as exc:
+        raise ConfigError(exc.field_path or "<root>", exc.reason) from None
+    config.base_dir = base_dir = Path(base_dir)
+    config.raw = data
 
-    campaign = data.get("campaign", {})
-    passes_raw = data.get("passes", [])
-    if not passes_raw:
-        raise ConfigError("passes", "at least one pass is required")
-    passes = []
-    for i, p in enumerate(passes_raw):
-        if not p.get("pass_name"):
-            raise ConfigError(f"passes[{i}].pass_name", "must be non-empty")
-        if not p.get("sources"):
+    for key, id_field, noun in (
+        ("passes", "pass_name", "pass"),
+        ("toolchains", "compiler_id", "toolchain"),
+        ("devices", "device_id", "device"),
+    ):
+        ids = [getattr(entry, id_field) for entry in getattr(config, key)]
+        if not ids:
+            raise ConfigError(key, f"at least one {noun} is required")
+        if not all(ids):
+            raise ConfigError(f"{key}[{ids.index('')}].{id_field}", "must be non-empty")
+        if len(set(ids)) != len(ids):
+            raise ConfigError(key, f"{id_field} values must be unique")
+    for i, p in enumerate(config.passes):
+        if not p.sources:
             raise ConfigError(f"passes[{i}].sources", "must list at least one glob")
-        passes.append(
-            PassSpec(
-                pass_name=p["pass_name"],
-                sources=tuple(_resolve(base_dir, s) for s in p["sources"]),
-                docs=tuple(_resolve(base_dir, d) for d in p.get("docs", [])),
-            )
-        )
-    names = [p.pass_name for p in passes]
-    if len(set(names)) != len(names):
-        raise ConfigError("passes", "pass_name values must be unique")
+    for i, t in enumerate(config.toolchains):
+        if not t.targets:
+            raise ConfigError(f"toolchains[{i}].targets", "must list at least one target")
+        if len({target.name for target in t.targets}) != len(t.targets):
+            raise ConfigError(f"toolchains[{i}].targets", "name values must be unique")
+        if not t.opt_levels:
+            raise ConfigError(f"toolchains[{i}].opt_levels", "must be non-empty")
 
-    extraction = _section(ExtractionConfig, data.get("extraction", {}), "extraction")
-    if extraction.min_lines < 1:
+    if config.extraction.min_lines < 1:
         raise ConfigError("extraction.min_lines", "must be >= 1")
-
-    rag = _section(RagConfig, data.get("rag", {}), "rag")
+    rag = config.rag
     if rag.max_chars <= rag.overlap_chars or rag.overlap_chars < 0:
         raise ConfigError("rag", "require max_chars > overlap_chars >= 0")
     if not 0.0 < rag.threshold <= 2.0:
@@ -234,82 +243,48 @@ def load_config(data: dict, base_dir: Path) -> CampaignConfig:
     if rag.k < 1:
         raise ConfigError("rag.k", "must be >= 1")
 
-    providers = _section(ProvidersSpec, data.get("providers", {}), "providers")
+    providers = config.providers
     if providers.mode not in ("mock", "http"):
         raise ConfigError("providers.mode", f"unknown mode {providers.mode!r}")
     if providers.mode == "mock" and not providers.scenario:
         raise ConfigError("providers.scenario", "mock mode requires a scenario")
+    if providers.mode == "http":
+        providers.llm.validate("providers.llm")
+        providers.embedding.validate("providers.embedding")
 
-    generation = _section(GenerationConfig, data.get("generation", {}), "generation")
-    if generation.mutations_per_seed < 0:
+    if config.generation.mutations_per_seed < 0:
         raise ConfigError("generation.mutations_per_seed", "must be >= 0")
-    if generation.max_repair_attempts > REPAIR_HARD_CAP:
+    if config.generation.max_repair_attempts > REPAIR_HARD_CAP:
         raise ConfigError(
             "generation.max_repair_attempts", f"exceeds hard cap {REPAIR_HARD_CAP}"
         )
 
-    toolchains_raw = data.get("toolchains", [])
-    if not toolchains_raw:
-        raise ConfigError("toolchains", "at least one toolchain is required")
-    toolchains = []
-    for i, t in enumerate(toolchains_raw):
-        if not t.get("compiler_id"):
-            raise ConfigError(f"toolchains[{i}].compiler_id", "must be non-empty")
-        targets = tuple(
-            TargetSpec(name=ts["name"], flags=tuple(ts.get("flags", [])))
-            for ts in t.get("targets", [])
-        )
-        if not targets:
-            raise ConfigError(f"toolchains[{i}].targets", "must list at least one target")
-        opt_levels = tuple(t.get("opt_levels", ["-O0", "-O1", "-O2", "-O3"]))
-        if not opt_levels:
-            raise ConfigError(f"toolchains[{i}].opt_levels", "must be non-empty")
-        toolchains.append(
-            ToolchainConfig(
-                compiler_id=t["compiler_id"],
-                executable=_resolve(base_dir, t["executable"]),
-                base_flags=tuple(t.get("base_flags", [])),
-                targets=targets,
-                opt_levels=opt_levels,
-                env=_resolve_env(base_dir, t.get("env", {})),
-            )
-        )
-
-    devices_raw = data.get("devices", [])
-    if not devices_raw:
-        raise ConfigError("devices", "at least one device is required")
-    devices = [_section(DeviceConfig, d, f"devices[{i}]") for i, d in enumerate(devices_raw)]
-    if len({d.device_id for d in devices}) != len(devices):
-        raise ConfigError("devices", "device_id values must be unique")
-
-    if not data.get("gate"):
+    gate = config.gate
+    if gate is None:
         raise ConfigError("gate", "a repair gate (compiler_id, target, opt_level) is required")
-    gate = _section(GateConfig, data["gate"], "gate")
-    gate_tc = next((t for t in toolchains if t.compiler_id == gate.compiler_id), None)
+    gate_tc = next((t for t in config.toolchains if t.compiler_id == gate.compiler_id), None)
     if gate_tc is None:
         raise ConfigError("gate.compiler_id", f"unknown compiler {gate.compiler_id!r}")
     if gate.target not in [t.name for t in gate_tc.targets]:
         raise ConfigError("gate.target", f"compiler has no target {gate.target!r}")
 
-    return CampaignConfig(
-        seed=int(campaign.get("seed", 0)),
-        workers_llm=int(campaign.get("workers_llm", 1)),
-        workers_tool=int(campaign.get("workers_tool", 1)),
-        passes=passes,
-        extraction=extraction,
-        rag=rag,
-        providers=providers,
-        generation=generation,
-        gate=gate,
-        toolchains=toolchains,
-        devices=devices,
-        compatibility={k: list(v) for k, v in data.get("compatibility", {}).items()},
-        limits=_section(LimitsConfig, data.get("limits", {}), "limits"),
-        report=_section(ComparisonPolicy, data.get("report", {}), "report"),
-        pricing=data.get("report", {}).get("pricing", ""),
-        base_dir=base_dir,
-        raw=data,
-    )
+    config.passes = [
+        replace(
+            p,
+            sources=tuple(_resolve(base_dir, s) for s in p.sources),
+            docs=tuple(_resolve(base_dir, d) for d in p.docs),
+        )
+        for p in config.passes
+    ]
+    config.toolchains = [
+        replace(
+            t,
+            executable=_resolve(base_dir, t.executable),
+            env=_resolve_env(base_dir, t.env),
+        )
+        for t in config.toolchains
+    ]
+    return config
 
 
 def load_config_file(path: Path, overrides: dict | None = None) -> CampaignConfig:
@@ -415,14 +390,6 @@ class CampaignStore:
         return self.root / "findings.jsonl"
 
     @property
-    def report_json_path(self) -> Path:
-        return self.root / "report.json"
-
-    @property
-    def report_md_path(self) -> Path:
-        return self.root / "report.md"
-
-    @property
     def timing_path(self) -> Path:
         return self.root / "timing.json"
 
@@ -430,12 +397,6 @@ class CampaignStore:
     def save_case(self, case: TestCase) -> None:
         _write_json(self.case_path(case.case_id), to_record(case))
         _write_text(self.source_path(case.case_id), case.source)
-
-    def load_case(self, case_id: str) -> TestCase | None:
-        path = self.case_path(case_id)
-        if not path.exists():
-            return None
-        return _read_json(TestCase, path)
 
     def all_cases(self) -> list[TestCase]:
         cases = [
@@ -464,14 +425,6 @@ class CampaignReport:
             "findings": self.findings,
             "cost": self.cost,
         }
-
-
-def validate_partition(per_pass: dict[str, dict[str, int]]) -> bool:
-    """generated == compiled + failed + abandoned, per pass."""
-    for counts in per_pass.values():
-        if counts["generated"] != counts["compiled"] + counts["failed"] + counts["abandoned"]:
-            return False
-    return True
 
 
 def emit_report(report: CampaignReport, out_dir: Path, fmt: str) -> Path:
@@ -596,15 +549,11 @@ class CampaignRunner:
             embed_backend = HashEmbedder(dim=self.config.rag.embedding_dim, seed=0)
             max_retries, backoff = 0, 0.0
         else:
-            llm_cfg = ProviderConfig(**spec.llm)
-            backend = HttpChatBackend(llm_cfg)
-            embed_backend = HttpEmbeddingBackend(
-                ProviderConfig(**spec.embedding),
-                dim=self.config.rag.embedding_dim,
-            )
-            max_retries, backoff = llm_cfg.max_retries, llm_cfg.backoff_base
-            if llm_cfg.requests_per_minute > 0:
-                rate_limiter = RateLimiter(llm_cfg.requests_per_minute)
+            backend = HttpChatBackend(spec.llm)
+            embed_backend = HttpEmbeddingBackend(spec.embedding, dim=self.config.rag.embedding_dim)
+            max_retries, backoff = spec.llm.max_retries, spec.llm.backoff_base
+            if spec.llm.requests_per_minute > 0:
+                rate_limiter = RateLimiter(spec.llm.requests_per_minute)
 
         exchange_lock = threading.Lock()
 
@@ -730,7 +679,7 @@ class CampaignRunner:
                     if self.store.case_path(case_id).exists():
                         continue
                     selection = sample_features(
-                        self.catalog, selection_seed(self.config.seed, case_id)
+                        self.catalog, selection_seed(self.config.campaign.seed, case_id)
                     )
                     try:
                         case = self.pipeline.generate_testcase(ch, selection, case_id)
@@ -753,14 +702,7 @@ class CampaignRunner:
             t for t in self.config.toolchains if t.compiler_id == gate.compiler_id
         )
         target = next(t for t in toolchain.targets if t.name == gate.target)
-        gate_toolchain = ToolchainConfig(
-            compiler_id=toolchain.compiler_id,
-            executable=toolchain.executable,
-            base_flags=toolchain.base_flags,
-            targets=(target,),
-            opt_levels=(gate.opt_level,),
-            env=toolchain.env,
-        )
+        gate_toolchain = replace(toolchain, targets=(target,), opt_levels=(gate.opt_level,))
         gate_dir = self.store.case_dir(case_id) / "gate"
         counter = {"n": 0}
 
@@ -797,7 +739,7 @@ class CampaignRunner:
                 case.abandon_reason = f"repair_failed: {exc}"
             self.store.save_case(case)
 
-        _pmap(repair_one, drafts, self.config.workers_llm)
+        _pmap(repair_one, drafts, self.config.campaign.workers_llm)
 
     def _stage_repair(self) -> None:
         self._repair_cases(lambda case: case.parent_id is None)
@@ -814,7 +756,9 @@ class CampaignRunner:
                 if self.store.case_path(child_id).exists():
                     continue
                 try:
-                    child = self.pipeline.mutate_one(case, j, self.catalog, self.config.seed)
+                    child = self.pipeline.mutate_one(
+                        case, j, self.catalog, self.config.campaign.seed
+                    )
                 except RagfuzzError as exc:
                     child = TestCase(
                         case_id=child_id,
@@ -864,7 +808,7 @@ class CampaignRunner:
                         continue
                     _write_json(run_path, to_record(run_job(run, limits)))
 
-        _pmap(process_case, compiled, self.config.workers_tool)
+        _pmap(process_case, compiled, self.config.campaign.workers_tool)
 
     def _load_matrix(self, case: TestCase) -> ResultsMatrix:
         results_dir = self.store.case_dir(case.case_id) / "results"
@@ -902,17 +846,19 @@ class CampaignRunner:
     # -- report assembly -------------------------------------------------
 
     def _pricing(self) -> PricingTable:
-        if self.config.pricing:
-            return PricingTable.load(Path(_resolve(self.config.base_dir, self.config.pricing)))
+        pricing = self.config.report.pricing
+        if pricing:
+            return PricingTable.load(Path(_resolve(self.config.base_dir, pricing)))
         return default_pricing()
 
     def build_report(self) -> CampaignReport:
         per_pass: dict[str, dict[str, int]] = {}
+        all_cases = self.store.all_cases()
         for spec in self.config.passes:
             functions = self._load_functions(spec.pass_name)
             ch_dir = self.store.pass_dir(spec.pass_name) / "characteristics"
             ch_count = len(list(ch_dir.glob("*.json"))) if ch_dir.exists() else 0
-            cases = [c for c in self.store.all_cases() if c.pass_name == spec.pass_name]
+            cases = [c for c in all_cases if c.pass_name == spec.pass_name]
             compiled = sum(1 for c in cases if c.status == CaseStatus.COMPILES)
             failed = sum(
                 1

@@ -141,43 +141,27 @@ def _witness(a: RunResult, b: RunResult, policy: ComparisonPolicy) -> Witness:
     )
 
 
+# (axis, coordinates a pair shares, coordinate it differs on); on the
+# cross-compiler axis the execution venue follows the compiler, so devices
+# may differ
+_AXES = (
+    (Axis.CROSS_OPT_LEVEL, ("compiler_id", "target", "device_id"), "opt_level"),
+    (Axis.CROSS_DEVICE, ("compiler_id", "target", "opt_level"), "device_id"),
+    (Axis.CROSS_COMPILER, ("target", "opt_level"), "compiler_id"),
+)
+
+
 def _axis_pairs(cells: list[RunResult]) -> list[tuple[Axis, RunResult, RunResult]]:
     """All comparable pairs, grouped by the axis they differ on."""
     pairs: list[tuple[Axis, RunResult, RunResult]] = []
-    by_group: dict[tuple, list[RunResult]]
-
-    # cross_opt_level: same compiler, target and device
-    by_group = {}
-    for r in cells:
-        by_group.setdefault(
-            (r.cell.compiler_id, r.cell.target, r.cell.device_id), []
-        ).append(r)
-    for group in by_group.values():
-        for a, b in combinations(sorted(group, key=lambda r: r.cell), 2):
-            if a.cell.opt_level != b.cell.opt_level:
-                pairs.append((Axis.CROSS_OPT_LEVEL, a, b))
-
-    # cross_device: same compiler, target and opt level
-    by_group = {}
-    for r in cells:
-        by_group.setdefault(
-            (r.cell.compiler_id, r.cell.target, r.cell.opt_level), []
-        ).append(r)
-    for group in by_group.values():
-        for a, b in combinations(sorted(group, key=lambda r: r.cell), 2):
-            if a.cell.device_id != b.cell.device_id:
-                pairs.append((Axis.CROSS_DEVICE, a, b))
-
-    # cross_compiler: same target and opt level; the execution venue follows
-    # the compiler, so devices may differ
-    by_group = {}
-    for r in cells:
-        by_group.setdefault((r.cell.target, r.cell.opt_level), []).append(r)
-    for group in by_group.values():
-        for a, b in combinations(sorted(group, key=lambda r: r.cell), 2):
-            if a.cell.compiler_id != b.cell.compiler_id:
-                pairs.append((Axis.CROSS_COMPILER, a, b))
-
+    for axis, shared, differing in _AXES:
+        groups: dict[tuple, list[RunResult]] = {}
+        for r in cells:
+            groups.setdefault(tuple(getattr(r.cell, c) for c in shared), []).append(r)
+        for group in groups.values():
+            for a, b in combinations(sorted(group, key=lambda r: r.cell), 2):
+                if getattr(a.cell, differing) != getattr(b.cell, differing):
+                    pairs.append((axis, a, b))
     return pairs
 
 

@@ -343,15 +343,3 @@ class GenerationPipeline:
             selection=selection,
             parent_id=case.case_id,
         )
-
-    def mutate(
-        self,
-        case: TestCase,
-        count: int,
-        catalog: FeatureCatalog,
-        base_seed: int,
-    ) -> list[TestCase]:
-        """X fresh-feature variants of a compiling case, as drafts."""
-        if count < 0:
-            raise ValueError("mutation count must be >= 0")
-        return [self.mutate_one(case, j, catalog, base_seed) for j in range(count)]

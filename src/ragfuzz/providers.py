@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     AuthFailure,
+    ConfigError,
     OpenWorldKey,
     ProviderError,
     ProviderTimeout,
@@ -58,11 +59,12 @@ class ProviderConfig:
     requests_per_minute: int = 0  # 0 = unlimited
     sampling: dict = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def validate(self, path: str = "provider") -> None:
+        """Raise ConfigError naming the first bad field under path."""
         if self.timeout <= 0:
-            raise ValueError("timeout must be > 0")
+            raise ConfigError(f"{path}.timeout", "must be > 0")
         if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+            raise ConfigError(f"{path}.max_retries", "must be >= 0")
 
 
 def approx_tokens(text: str) -> int:
@@ -218,11 +220,6 @@ class ScriptedLLM:
         self.entries = entries
         self.calls: list[RenderedPrompt] = []
         self._lock = threading.Lock()
-
-    def reset(self) -> None:
-        for entry in self.entries:
-            entry._cursor = 0
-        self.calls = []
 
     def complete_prompt(self, prompt: RenderedPrompt, wire_text: str) -> Completion:
         candidates = [

@@ -3,9 +3,13 @@
 ``to_record`` turns a dataclass into a dict of its fields, an Enum into its
 value and a tuple into a list, recursively. ``from_record`` rebuilds an
 object by following each field's type hint; a key that is missing takes the
-field's default, keys the type does not know are ignored, and ``int`` and
-``float`` values are coerced with ``int()``/``float()``. Hints are resolved
-once per type, so decoding a record costs one pass over its fields.
+field's default, keys the type does not know are ignored, fields that are
+not constructor parameters are not read, and ``int`` and ``float`` values
+are coerced with ``int()``/``float()``. A ``str`` field takes only a string,
+a list or tuple field only a list, and a dataclass or ``dict`` field only a
+mapping. Any error names its field path, such as ``targets[0].name``. Hints
+are resolved once per type, so decoding a record costs one pass over its
+fields.
 """
 from __future__ import annotations
 
@@ -52,21 +56,52 @@ def _decoder(tp) -> typing.Callable:
     origin = getattr(tp, "__origin__", None)
     if origin in (tuple, list):  # every tuple field is homogeneous
         item = _decoder(tp.__args__[0])
-        return lambda v: origin(item(x) for x in v)
+        return lambda v: origin(_at(f"[{i}]", item, x) for i, x in enumerate(_list(v)))
+    if origin is dict or tp is dict:
+        value = _decoder(tp.__args__[1]) if origin else _identity
+        return lambda v: {k: _at(str(k), value, x) for k, x in _mapping(v).items()}
     if dataclasses.is_dataclass(tp):
         return _dataclass_decoder(tp)
-    if origin is dict or tp is dict:
-        return dict
+    if tp is str:
+        return _str
     if tp in (int, float) or (isinstance(tp, type) and issubclass(tp, Enum)):
         return tp
-    return lambda v: v
+    return _identity
+
+
+def _identity(v):
+    return v
+
+
+def _expect(kind, noun: str) -> typing.Callable:
+    def check(v):
+        if not isinstance(v, kind):
+            raise RecordError("", f"expected {noun}, got {type(v).__name__}")
+        return v
+
+    return check
+
+
+_list = _expect((list, tuple), "a list")
+_mapping = _expect(dict, "a mapping")
+_str = _expect(str, "a string")
+
+
+def _at(key: str, decode: typing.Callable, value):
+    """decode(value), with the field path of any error put under key."""
+    try:
+        return decode(value)
+    except RecordError as exc:
+        path = exc.field_path if exc.field_path[:1] in ("", "[") else "." + exc.field_path
+        raise RecordError(key + path, exc.reason) from None
+    except (TypeError, ValueError) as exc:
+        raise RecordError(key, f"cannot read {value!r}: {exc}") from exc
 
 
 @functools.cache
 def _hint(annotation: str, module: str):
     # what typing.get_type_hints does per field, at a fraction of its cost:
-    # a campaign's cold set-up decodes eight config types, so a bare name
-    # is looked up rather than compiled
+    # a bare name is looked up rather than compiled
     namespace = vars(sys.modules[module])
     if annotation.isidentifier():
         return namespace.get(annotation) or getattr(builtins, annotation)
@@ -76,26 +111,28 @@ def _hint(annotation: str, module: str):
 def _dataclass_decoder(cls: type) -> typing.Callable:
     fields = [
         (f.name,
-         _decoder(_hint(f.type, cls.__module__) if isinstance(f.type, str) else f.type),
+         _decoder(_field_hint(cls, f)),
          f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
         for f in dataclasses.fields(cls)
+        if f.init
     ]
 
     def decode(data):
-        if not isinstance(data, dict):
-            raise RecordError("", f"expected a mapping, got {type(data).__name__}")
+        _mapping(data)
         kwargs = {}
         for name, decode_field, required in fields:
-            if name not in data:
-                if required:
-                    raise RecordError(name, "is required")
-                continue
-            try:
-                kwargs[name] = decode_field(data[name])
-            except RecordError as exc:
-                raise RecordError(f"{name}.{exc.field_path}".rstrip("."), exc.reason) from None
-            except (TypeError, ValueError) as exc:
-                raise RecordError(name, f"cannot read {data[name]!r}: {exc}") from exc
+            if name in data:
+                kwargs[name] = _at(name, decode_field, data[name])
+            elif required:
+                raise RecordError(name, "is required")
         return cls(**kwargs)
 
     return decode
+
+
+def _field_hint(cls: type, f: dataclasses.Field):
+    if not isinstance(f.type, str):
+        return f.type
+    # an inherited field's hint names what the module declaring it imports
+    owner = next(c for c in cls.__mro__ if f.name in vars(c).get("__annotations__", {}))
+    return _hint(f.type, owner.__module__)

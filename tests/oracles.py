@@ -3,7 +3,8 @@
 brute_force_classify restates the discrepancy rules as a naive scan over
 every unordered cell pair, deliberately sharing no pairing or grouping logic
 with the production classifier. It stays the slow, obviously-correct
-benchmark that classify() is checked against.
+benchmark that classify() is checked against. validate_partition checks a
+report's per-pass counts add up.
 """
 from __future__ import annotations
 
@@ -114,3 +115,11 @@ def brute_force_classify(
     out = [d for _, d in found.values()]
     out.sort(key=lambda d: (d.kind.value, d.axis.value))
     return out
+
+
+def validate_partition(per_pass: dict[str, dict[str, int]]) -> bool:
+    """generated == compiled + failed + abandoned, per pass."""
+    for counts in per_pass.values():
+        if counts["generated"] != counts["compiled"] + counts["failed"] + counts["abandoned"]:
+            return False
+    return True

@@ -16,15 +16,9 @@ import numpy as np
 import pytest
 
 from helpers import random_matrix
-from oracles import brute_force_classify
+from oracles import brute_force_classify, validate_partition
 
-from ragfuzz.campaign import (
-    STAGES,
-    load_config_file,
-    resume,
-    run_campaign,
-    validate_partition,
-)
+from ragfuzz.campaign import STAGES, load_config_file, resume, run_campaign
 from ragfuzz.difftest import ResultsMatrix, classify, summarize
 from ragfuzz.extraction import PassSource, extract_functions
 from ragfuzz.ledger import CostLedger, ModelRate, PricingTable, estimate_cost

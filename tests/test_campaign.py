@@ -6,6 +6,7 @@ import threading
 from decimal import Decimal
 
 import pytest
+from oracles import validate_partition
 
 from ragfuzz.campaign import (
     CampaignReport,
@@ -17,7 +18,6 @@ from ragfuzz.campaign import (
     render_markdown,
     resume,
     run_campaign,
-    validate_partition,
 )
 from ragfuzz.errors import ConfigError, ConfigMismatch, CorruptManifest
 from ragfuzz.ledger import CostLedger
@@ -72,6 +72,24 @@ MALFORMED = {
     "rag.k": lambda data: data["rag"].update(k="four"),
     "devices[1].device_id": lambda data: data["devices"][1].pop("device_id"),
     "limits": lambda data: data.update(limits=[30.0, 10.0]),
+    "toolchains[0].executable": lambda data: data["toolchains"][0].pop("executable"),
+    "toolchains[0].targets[0].name": lambda data: data["toolchains"][0]["targets"][0].pop("name"),
+    "toolchains[1].env": lambda data: data["toolchains"][1].update(env=["A=1"]),
+    "passes[0]": lambda data: data["passes"].__setitem__(0, "DeviceGlobals"),
+    "passes[0].sources": lambda data: data["passes"][0].update(sources="pass.cpp"),
+    # a string is not a one-pattern list: its lone "*" would match everything
+    "extraction.name_patterns": lambda data: data["extraction"].update(name_patterns="*x*"),
+    "campaign.seed": lambda data: data["campaign"].update(seed="abc"),
+    "compatibility": lambda data: data.update(compatibility=["devA"]),
+    # two toolchains with one id, or two targets with one name, would share
+    # compile result files
+    "toolchains": lambda data: data["toolchains"][1].update(compiler_id="cc1"),
+    "toolchains[0].targets": lambda data: data["toolchains"][0]["targets"].append(
+        {"name": "mock-spir"}
+    ),
+    "providers.llm.timeout": lambda data: data["providers"].update(
+        mode="http", llm={"timeout": 0}
+    ),
 }
 
 
@@ -86,13 +104,14 @@ def test_malformed_section_names_its_field_path(tmp_path, field_path):
 
 def test_missing_section_keys_take_dataclass_defaults(tmp_path):
     data = minimal_config_dict()
-    for section in ("extraction", "rag", "generation", "limits", "report"):
+    for section in ("campaign", "extraction", "rag", "generation", "limits", "report"):
         data.pop(section)
     config = load_config(data, tmp_path)
+    assert (config.campaign.seed, config.campaign.workers_tool) == (0, 1)
     assert config.rag.k == 4 and config.rag.embedding_dim == 64
     assert config.limits.run_timeout == 30.0
     assert config.report.unsupported_patterns == ("unsupported", "not supported", "UNSUPPORTED")
-    assert config.pricing == ""
+    assert config.report.pricing == ""
 
 
 def test_gate_must_reference_known_compiler(tmp_path):
@@ -117,6 +136,8 @@ def test_config_hash_tracks_content(tmp_path):
     b = load_config(changed, tmp_path)
     assert a.config_hash != b.config_hash
     assert a.config_hash == load_config(minimal_config_dict(), tmp_path).config_hash
+    # existing campaign directories are bound to this hash of the tiny config
+    assert a.config_hash == "ba1e8f61244e0e63164f815fee37a69b79b34c092fed05fbd2e25004125c6b3e"
 
 
 def test_yaml_config_loads(tmp_path):
@@ -125,7 +146,7 @@ def test_yaml_config_loads(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(minimal_config_dict()))
     config = load_config_file(path, overrides={"campaign.seed": 777})
-    assert config.seed == 777
+    assert config.campaign.seed == 777
 
 
 # --- end-to-end campaign against the scripted scenario ---
@@ -164,10 +185,22 @@ def test_report_is_byte_identical_across_worker_counts(tiny_campaign, tmp_path):
             tiny_campaign.config_path,
             overrides={"campaign.workers_llm": workers, "campaign.workers_tool": workers},
         )
-        assert (config.workers_llm, config.workers_tool) == (workers, workers)
+        assert (config.campaign.workers_llm, config.campaign.workers_tool) == (workers, workers)
         run_campaign(config, tmp_path / f"workers{workers}")
         reports.append((tmp_path / f"workers{workers}" / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_zero_mutations_per_seed_makes_no_mutants(tmp_path):
+    config = load_config_file(
+        materialize_scenario(build_tiny(), tmp_path / "work"),
+        overrides={"generation.mutations_per_seed": 0},
+    )
+    run_campaign(config, tmp_path / "campaign", halt_after="repair_mutants")
+    cases = CampaignStore(tmp_path / "campaign").all_cases()
+    assert cases and all(case.parent_id is None for case in cases)
+    entries = CostLedger(tmp_path / "campaign" / "ledger.jsonl").entries()
+    assert entries and all(e.stage != "mutation" for e in entries)
 
 
 def test_findings_jsonl_line_count_matches_discrepancies(tiny_campaign):

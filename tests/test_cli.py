@@ -86,6 +86,7 @@ def test_malformed_config_exits_one_with_field_path(workdir, capsys, field_path)
     code = main(["run", "--config", str(config_path), "--campaign-dir", str(campaign_dir)])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {field_path}: ")
+    assert not (campaign_dir / "manifest.json").exists()
 
 
 def test_resume_without_manifest_exits_one(tmp_path, capsys):

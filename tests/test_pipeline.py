@@ -301,20 +301,13 @@ def test_repair_loop_provider_error_abandons():
     assert outcome.attempts == 1
 
 
-def test_mutate_zero_returns_empty():
-    pipeline, _ = make_pipeline([])
-    case = draft()
-    case.status = CaseStatus.COMPILES
-    assert pipeline.mutate(case, 0, default_catalog(), base_seed=1) == []
-
-
 def test_mutate_three_children_with_lineage_and_distinct_seeds():
     pipeline, _ = make_pipeline(
         [ScriptEntry("mutation", {"code": "*"}, ["```\nint main() { return 1; }\n```"])]
     )
     case = draft()
     case.status = CaseStatus.COMPILES
-    children = pipeline.mutate(case, 3, default_catalog(), base_seed=5)
+    children = [pipeline.mutate_one(case, j, default_catalog(), base_seed=5) for j in range(3)]
     assert len(children) == 3
     assert [c.parent_id for c in children] == [case.case_id] * 3
     assert [c.case_id for c in children] == ["c0.m0", "c0.m1", "c0.m2"]
@@ -333,7 +326,8 @@ def test_mutation_selections_follow_sampling_distribution():
         case = draft()
         case.case_id = f"seed{i}"
         case.status = CaseStatus.COMPILES
-        for child in pipeline.mutate(case, 4, catalog, base_seed=77):
+        for j in range(4):
+            child = pipeline.mutate_one(case, j, catalog, base_seed=77)
             counts[child.selection.memory_access] += 1
     total = sum(counts.values())
     assert total == 1000

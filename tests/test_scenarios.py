@@ -94,7 +94,7 @@ def test_tiny_tool_table_covers_every_scripted_source():
 
 
 def test_paper_shape_partition_arithmetic():
-    from ragfuzz.campaign import validate_partition
+    from oracles import validate_partition
 
     scenario = build_paper_shape()
     counts = scenario.expected_report["per_pass"]["AllPasses"]
