@@ -301,8 +301,10 @@ def load_config_file(path: Path, overrides: dict | None = None) -> CampaignConfi
     for dotted, value in (overrides or {}).items():
         node = data
         *parents, leaf = dotted.split(".")
-        for part in parents:
+        for i, part in enumerate(parents):
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(".".join(parents[: i + 1]), "must be a mapping")
         node[leaf] = value
     return load_config(data, path.parent)
 

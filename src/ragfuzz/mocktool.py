@@ -26,6 +26,22 @@ and ``sys`` eagerly (``time`` and ``signal`` only for an entry that sleeps or
 raises a signal): most of a campaign's jobs are runs, and ``json`` or
 ``signal`` would each pull in ``enum`` and double a run's start-up cost.
 
+The compiler imports only ``os`` and ``sys`` eagerly too, since every gate
+and matrix compile is one start of it. It hashes the source with CPython's
+private C module ``_sha2`` (3.12+) or ``_sha256`` (3.11), falling back to
+``hashlib``, and imports ``time`` only for a compile entry that sleeps. It
+decodes only the record it needs: in the layout ``write_mock_table`` writes
+(``indent=2``), each top-level key, and nothing else, starts a line indented
+by exactly two spaces, and no JSON string holds a raw newline. So the last
+``\\n  "<digest>": `` in the text starts the source's record (last key wins,
+as in ``json.loads``), and ``_json.make_scanner`` -- the private C scanner
+``json.loads`` itself runs -- decodes that one value. A table not in that
+layout, a digest that is absent, a falsy record, a value not followed by
+``,\\n  "`` or ``\\n}``, or a Python without ``_json`` falls back to
+``json.loads`` of the whole table and ``table.get(digest) or
+table.get("*")``, so exit codes, the ``"*"`` fallback and every decoded value
+are those of a full decode.
+
 Both scripts start as ``#!<interpreter> -IS``, where the interpreter is the
 ``sys.executable`` that wrote them: a job runs under the harness's own Python
 whatever ``PATH`` its env sets, ``-I`` keeps ``PYTHON*`` variables and the
@@ -38,7 +54,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -46,9 +61,6 @@ from .errors import InvalidInterpreter
 
 TABLE_ENV = "RAGFUZZ_MOCK_TABLE"
 DEVICE_ENV = "RAGFUZZ_DEVICE"
-
-# One pass over the template, so text a value brings in is never rewritten.
-_MARKER = re.compile(r"@@(\w+)@@")
 
 _RUNNER_SCRIPT = r"""#!@@PY@@ -IS
 # Mock binary: run entries fixed at compile time, picked by device at run time.
@@ -103,11 +115,63 @@ if __name__ == "__main__":
 
 _COMPILER_SCRIPT = r"""#!@@PY@@ -IS
 # Mock compiler: behavior scripted by a JSON table keyed by source sha256.
-import hashlib, json, os, re, sys, time
+# Every compile starts this script, so it imports only os and sys eagerly.
+import os, sys
 
 TABLE_ENV = @@TABLE_ENV@@
 DEVICE_ENV = @@DEVICE_ENV@@
 RUNNER_SCRIPT = @@RUNNER@@
+
+
+def sha256_hex(data):
+    # _sha2 (3.12+) and _sha256 (3.11) are private CPython modules; hashlib
+    # wraps them but costs more to import.
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
+class Decoding:
+    # the settings json.loads gives the scanner (json.decoder.JSONDecoder)
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_float, parse_int = float, int
+    parse_constant = {"-Infinity": float("-inf"), "Infinity": float("inf"),
+                      "NaN": float("nan")}.__getitem__
+
+
+def find_record(text, digest):
+    # json.loads(text).get(digest) or .get("*"), decoding only the digest's
+    # record when the table is in write_mock_table's indent=2 layout: there
+    # only top-level keys start a line indented by exactly two spaces, and
+    # no JSON string holds a raw newline, so the last such line names the
+    # record json.loads keeps. _json is CPython's private C scanner, the one
+    # json.loads runs; without it, or off the layout, decode the whole table.
+    key = '\n  "%s": ' % digest
+    at = text.rfind(key) if text.startswith('{\n  "') else -1
+    if at >= 0:
+        try:
+            from _json import make_scanner
+            record, end = make_scanner(Decoding)(text, at + len(key))
+        except (ImportError, StopIteration, ValueError, RecursionError):
+            record = None  # no _json, or no JSON value there
+        if record and text.startswith((',\n  "', "\n}"), end):
+            return record
+    import json
+    table = json.loads(text)
+    return table.get(digest) or table.get("*")
+
+
+def fill(template, fills):
+    # one pass, so text a value brings in is never rewritten
+    parts = template.split("@" * 2)
+    parts[1::2] = [fills[name] for name in parts[1::2]]
+    return "".join(parts)
 
 
 def main():
@@ -139,15 +203,15 @@ def main():
         sys.stderr.write("mockcc: missing fixture table or source file\n")
         sys.exit(91)
     with open(source, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+        digest = sha256_hex(fh.read())
     with open(table_path) as fh:
-        table = json.load(fh)
-    entry = table.get(digest) or table.get("*")
+        entry = find_record(fh.read(), digest)
     if entry is None:
         sys.stderr.write("mockcc: no fixture entry for source %s\n" % digest[:12])
         sys.exit(90)
     comp = entry.get("compile", {})
     if comp.get("sleep"):
+        import time
         time.sleep(float(comp["sleep"]))
     sys.stdout.write(comp.get("stdout", ""))
     sys.stderr.write(comp.get("stderr", ""))
@@ -156,9 +220,8 @@ def main():
         fills = {"PY": sys.executable, "C": repr(compiler_id), "T": repr(target),
                  "O": repr(opt), "DE": repr(DEVICE_ENV),
                  "RUNS": repr(entry.get("runs", []))}
-        runner = re.sub(r"@@(\w+)@@", lambda m: fills[m.group(1)], RUNNER_SCRIPT)
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(runner)
+            fh.write(fill(RUNNER_SCRIPT, fills))
         os.chmod(out, 0o755)
     sys.exit(code)
 
@@ -166,6 +229,13 @@ def main():
 if __name__ == "__main__":
     main()
 """
+
+
+def _fill(template: str, fills: dict) -> str:
+    """Replace each ``@@NAME@@`` in one pass, so a value's own text is kept."""
+    parts = template.split("@@")
+    parts[1::2] = [fills[name] for name in parts[1::2]]
+    return "".join(parts)
 
 
 def source_digest(source_text: str) -> str:
@@ -198,9 +268,7 @@ def write_mock_compiler(path: Path) -> Path:
         "DEVICE_ENV": repr(DEVICE_ENV),
         "RUNNER": repr(_RUNNER_SCRIPT),
     }
-    path.write_text(
-        _MARKER.sub(lambda m: fills[m.group(1)], _COMPILER_SCRIPT), encoding="utf-8"
-    )
+    path.write_text(_fill(_COMPILER_SCRIPT, fills), encoding="utf-8")
     os.chmod(path, 0o755)
     return path
 

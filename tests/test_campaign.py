@@ -149,6 +149,16 @@ def test_yaml_config_loads(tmp_path):
     assert config.campaign.seed == 777
 
 
+def test_override_into_a_non_mapping_section_raises_config_error(tmp_path):
+    data = minimal_config_dict()
+    data["campaign"] = 5
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError) as exc:
+        load_config_file(path, overrides={"campaign.seed": 3})
+    assert exc.value.field_path == "campaign"
+
+
 # --- end-to-end campaign against the scripted scenario ---
 
 def test_report_counts_match_scenario_expectation(tiny_campaign):

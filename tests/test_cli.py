@@ -89,6 +89,18 @@ def test_malformed_config_exits_one_with_field_path(workdir, capsys, field_path)
     assert not (campaign_dir / "manifest.json").exists()
 
 
+def test_seed_override_into_a_non_mapping_section_exits_one(workdir, capsys):
+    config_path, campaign_dir = workdir
+    data = json.loads(config_path.read_text())
+    data["campaign"] = 5
+    config_path.write_text(json.dumps(data))
+    code = main(["run", "--config", str(config_path), "--campaign-dir", str(campaign_dir),
+                 "--seed", "3"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: campaign: ")
+    assert not (campaign_dir / "manifest.json").exists()
+
+
 def test_resume_without_manifest_exits_one(tmp_path, capsys):
     code = main(["resume", "--campaign-dir", str(tmp_path / "none")])
     assert code == 1

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
+import json
 import os
+import random
+import runpy
 import shutil
 import subprocess
 import sys
@@ -391,10 +395,287 @@ def test_printing_binary_imports_no_json_re_enum_or_signal(mock_env, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "Output value from device kernel: 1\n"
-    imported = {
-        line.rsplit("|", 1)[1].strip()
-        for line in proc.stderr.splitlines()
-        if line.startswith("import time:")
-    }
+    imported = _imported(proc.stderr)
     assert "os" in imported  # the log is the one we think it is
     assert imported.isdisjoint({"json", "re", "enum", "signal"}), sorted(imported)
+
+
+def _imported(importtime_log: str) -> set[str]:
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in importtime_log.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+# --- the mock compiler's one-record lookup ---------------------------------
+
+
+def _load_compiler(path) -> dict:
+    """The compiler script's functions, without running its main()."""
+    return runpy.run_path(str(path), run_name="mockcc")
+
+
+def _reference_record(text: str, digest: str):
+    """What the mock compiler returned when it always decoded the whole table."""
+    table = json.loads(text)
+    return table.get(digest) or table.get("*")
+
+
+def _drive(cc, table_text, source_text, workdir):
+    """Compile one source against a table given as text: (exit, stdout, stderr, binary)."""
+    workdir.mkdir(parents=True)
+    source = workdir / "case.cpp"
+    source.write_text(source_text)
+    table = workdir / "table.json"
+    table.write_text(table_text)
+    out = workdir / "case.bin"
+    proc = subprocess.run(
+        [str(cc), "--mock-id", "cc1", "--mock-target", "mock-spir", "-O2", str(source),
+         "-o", str(out)],
+        env={**os.environ, TABLE_ENV: str(table)},
+        capture_output=True,
+        timeout=30,
+    )
+    binary = out.read_text(encoding="utf-8") if out.exists() else None
+    return proc.returncode, proc.stdout, proc.stderr, binary
+
+
+def _splice_duplicate(text: str, key: str, record) -> str:
+    """Append a second top-level ``key`` to an indent=2 table text, by hand."""
+    member = json.dumps({key: record}, indent=2)[1:-2]  # '\n  "key": ...'
+    return text[:-2] + "," + member + "\n}"
+
+
+_TRICKY_SOURCES = {
+    name: f"int main() {{ /* {name} */ }}\n"
+    for name in ("pair", "lone", "markers", "empty", "constants", "dup", "absent")
+}
+
+
+def _tricky_tables() -> dict[str, str]:
+    """Tables in write_mock_table's layout that stress the one-record decode."""
+    d = {name: source_digest(text) for name, text in _TRICKY_SOURCES.items()}
+    records = {
+        d["pair"]: {
+            "compile": {"stdout": "pair \U0001F600\n", "stderr": "\U0001F600\n"},
+            "runs": [{"device": "devA", "\U0001F600 key": "\U0001F600", "stdout": "\U0001F600"}],
+        },
+        "\U0001F600": {"compile": {"exit": 7}},
+        d["lone"]: {
+            "compile": {"stderr": "lone \ud800 \udfff\n"},
+            "runs": [{"stdout": "\udc80", "stderr": "\ud83d"}],
+        },
+        d["markers"]: {
+            "compile": {
+                "stdout": '\n  "' + d["pair"] + '": {}\n}',
+                "stderr": "@@DE@@ @@RUNS@@ @@PY@@\n",
+            },
+            "runs": [{"stdout": ',\n  "x": @@DE@@\n}', "device": "@@C@@"}],
+        },
+        d["empty"]: {},
+        d["constants"]: {
+            "compile": {"exit": 0},
+            "runs": [{"stdout": "ok", "extra": [float("inf"), float("-inf"), float("nan"),
+                                                123456789012345678901234567890, 1e-310]}],
+        },
+        d["dup"]: {"compile": {"stdout": "first, overridden\n"}},
+    }
+    star = {"*": {"compile": {"stdout": "star\n", "stderr": ""}, "runs": [{"stdout": "*"}]}}
+    tables = {}
+    for label, table in (("star", {**records, **star}), ("nostar", records)):
+        text = json.dumps(table, indent=2, sort_keys=True)
+        tables[label] = _splice_duplicate(
+            text, d["dup"], {"compile": {"stdout": "last one wins\n"}, "runs": [{"stdout": "2"}]}
+        )
+    # the last duplicate is falsy: json.loads keeps {} and falls to "*"
+    tables["dup_falsy"] = _splice_duplicate(tables["star"], d["dup"], {})
+    return tables
+
+
+def test_compiler_decodes_one_record_exactly_as_a_full_decode(mock_env, tmp_path):
+    _, _, _, _, toolchain = mock_env
+    cc = toolchain.executable
+    find_record = _load_compiler(cc)["find_record"]
+    for label, text in _tricky_tables().items():
+        # newline -> newline + space: the same JSON, off the layout, so the
+        # compiler takes its json.loads path for the reference run
+        reference_text = text.replace("\n", "\n ")
+        for name, source_text in _TRICKY_SOURCES.items():
+            digest = source_digest(source_text)
+            expected = _reference_record(text, digest)
+            assert repr(find_record(text, digest)) == repr(expected), (label, name)
+            got = _drive(cc, text, source_text, tmp_path / label / name)
+            want = _drive(cc, reference_text, source_text, tmp_path / label / f"{name}_ref")
+            assert got == want, (label, name)
+            code, _stdout, stderr, binary = got
+            if expected is None:
+                assert code == 90 and binary is None, (label, name)
+                assert stderr == b"mockcc: no fixture entry for source %s\n" % digest[:12].encode()
+                continue
+            assert code == 0, (label, name, stderr)
+            assert f"\nRUNS = {expected.get('runs', [])!r}\n" in binary, (label, name)
+
+
+def test_compiler_decodes_a_layout_record_without_json(mock_env, monkeypatch):
+    _, _, _, _, toolchain = mock_env
+    find_record = _load_compiler(toolchain.executable)["find_record"]
+    text = _tricky_tables()["star"]
+    digests = {name: source_digest(src) for name, src in _TRICKY_SOURCES.items()}
+    expected = {name: repr(_reference_record(text, d)) for name, d in digests.items()}
+    monkeypatch.setitem(sys.modules, "json", None)  # any full decode now raises
+    for name in ("pair", "lone", "markers", "constants", "dup"):
+        assert repr(find_record(text, digests[name])) == expected[name], name
+    for name in ("empty", "absent"):  # a falsy or missing record needs the whole table
+        with pytest.raises(ImportError):
+            find_record(text, digests[name])
+
+
+def _fuzz_value(rng: random.Random, depth: int):
+    strings = ["", "a", '"', "\\", "\n", "\t", "\x00", "\U0001F600", "\ud800", "@@DE@@",
+               '\n  "', ',\n  "', "\n}", "*", "compile"]
+    kind = rng.randrange(9 if depth < 3 else 6)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.choice([0, -1, 7, 10**30, -(10**25)])
+    if kind == 2:
+        return rng.choice([0.5, -2.25, 1e300, float("inf"), float("-inf"), float("nan")])
+    if kind in (3, 4, 5):
+        return "".join(rng.choice(strings) for _ in range(rng.randrange(4)))
+    if kind in (6, 7):
+        return [_fuzz_value(rng, depth + 1) for _ in range(rng.randrange(3))]
+    keys = strings + [source_digest(str(rng.randrange(4)))]
+    return {rng.choice(keys): _fuzz_value(rng, depth + 1) for _ in range(rng.randrange(3))}
+
+
+def test_compiler_lookup_matches_json_loads_on_fuzzed_tables(mock_env):
+    _, _, _, _, toolchain = mock_env
+    find_record = _load_compiler(toolchain.executable)["find_record"]
+    rng = random.Random(20260417)
+    digests = [source_digest(str(i)) for i in range(5)]
+    for _ in range(300):
+        table = {}
+        for key in rng.sample(digests + ["*"], rng.randrange(1, 6)):
+            table[key] = rng.choice(
+                [{}, None, 0, [], "", table_entry(), _fuzz_value(rng, 0), _fuzz_value(rng, 0)]
+            )
+        text = rng.choice([
+            json.dumps(table, indent=2, sort_keys=True),
+            json.dumps(table, indent=2, sort_keys=True),
+            json.dumps(table, indent=4),
+            json.dumps(table),
+        ])
+        if text.startswith('{\n  "') and rng.random() < 0.3:
+            text = _splice_duplicate(text, rng.choice(digests), _fuzz_value(rng, 0))
+        for digest in digests:
+            expected = repr(_reference_record(text, digest))
+            assert repr(find_record(text, digest)) == expected, (text, digest)
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        '{\n  "*": {\n  "@": RECORD\n  }\n}',  # a nested key at two spaces, last in its object
+        '{"*": {\n  "@": RECORD\n}}',  # two-space lines in a table that opens compact
+    ],
+)
+def test_hand_indented_nested_key_is_not_taken_for_the_record(mock_env, template):
+    _, _, _, _, toolchain = mock_env
+    find_record = _load_compiler(toolchain.executable)["find_record"]
+    digest = source_digest("nested")
+    record = json.dumps(table_entry(compile_stdout="nested record\n"))
+    text = template.replace("@", digest).replace("RECORD", record)
+    assert find_record(text, digest) == _reference_record(text, digest) == {digest: json.loads(record)}
+
+
+@pytest.mark.parametrize("layout", ["compact", "indent4", "star_only"])
+def test_tables_off_the_layout_compile_as_before(mock_env, tmp_path, layout):
+    _, source, source_text, _, toolchain = mock_env
+    record = table_entry(runs=[{"device": "devA", "stdout": f"{layout}\n"}])
+    if layout == "star_only":
+        table = {"*": record}
+    else:
+        table = {source_digest(source_text): record, source_digest("other"): table_entry(1)}
+    table_path = tmp_path / f"{layout}.json"
+    table_path.write_text(json.dumps(table, indent=4 if layout == "indent4" else None))
+    toolchain = dataclasses.replace(toolchain, env={TABLE_ENV: str(table_path)})
+    result, rr = _compile_and_run(source, toolchain, tmp_path / "out", {})
+    assert result.status == CompileStatus.OK
+    assert rr.stdout == f"{layout}\n"
+
+
+def test_compiler_exit_codes_91_and_90(mock_env, tmp_path):
+    _, source, _, table_path, toolchain = mock_env
+    cc = toolchain.executable
+    out = str(tmp_path / "a.out")
+    env = {k: v for k, v in os.environ.items() if k != TABLE_ENV}
+    no_table = subprocess.run([cc, str(source), "-o", out], env=env, capture_output=True,
+                              text=True, timeout=30)
+    no_source = subprocess.run([cc, "-o", out], env={**env, TABLE_ENV: str(table_path)},
+                               capture_output=True, text=True, timeout=30)
+    for proc in (no_table, no_source):
+        assert proc.returncode == 91
+        assert proc.stderr == "mockcc: missing fixture table or source file\n"
+    stranger = tmp_path / "stranger.cpp"
+    stranger.write_text("int stranger;\n")
+    no_record = subprocess.run([cc, str(stranger), "-o", out],
+                               env={**env, TABLE_ENV: str(table_path)},
+                               capture_output=True, text=True, timeout=30)
+    assert no_record.returncode == 90
+    digest = source_digest("int stranger;\n")
+    assert no_record.stderr == f"mockcc: no fixture entry for source {digest[:12]}\n"
+    assert not os.path.exists(out)
+
+
+def test_compile_entry_that_sleeps_times_out(mock_env, tmp_path):
+    _, source, source_text, _, toolchain = mock_env
+    record = table_entry()
+    record["compile"]["sleep"] = 5
+    table_path = write_mock_table(tmp_path / "slow.json", {source_digest(source_text): record})
+    toolchain = dataclasses.replace(toolchain, env={TABLE_ENV: str(table_path)})
+    job = build_matrix("slow", source, [toolchain], tmp_path / "slow", timeout=0.5)[0]
+    result = compile_job(job)
+    assert result.status == CompileStatus.TIMEOUT
+    assert result.binary_path is None
+    assert result.duration < 4
+
+
+def _compiler_imports(cc, source, table_path, tmp_path) -> set[str]:
+    """Modules the compiler imports, ``time`` included although start-up loads it."""
+    # the interpreter's own start-up imports time (zipimport), so the log
+    # cannot show the script's import of it; drop it and log from a marker on
+    prelude = (
+        "import sys; sys.modules.pop('time', None); sys.argv = sys.argv[1:]; "
+        "sys.stderr.write('-- mockcc --\\n'); sys.stderr.flush(); "
+        "exec(compile(open(sys.argv[0]).read(), sys.argv[0], 'exec'), {'__name__': '__main__'})"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-IS", "-X", "importtime", "-c", prelude, str(cc), str(source),
+         "-o", str(tmp_path / "a.out")],
+        env={**os.environ, TABLE_ENV: str(table_path)},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return _imported(proc.stderr.split("-- mockcc --\n", 1)[1])
+
+
+def test_compiler_imports_no_json_re_enum_or_time_at_2000_entries(mock_env, tmp_path):
+    _, source, source_text, _, toolchain = mock_env
+    table = {source_digest(f"filler {i}"): table_entry(runs=[{"stdout": f"{i}\n"}])
+             for i in range(1999)}
+    table[source_digest(source_text)] = table_entry(runs=[{"device": "devA", "stdout": "1\n"}])
+    table_path = write_mock_table(tmp_path / "big.json", table)
+    imported = _compiler_imports(toolchain.executable, source, table_path, tmp_path)
+    assert imported.isdisjoint({"json", "re", "enum", "time"}), sorted(imported)
+    private_sha = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
+    assert ("hashlib" in imported) == (not private_sha), sorted(imported)
+    assert "_json" in imported  # the one-record decode ran
+
+    # the log does show time when the compile entry sleeps
+    record = table_entry()
+    record["compile"]["sleep"] = 0.01
+    slow = write_mock_table(tmp_path / "slow.json", {source_digest(source_text): record})
+    assert "time" in _compiler_imports(toolchain.executable, source, slow, tmp_path)
