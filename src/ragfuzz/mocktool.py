@@ -27,20 +27,10 @@ raises a signal): most of a campaign's jobs are runs, and ``json`` or
 ``signal`` would each pull in ``enum`` and double a run's start-up cost.
 
 The compiler imports only ``os`` and ``sys`` eagerly too, since every gate
-and matrix compile is one start of it. It hashes the source with CPython's
-private C module ``_sha2`` (3.12+) or ``_sha256`` (3.11), falling back to
-``hashlib``, and imports ``time`` only for a compile entry that sleeps. It
-decodes only the record it needs: in the layout ``write_mock_table`` writes
-(``indent=2``), each top-level key, and nothing else, starts a line indented
-by exactly two spaces, and no JSON string holds a raw newline. So the last
-``\\n  "<digest>": `` in the text starts the source's record (last key wins,
-as in ``json.loads``), and ``_json.make_scanner`` -- the private C scanner
-``json.loads`` itself runs -- decodes that one value. A table not in that
-layout, a digest that is absent, a falsy record, a value not followed by
-``,\\n  "`` or ``\\n}``, or a Python without ``_json`` falls back to
-``json.loads`` of the whole table and ``table.get(digest) or
-table.get("*")``, so exit codes, the ``"*"`` fallback and every decoded value
-are those of a full decode.
+and matrix compile is one start of it: it decodes the table with ``_json``'s
+C scanner (the one ``json.loads`` runs) instead of importing ``json``, and
+hashes with ``_sha2``/``_sha256`` instead of ``hashlib``. README's "Mock
+toolchain fixture format" gives the details and the fallbacks.
 
 Both scripts start as ``#!<interpreter> -IS``, where the interpreter is the
 ``sys.executable`` that wrote them: a job runs under the harness's own Python
@@ -120,7 +110,7 @@ import os, sys
 
 TABLE_ENV = @@TABLE_ENV@@
 DEVICE_ENV = @@DEVICE_ENV@@
-RUNNER_SCRIPT = @@RUNNER@@
+RUNNER_PARTS = @@RUNNER@@
 
 
 def sha256_hex(data):
@@ -145,33 +135,22 @@ class Decoding:
                       "NaN": float("nan")}.__getitem__
 
 
-def find_record(text, digest):
-    # json.loads(text).get(digest) or .get("*"), decoding only the digest's
-    # record when the table is in write_mock_table's indent=2 layout: there
-    # only top-level keys start a line indented by exactly two spaces, and
-    # no JSON string holds a raw newline, so the last such line names the
-    # record json.loads keeps. _json is CPython's private C scanner, the one
-    # json.loads runs; without it, or off the layout, decode the whole table.
-    key = '\n  "%s": ' % digest
-    at = text.rfind(key) if text.startswith('{\n  "') else -1
-    if at >= 0:
-        try:
-            from _json import make_scanner
-            record, end = make_scanner(Decoding)(text, at + len(key))
-        except (ImportError, StopIteration, ValueError, RecursionError):
-            record = None  # no _json, or no JSON value there
-        if record and text.startswith((',\n  "', "\n}"), end):
-            return record
+def load_table(text):
+    # json.loads(text) without importing json (and re): _json is CPython's
+    # private C scanner, the one json.loads runs. Text it does not take as
+    # one whole object, or a Python without it, goes to json.loads itself,
+    # which raises the error: with json.decoder not loaded, the scanner's
+    # own error is a SystemError.
+    ws = " \t\n\r"
+    try:
+        from _json import make_scanner
+        table, end = make_scanner(Decoding)(text, len(text) - len(text.lstrip(ws)))
+    except Exception:
+        table = None
+    if isinstance(table, dict) and not text[end:].strip(ws):
+        return table
     import json
-    table = json.loads(text)
-    return table.get(digest) or table.get("*")
-
-
-def fill(template, fills):
-    # one pass, so text a value brings in is never rewritten
-    parts = template.split("@" * 2)
-    parts[1::2] = [fills[name] for name in parts[1::2]]
-    return "".join(parts)
+    return json.loads(text)
 
 
 def main():
@@ -205,7 +184,8 @@ def main():
     with open(source, "rb") as fh:
         digest = sha256_hex(fh.read())
     with open(table_path) as fh:
-        entry = find_record(fh.read(), digest)
+        table = load_table(fh.read())
+    entry = table.get(digest) or table.get("*")
     if entry is None:
         sys.stderr.write("mockcc: no fixture entry for source %s\n" % digest[:12])
         sys.exit(90)
@@ -220,8 +200,10 @@ def main():
         fills = {"PY": sys.executable, "C": repr(compiler_id), "T": repr(target),
                  "O": repr(opt), "DE": repr(DEVICE_ENV),
                  "RUNS": repr(entry.get("runs", []))}
+        parts = list(RUNNER_PARTS)
+        parts[1::2] = [fills[name] for name in parts[1::2]]
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(fill(RUNNER_SCRIPT, fills))
+            fh.write("".join(parts))
         os.chmod(out, 0o755)
     sys.exit(code)
 
@@ -229,13 +211,6 @@ def main():
 if __name__ == "__main__":
     main()
 """
-
-
-def _fill(template: str, fills: dict) -> str:
-    """Replace each ``@@NAME@@`` in one pass, so a value's own text is kept."""
-    parts = template.split("@@")
-    parts[1::2] = [fills[name] for name in parts[1::2]]
-    return "".join(parts)
 
 
 def source_digest(source_text: str) -> str:
@@ -266,9 +241,12 @@ def write_mock_compiler(path: Path) -> Path:
         "PY": interpreter,
         "TABLE_ENV": repr(TABLE_ENV),
         "DEVICE_ENV": repr(DEVICE_ENV),
-        "RUNNER": repr(_RUNNER_SCRIPT),
+        "RUNNER": repr(_RUNNER_SCRIPT.split("@@")),
     }
-    path.write_text(_fill(_COMPILER_SCRIPT, fills), encoding="utf-8")
+    # one pass over the template, so a value's own text is kept
+    parts = _COMPILER_SCRIPT.split("@@")
+    parts[1::2] = [fills[name] for name in parts[1::2]]
+    path.write_text("".join(parts), encoding="utf-8")
     os.chmod(path, 0o755)
     return path
 

@@ -408,7 +408,7 @@ def _imported(importtime_log: str) -> set[str]:
     }
 
 
-# --- the mock compiler's one-record lookup ---------------------------------
+# --- the mock compiler's table decode --------------------------------------
 
 
 def _load_compiler(path) -> dict:
@@ -416,13 +416,16 @@ def _load_compiler(path) -> dict:
     return runpy.run_path(str(path), run_name="mockcc")
 
 
-def _reference_record(text: str, digest: str):
-    """What the mock compiler returned when it always decoded the whole table."""
-    table = json.loads(text)
-    return table.get(digest) or table.get("*")
+# runs the compiler script with its table decode swapped for json.loads, the
+# decode it used before it read the table with _json's scanner
+_JSON_LOADS_PRELUDE = (
+    "import json, sys; sys.argv = sys.argv[1:]; g = {'__name__': 'mockcc'}; "
+    "exec(compile(open(sys.argv[0]).read(), sys.argv[0], 'exec'), g); "
+    "g['load_table'] = json.loads; g['main']()"
+)
 
 
-def _drive(cc, table_text, source_text, workdir):
+def _drive(cc, table_text, source_text, workdir, json_loads=False):
     """Compile one source against a table given as text: (exit, stdout, stderr, binary)."""
     workdir.mkdir(parents=True)
     source = workdir / "case.cpp"
@@ -430,9 +433,10 @@ def _drive(cc, table_text, source_text, workdir):
     table = workdir / "table.json"
     table.write_text(table_text)
     out = workdir / "case.bin"
+    launch = [sys.executable, "-IS", "-c", _JSON_LOADS_PRELUDE] if json_loads else []
     proc = subprocess.run(
-        [str(cc), "--mock-id", "cc1", "--mock-target", "mock-spir", "-O2", str(source),
-         "-o", str(out)],
+        [*launch, str(cc), "--mock-id", "cc1", "--mock-target", "mock-spir", "-O2",
+         str(source), "-o", str(out)],
         env={**os.environ, TABLE_ENV: str(table)},
         capture_output=True,
         timeout=30,
@@ -454,7 +458,7 @@ _TRICKY_SOURCES = {
 
 
 def _tricky_tables() -> dict[str, str]:
-    """Tables in write_mock_table's layout that stress the one-record decode."""
+    """Tables whose strings, numbers and keys stress the compiler's decode."""
     d = {name: source_digest(text) for name, text in _TRICKY_SOURCES.items()}
     records = {
         d["pair"]: {
@@ -490,23 +494,22 @@ def _tricky_tables() -> dict[str, str]:
         )
     # the last duplicate is falsy: json.loads keeps {} and falls to "*"
     tables["dup_falsy"] = _splice_duplicate(tables["star"], d["dup"], {})
+    tables["compact"] = json.dumps(json.loads(tables["star"]))
     return tables
 
 
-def test_compiler_decodes_one_record_exactly_as_a_full_decode(mock_env, tmp_path):
+def test_compiler_decodes_tables_exactly_as_json_loads(mock_env, tmp_path):
     _, _, _, _, toolchain = mock_env
     cc = toolchain.executable
-    find_record = _load_compiler(cc)["find_record"]
+    load_table = _load_compiler(cc)["load_table"]
     for label, text in _tricky_tables().items():
-        # newline -> newline + space: the same JSON, off the layout, so the
-        # compiler takes its json.loads path for the reference run
-        reference_text = text.replace("\n", "\n ")
+        table = json.loads(text)
+        assert repr(load_table(text)) == repr(table), label
         for name, source_text in _TRICKY_SOURCES.items():
             digest = source_digest(source_text)
-            expected = _reference_record(text, digest)
-            assert repr(find_record(text, digest)) == repr(expected), (label, name)
+            expected = table.get(digest) or table.get("*")
             got = _drive(cc, text, source_text, tmp_path / label / name)
-            want = _drive(cc, reference_text, source_text, tmp_path / label / f"{name}_ref")
+            want = _drive(cc, text, source_text, tmp_path / label / f"{name}_ref", json_loads=True)
             assert got == want, (label, name)
             code, _stdout, stderr, binary = got
             if expected is None:
@@ -517,18 +520,17 @@ def test_compiler_decodes_one_record_exactly_as_a_full_decode(mock_env, tmp_path
             assert f"\nRUNS = {expected.get('runs', [])!r}\n" in binary, (label, name)
 
 
-def test_compiler_decodes_a_layout_record_without_json(mock_env, monkeypatch):
+def test_compiler_decodes_the_table_without_json(mock_env, monkeypatch):
     _, _, _, _, toolchain = mock_env
-    find_record = _load_compiler(toolchain.executable)["find_record"]
-    text = _tricky_tables()["star"]
-    digests = {name: source_digest(src) for name, src in _TRICKY_SOURCES.items()}
-    expected = {name: repr(_reference_record(text, d)) for name, d in digests.items()}
-    monkeypatch.setitem(sys.modules, "json", None)  # any full decode now raises
-    for name in ("pair", "lone", "markers", "constants", "dup"):
-        assert repr(find_record(text, digests[name])) == expected[name], name
-    for name in ("empty", "absent"):  # a falsy or missing record needs the whole table
-        with pytest.raises(ImportError):
-            find_record(text, digests[name])
+    load_table = _load_compiler(toolchain.executable)["load_table"]
+    tables = _tricky_tables()
+    expected = {label: repr(json.loads(text)) for label, text in tables.items()}
+    monkeypatch.setitem(sys.modules, "json", None)  # any json.loads fallback now raises
+    for label, text in tables.items():
+        assert repr(load_table(text)) == expected[label], label
+    for bad in (tables["star"][:-1], tables["star"] + "{}", "[]", ""):
+        with pytest.raises(ImportError):  # json.loads gets what the scanner will not take
+            load_table(bad)
 
 
 def _fuzz_value(rng: random.Random, depth: int):
@@ -549,9 +551,16 @@ def _fuzz_value(rng: random.Random, depth: int):
     return {rng.choice(keys): _fuzz_value(rng, depth + 1) for _ in range(rng.randrange(3))}
 
 
-def test_compiler_lookup_matches_json_loads_on_fuzzed_tables(mock_env):
+def _outcome(decode, text: str) -> str:
+    try:
+        return repr(decode(text))
+    except Exception as exc:  # noqa: BLE001 - the error is part of the outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_compiler_decode_matches_json_loads_on_fuzzed_tables(mock_env):
     _, _, _, _, toolchain = mock_env
-    find_record = _load_compiler(toolchain.executable)["find_record"]
+    load_table = _load_compiler(toolchain.executable)["load_table"]
     rng = random.Random(20260417)
     digests = [source_digest(str(i)) for i in range(5)]
     for _ in range(300):
@@ -562,35 +571,35 @@ def test_compiler_lookup_matches_json_loads_on_fuzzed_tables(mock_env):
             )
         text = rng.choice([
             json.dumps(table, indent=2, sort_keys=True),
-            json.dumps(table, indent=2, sort_keys=True),
             json.dumps(table, indent=4),
             json.dumps(table),
         ])
         if text.startswith('{\n  "') and rng.random() < 0.3:
             text = _splice_duplicate(text, rng.choice(digests), _fuzz_value(rng, 0))
-        for digest in digests:
-            expected = repr(_reference_record(text, digest))
-            assert repr(find_record(text, digest)) == expected, (text, digest)
+        edit = rng.randrange(6)
+        if edit == 0:  # cut short, as by an interrupted write
+            text = text[: rng.randrange(len(text))]
+        elif edit == 1:
+            text = rng.choice([" \n", "\t", "﻿", "\x0c"]) + text + rng.choice(["", "\r\n", " x"])
+        elif edit == 2:
+            text = json.dumps(_fuzz_value(rng, 0))  # a top level that may not be an object
+        assert _outcome(load_table, text) == _outcome(json.loads, text), text
 
 
-@pytest.mark.parametrize(
-    "template",
-    [
-        '{\n  "*": {\n  "@": RECORD\n  }\n}',  # a nested key at two spaces, last in its object
-        '{"*": {\n  "@": RECORD\n}}',  # two-space lines in a table that opens compact
-    ],
-)
-def test_hand_indented_nested_key_is_not_taken_for_the_record(mock_env, template):
-    _, _, _, _, toolchain = mock_env
-    find_record = _load_compiler(toolchain.executable)["find_record"]
-    digest = source_digest("nested")
-    record = json.dumps(table_entry(compile_stdout="nested record\n"))
-    text = template.replace("@", digest).replace("RECORD", record)
-    assert find_record(text, digest) == _reference_record(text, digest) == {digest: json.loads(record)}
+def test_cut_short_table_fails_as_with_json_loads(mock_env, tmp_path):
+    _, _, source_text, _, toolchain = mock_env
+    text = json.dumps({source_digest(source_text): table_entry()}, indent=2)
+    cut = text[: len(text) // 2]
+    got = _drive(toolchain.executable, cut, source_text, tmp_path / "got")
+    want = _drive(toolchain.executable, cut, source_text, tmp_path / "want", json_loads=True)
+    assert got[0] == want[0] == 1 and got[3] is None
+    last_line = [proc[2].decode().splitlines()[-1] for proc in (got, want)]
+    assert last_line[0] == last_line[1]
+    assert last_line[0].startswith("json.decoder.JSONDecodeError: ")
 
 
 @pytest.mark.parametrize("layout", ["compact", "indent4", "star_only"])
-def test_tables_off_the_layout_compile_as_before(mock_env, tmp_path, layout):
+def test_compact_indented_and_star_only_tables_compile(mock_env, tmp_path, layout):
     _, source, source_text, _, toolchain = mock_env
     record = table_entry(runs=[{"device": "devA", "stdout": f"{layout}\n"}])
     if layout == "star_only":
@@ -672,7 +681,7 @@ def test_compiler_imports_no_json_re_enum_or_time_at_2000_entries(mock_env, tmp_
     assert imported.isdisjoint({"json", "re", "enum", "time"}), sorted(imported)
     private_sha = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
     assert ("hashlib" in imported) == (not private_sha), sorted(imported)
-    assert "_json" in imported  # the one-record decode ran
+    assert "_json" in imported  # the C scanner decoded the table
 
     # the log does show time when the compile entry sleeps
     record = table_entry()
