@@ -19,6 +19,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 from .difftest import ComparisonPolicy, Discrepancy, ResultsMatrix, classify, summarize
@@ -66,6 +67,7 @@ from .toolchain import (
     build_matrix,
     compile_job,
     expand_run_jobs,
+    prlimit_path,
     run_job,
 )
 
@@ -177,7 +179,7 @@ class CampaignConfig:
     base_dir: Path = field(init=False)
     raw: dict = field(init=False, repr=False)
 
-    @property
+    @cached_property  # raw is set once, by load_config
     def config_hash(self) -> str:
         return hashlib.sha256(
             json.dumps(self.raw, sort_keys=True).encode("utf-8")
@@ -530,10 +532,9 @@ class CampaignRunner:
             manifest_path,
             {"version": MANIFEST_VERSION, "config_hash": self.config.config_hash},
         )
-        _write_json(
-            self.store.snapshot_path,
-            {"base_dir": str(self.config.base_dir), "config": self.config.raw},
-        )
+        # unindented, so json's C encoder writes it; resume reads either layout
+        snapshot = {"base_dir": str(self.config.base_dir), "config": self.config.raw}
+        _write_text(self.store.snapshot_path, json.dumps(snapshot, sort_keys=True) + "\n")
 
     def _load_catalog(self) -> FeatureCatalog:
         if self.config.generation.catalogs:
@@ -599,6 +600,7 @@ class CampaignRunner:
             raise ValueError(f"unknown stage {halt_after!r}")
         for tc in self.config.toolchains:
             tc.probe()
+        prlimit_path()  # run jobs set their limits through it
         report: CampaignReport | None = None
         for stage in STAGES:
             started = time.monotonic()

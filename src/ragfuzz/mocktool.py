@@ -60,6 +60,7 @@ COMPILER = @@C@@
 TARGET = @@T@@
 OPT = @@O@@
 DEVICE_ENV = @@DE@@
+inf, nan = float("inf"), float("nan")  # how repr() spells JSON's Infinity and NaN
 RUNS = @@RUNS@@
 
 

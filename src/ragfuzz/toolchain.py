@@ -4,10 +4,25 @@ Every job runs in its own working directory with a wall-clock timeout; the
 whole process group is killed on expiry so compilers and generated binaries
 never leak children. Run jobs get address-space and file-size limits because
 LLM-generated programs can loop or allocate without bound.
+
+The limits are set by util-linux ``prlimit(1)``, not by a Python
+``preexec_fn``: with a ``preexec_fn``, CPython ``fork()``s the whole harness
+(numpy, the index, worker threads) for every run and runs Python code in the
+child; without one it starts the job with ``vfork``. ``prlimit`` sets each
+limit's soft and hard value to the configured bytes and ``execvp``s the
+binary in place, so the pid, the session, the exit code and any signal stay
+the binary's own. A binary that cannot start stays ``LAUNCH_ERROR``, with
+the text a direct start gives: ``prlimit``'s "failed to execute" exit
+(126/127) maps back to that ``OSError``, and a file that ``execve`` refuses
+as ``ENOEXEC``, which ``execvp`` would hand to ``/bin/sh`` as a script, is
+refused before it starts (see ``_exec_format_error``).
 """
 from __future__ import annotations
 
+import errno
+import functools
 import os
+import shutil
 import signal
 import subprocess
 import time
@@ -207,23 +222,9 @@ def expand_run_jobs(
 
 
 def _execute(
-    argv: tuple[str, ...],
-    cwd: Path,
-    env: dict,
-    timeout: float,
-    limits: RunLimits | None = None,
+    argv: tuple[str, ...], cwd: Path, env: dict, timeout: float
 ) -> tuple[int | None, str, str, float, bool]:
     """(returncode, stdout, stderr, duration, timed_out); kills the group on expiry."""
-    preexec = None
-    if limits is not None:
-        import resource
-
-        def preexec():  # noqa: ANN001 - runs in the child
-            as_bytes = limits.address_space_mb * 1024 * 1024
-            fs_bytes = limits.file_size_mb * 1024 * 1024
-            resource.setrlimit(resource.RLIMIT_AS, (as_bytes, as_bytes))
-            resource.setrlimit(resource.RLIMIT_FSIZE, (fs_bytes, fs_bytes))
-
     start = time.monotonic()
     proc = subprocess.Popen(
         argv,
@@ -235,7 +236,6 @@ def _execute(
         encoding="utf-8",
         errors="replace",  # a program's bytes are untrusted; never abort on them
         start_new_session=True,
-        preexec_fn=preexec,
     )
     timed_out = False
     try:
@@ -249,6 +249,74 @@ def _execute(
         stdout, stderr = proc.communicate()
     duration = time.monotonic() - start
     return proc.returncode, stdout or "", stderr or "", duration, timed_out
+
+
+@functools.cache
+def prlimit_path() -> str:
+    """util-linux ``prlimit``, looked up once on the harness's own PATH: a
+    device's env may set PATH to anything."""
+    path = shutil.which("prlimit")
+    if path is None:
+        raise ToolNotFound("prlimit (util-linux) is not on PATH; run jobs need it for their limits")
+    return path
+
+
+def _elf_machine(head: bytes) -> bytes | None:
+    """Class, byte order and machine of an executable or shared-object ELF header."""
+    if head[:4] != b"\x7fELF" or len(head) < (52 if head[4] == 1 else 64):
+        return None
+    e_type = int.from_bytes(head[16:18], "little" if head[5] == 1 else "big")
+    return head[4:6] + head[18:20] if e_type in (2, 3) else None  # ET_EXEC, ET_DYN
+
+
+@functools.cache
+def _host_elf_machine() -> bytes | None:
+    with open("/proc/self/exe", "rb") as fh:
+        return _elf_machine(fh.read(64))
+
+
+def _exec_format_error(path: str, cwd: Path, depth: int = 0) -> bool:
+    """Whether the file at ``path`` (relative to ``cwd``) is no executable
+    format, which execve(2) refuses with ENOEXEC and prlimit's execvp(3) then
+    hands to /bin/sh as a script.
+
+    A file passes as a script whose "#!" line names an interpreter that
+    passes in turn, or as an ELF executable of this host's class, byte order
+    and machine. So two kinds of file that a direct launch would run are
+    refused: a 32-bit ELF on a 64-bit host, and a format a binfmt_misc
+    handler runs. An ELF file with this host's header but program headers
+    the kernel rejects still passes; no compiler writes one.
+    """
+    try:
+        with open(os.path.join(cwd, path), "rb") as fh:
+            head = fh.read(256)  # all of a "#!" line the kernel reads
+    except OSError:
+        return False  # unreadable: neither can /bin/sh read it; let execve decide
+    if head[:2] == b"#!":
+        line = head[2:].split(b"\n", 1)[0].strip(b" \t")
+        if not line:
+            return True
+        name = os.fsdecode(line.replace(b"\t", b" ").split(b" ", 1)[0])
+        # the kernel starts the interpreter the same way, at most 4 deep;
+        # a missing or non-executable one fails with its own errno
+        return (
+            depth < 4
+            and os.access(os.path.join(cwd, name), os.X_OK)
+            and _exec_format_error(name, cwd, depth + 1)
+        )
+    machine = _elf_machine(head)
+    return machine is None or machine != _host_elf_machine()
+
+
+def _prlimit_exec_error(rc: int | None, stderr: str, binary: str) -> OSError | None:
+    """The OSError a direct launch raises, when prlimit failed to execute the
+    binary: it then prints one line and exits 127 for ENOENT, 126 otherwise."""
+    prefix = f"prlimit: failed to execute {binary}: "
+    if rc in (126, 127) and stderr.startswith(prefix):
+        for code in errno.errorcode:
+            if stderr == f"{prefix}{os.strerror(code)}\n":
+                return OSError(code, os.strerror(code), binary)
+    return None
 
 
 def compile_job(job: CompileJob) -> CompileResult:
@@ -281,19 +349,32 @@ def compile_job(job: CompileJob) -> CompileResult:
 def run_job(job: RunJob, limits: RunLimits | None = None) -> RunResult:
     """Execute one binary under one device configuration."""
     binary = Path(job.binary_path)
+
+    def launch_error(message: str) -> RunResult:
+        return RunResult(job.case_id, job.cell, RunStatus.LAUNCH_ERROR, None, "", message, 0.0)
+
     if not binary.exists() or not os.access(binary, os.X_OK):
-        return RunResult(
-            job.case_id, job.cell, RunStatus.LAUNCH_ERROR, None,
-            "", f"binary missing or not executable: {binary}", 0.0,
+        return launch_error(f"binary missing or not executable: {binary}")
+    argv: tuple[str, ...] = (str(binary),)
+    if limits is not None:
+        if _exec_format_error(argv[0], binary.parent):
+            return launch_error(str(OSError(errno.ENOEXEC, os.strerror(errno.ENOEXEC), argv[0])))
+        argv = (
+            prlimit_path(),
+            f"--as={limits.address_space_mb * 1024 * 1024}",
+            f"--fsize={limits.file_size_mb * 1024 * 1024}",
+            "--",
+            *argv,
         )
     try:
         rc, stdout, stderr, duration, timed_out = _execute(
-            (str(binary),), binary.parent, job.env, job.timeout, limits=limits
+            argv, binary.parent, job.env, job.timeout
         )
     except OSError as exc:
-        return RunResult(
-            job.case_id, job.cell, RunStatus.LAUNCH_ERROR, None, "", str(exc), 0.0
-        )
+        return launch_error(str(exc))
+    exec_error = _prlimit_exec_error(rc, stderr, argv[-1]) if limits is not None else None
+    if exec_error is not None:
+        return launch_error(str(exec_error))
     if timed_out:
         status = RunStatus.TIMEOUT
     elif rc is not None and rc < 0:

@@ -257,6 +257,23 @@ def test_resume_of_completed_campaign_is_noop(tiny_campaign):
     assert report.per_pass == tiny_campaign.report.per_pass
 
 
+def test_resume_reads_a_snapshot_in_the_indented_layout(tiny_campaign, tmp_path):
+    import shutil
+
+    clone = tmp_path / "clone"
+    shutil.copytree(tiny_campaign.campaign_dir, clone)
+    snapshot_path = clone / "config.snapshot.json"
+    snapshot = json.loads(snapshot_path.read_text())
+    assert snapshot_path.read_text() == json.dumps(snapshot, sort_keys=True) + "\n"
+    # the layout campaign directories were written in before the compact one
+    snapshot_path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
+    report = resume(clone)
+    assert report.per_pass == tiny_campaign.report.per_pass
+    assert (clone / "report.json").read_bytes() == (
+        tiny_campaign.campaign_dir / "report.json"
+    ).read_bytes()
+
+
 def test_resume_with_mutated_config_refuses(tiny_campaign, tmp_path):
     changed_dict = json.loads(json.dumps(tiny_campaign.config.raw))
     changed_dict["campaign"]["seed"] = 4321
@@ -280,6 +297,28 @@ def test_corrupt_manifest_detected(tiny_campaign, tmp_path):
     (clone / "manifest.json").write_text("{not json")
     with pytest.raises(CorruptManifest):
         resume(clone)
+
+
+def test_missing_prlimit_stops_the_campaign_before_any_job(tmp_path, monkeypatch):
+    import shutil
+
+    import ragfuzz.toolchain as toolchain
+    from ragfuzz.errors import ToolNotFound
+
+    config = load_config_file(materialize_scenario(build_tiny(), tmp_path / "work"))
+    runner = CampaignRunner(config, tmp_path / "campaign")
+    which = shutil.which
+    monkeypatch.setattr(
+        shutil, "which", lambda name, *a, **k: None if name == "prlimit" else which(name, *a, **k)
+    )
+    toolchain.prlimit_path.cache_clear()
+    try:
+        with pytest.raises(ToolNotFound, match="prlimit"):
+            runner.run()
+    finally:
+        toolchain.prlimit_path.cache_clear()
+    assert not runner.store.timing_path.exists()
+    assert CostLedger(runner.store.ledger_path).entries() == []
 
 
 def test_no_secret_material_in_artifacts(tmp_path):

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import importlib.util
 import json
 import os
 import random
 import runpy
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -23,8 +25,10 @@ from ragfuzz.mocktool import (
     write_mock_table,
 )
 from ragfuzz.toolchain import (
+    CellKey,
     CompileStatus,
     DeviceConfig,
+    RunJob,
     RunLimits,
     RunStatus,
     TargetSpec,
@@ -276,6 +280,116 @@ def test_non_utf8_program_output_is_replaced_not_raised(tmp_path):
     assert rr.stderr == "\ufffd"
 
 
+# --- the run sandbox ----------------------------------------------------------
+
+
+def _run_file(path: Path, content: bytes, limits: RunLimits | None, timeout: float = 30.0):
+    """Run an executable file holding ``content`` as a run job."""
+    path.write_bytes(content)
+    path.chmod(0o755)
+    return run_job(RunJob("c", CellKey("cc", "t", "-O0", "d"), str(path), timeout=timeout), limits)
+
+
+def test_run_binary_gets_the_configured_limits_in_its_own_session(tmp_path):
+    reader = (
+        f"#!{sys.executable} -IS\n"
+        "import os\n"
+        "with open('/proc/self/limits') as fh:\n"
+        "    for line in fh:\n"
+        "        if line.startswith(('Max address space', 'Max file size')):\n"
+        "            print(*line.split()[-3:-1])\n"
+        "print(os.getsid(0) == os.getpid(), os.getppid())\n"
+    )
+    rr = _run_file(
+        tmp_path / "limits.bin", reader.encode(),
+        RunLimits(address_space_mb=1536, file_size_mb=3),
+    )
+    assert rr.status == RunStatus.OK, rr.stderr
+    as_bytes, fs_bytes = 1536 * 1024 * 1024, 3 * 1024 * 1024
+    assert rr.stdout == (
+        f"{fs_bytes} {fs_bytes}\n{as_bytes} {as_bytes}\nTrue {os.getpid()}\n"
+    )
+
+
+def test_file_size_flood_ends_as_crash_signal(tmp_path):
+    # exec: the binary's own process writes, so SIGXFSZ ends the run itself
+    flood = b"#!/bin/sh\nexec head -c 3145728 /dev/zero > flood.out\n"
+    rr = _run_file(tmp_path / "flood.bin", flood, RunLimits(file_size_mb=1))
+    assert rr.status == RunStatus.CRASH_SIGNAL, rr
+    assert rr.exit_code == -signal.SIGXFSZ
+    assert (tmp_path / "flood.out").stat().st_size == 1024 * 1024
+
+
+def test_timeout_under_limits_kills_the_binary_and_its_children(tmp_path):
+    # the background sleep holds the pipes open: only a group kill ends the run
+    slow = b"#!/bin/sh\necho partial\nsleep 30 &\nexec sleep 30\n"
+    rr = _run_file(tmp_path / "slow.bin", slow, RunLimits(), timeout=0.5)
+    assert rr.status == RunStatus.TIMEOUT
+    assert rr.exit_code == -signal.SIGKILL
+    assert rr.stdout == "partial\n"
+    assert 0.5 <= rr.duration < 10
+
+
+def test_exit_127_of_the_binary_itself_stays_nonzero_exit(tmp_path):
+    lookalike = (
+        b"#!/bin/sh\necho 'prlimit: failed to execute elsewhere: "
+        b"No such file or directory' >&2\nexit 127\n"
+    )
+    rr = _run_file(tmp_path / "lookalike.bin", lookalike, RunLimits())
+    assert (rr.status, rr.exit_code) == (RunStatus.NONZERO_EXIT, 127)
+
+
+def test_native_elf_binary_runs_under_limits():
+    true = shutil.which("true")
+    rr = run_job(RunJob("c", CellKey("cc", "t", "-O0", "d"), true), RunLimits())
+    assert (rr.status, rr.exit_code) == (RunStatus.OK, 0)
+
+
+with open("/proc/self/exe", "rb") as _fh:
+    _HOST_ELF_HEADER = _fh.read(64)
+
+# each file also holds "echo pwned", which a shell would print
+_UNLAUNCHABLE = {
+    "missing_interpreter": (b"#!/nonexistent/interpreter\necho pwned\n", errno.ENOENT),
+    "interpreter_not_executable": (b"#!/proc/self/status\necho pwned\n", errno.EACCES),
+    "no_interpreter_name": (b"#! \t\necho pwned\n", errno.ENOEXEC),
+    # the interpreter is the no_shebang file next to it
+    "interpreter_without_format": (b"#!./no_shebang.bin\necho pwned\n", errno.ENOEXEC),
+    "elf_junk": (b"\x7fELFjunk\necho pwned\n", errno.ENOEXEC),
+    "foreign_elf": (
+        _HOST_ELF_HEADER[:18] + b"\xfe\xfe" + _HOST_ELF_HEADER[20:] + b"\necho pwned\n",
+        errno.ENOEXEC,
+    ),
+    "no_shebang": (b"echo pwned\n", errno.ENOEXEC),
+}
+
+
+@pytest.mark.parametrize("limits", [RunLimits(), None], ids=["limits", "no_limits"])
+@pytest.mark.parametrize("name", sorted(_UNLAUNCHABLE))
+def test_unlaunchable_binary_is_a_launch_error_and_never_shell_run(tmp_path, name, limits):
+    content, code = _UNLAUNCHABLE[name]
+    interpreter = tmp_path / "no_shebang.bin"
+    interpreter.write_bytes(_UNLAUNCHABLE["no_shebang"][0])
+    interpreter.chmod(0o755)
+    path = tmp_path / f"{name}.bin"
+    rr = _run_file(path, content, limits)
+    assert rr.status == RunStatus.LAUNCH_ERROR, rr
+    assert (rr.exit_code, rr.stdout, rr.duration) == (None, "", 0.0)
+    assert rr.stderr == str(OSError(code, os.strerror(code), str(path)))
+
+
+def test_run_with_limits_needs_prlimit_on_the_harness_path(tmp_path, monkeypatch):
+    import ragfuzz.toolchain as toolchain
+
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    toolchain.prlimit_path.cache_clear()
+    try:
+        with pytest.raises(ToolNotFound, match="prlimit"):
+            _run_file(tmp_path / "ok.bin", b"#!/bin/sh\necho ok\n", RunLimits())
+    finally:
+        toolchain.prlimit_path.cache_clear()
+
+
 def _compile_and_run(source, toolchain, out_dir, env):
     """Compile with the toolchain and run on devA, both with ``env`` added."""
     toolchain = dataclasses.replace(toolchain, env={**toolchain.env, **env})
@@ -363,6 +477,18 @@ def test_baked_run_entry_text_comes_back_byte_exact(mock_env, tmp_path):
     assert rr.status == RunStatus.NONZERO_EXIT and rr.exit_code == 3
     assert rr.stdout == text
     assert rr.stderr == text[::-1]
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_baked_run_entry_may_hold_nan_and_infinity(mock_env, tmp_path, constant):
+    _, _, _, _, toolchain = mock_env
+    value = float(constant.replace("Infinity", "inf"))
+    result, table_path = _compile_with_table(
+        tmp_path, toolchain, "constants", [{"stdout": "hi\n", "extra": value}]
+    )
+    assert f'"extra": {constant}' in table_path.read_text()
+    rr = _run_on(result, "devA")
+    assert (rr.status, rr.stdout, rr.stderr) == (RunStatus.OK, "hi\n", "")
 
 
 def test_binary_keeps_its_compile_time_run_entries(mock_env, tmp_path):
