@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 from .difftest import ComparisonPolicy, Discrepancy, ResultsMatrix, classify, summarize
 from .errors import (
@@ -56,7 +57,7 @@ from .providers import (
 )
 from .rag import ChunkPolicy, VectorIndex, chunk_document
 from .records import from_record, to_record
-from .scenarios import load_scenario, seed_case_id, selection_seed
+from .scenarios import Scenario, load_scenario, seed_case_id, selection_seed
 from .toolchain import (
     CellKey,
     CompileResult,
@@ -334,6 +335,42 @@ def _read_json(cls: type, path: Path):
     return from_record(cls, json.loads(path.read_text()))
 
 
+def _decode_named(key: str, load: Callable, *args):
+    """load(*args), which reads the file config key names. A file that cannot
+    be read, parsed, decoded or checked raises ConfigError under key, with
+    the field path inside the file when there is one."""
+    try:
+        return load(*args)
+    except (OSError, ValueError, RagfuzzError) as exc:
+        raise ConfigError(key, str(exc)) from None
+
+
+@dataclass(frozen=True)
+class Manifest:
+    """manifest.json: the config a campaign directory is bound to."""
+
+    config_hash: str
+    version: int = MANIFEST_VERSION
+
+
+@dataclass(frozen=True)
+class ConfigSnapshot:
+    """config.snapshot.json: the raw config a campaign started from, and the
+    directory its relative paths resolve against, for ``resume``."""
+
+    base_dir: str
+    config: dict
+
+
+def _read_campaign_file(cls: type, path: Path):
+    """The record of type cls in a file the campaign wrote; one that cannot
+    be parsed or decoded raises CorruptManifest naming the file."""
+    try:
+        return _read_json(cls, path)
+    except (ValueError, RecordError) as exc:
+        raise CorruptManifest(f"{path}: {exc}") from None
+
+
 class CampaignStore:
     """Filesystem layout of one campaign; all writes are atomic renames.
 
@@ -493,12 +530,28 @@ class CampaignRunner:
     def __init__(self, config: CampaignConfig, campaign_dir: Path):
         self.config = config
         self.store = CampaignStore(Path(campaign_dir))
+        # every file the config names is decoded and checked before the
+        # campaign directory is touched; None stands for the packaged file,
+        # read when a stage first needs it
+        catalogs, pricing = config.generation.catalogs, config.report.pricing
+        self.catalog = (
+            _decode_named("generation.catalogs", _read_json, FeatureCatalog, self._path(catalogs))
+            if catalogs
+            else None
+        )
+        self.pricing = (
+            _decode_named("report.pricing", _read_json, PricingTable, self._path(pricing))
+            if pricing
+            else None
+        )
+        scenario = None
+        if config.providers.mode == "mock":
+            scenario = _decode_named("providers.scenario", load_scenario, config.providers.scenario)
         self.store.root.mkdir(parents=True, exist_ok=True)
         self._check_or_write_manifest()
         self.ledger = CostLedger(self.store.ledger_path)
-        self.catalog = self._load_catalog()
         self.prompts = PromptFactory()
-        self.llm, self.embedder = self._build_providers()
+        self.llm, self.embedder = self._build_providers(scenario)
         self.index: VectorIndex | None = None
         self.pipeline = GenerationPipeline(
             self.prompts,
@@ -515,39 +568,29 @@ class CampaignRunner:
 
     # -- setup ----------------------------------------------------------
 
+    def _path(self, value: str) -> Path:
+        return Path(_resolve(self.config.base_dir, value))
+
     def _check_or_write_manifest(self) -> None:
         manifest_path = self.store.manifest_path
         if manifest_path.exists():
-            try:
-                manifest = json.loads(manifest_path.read_text())
-                stored = manifest["config_hash"]
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise CorruptManifest(str(manifest_path)) from exc
-            if stored != self.config.config_hash:
+            manifest = _read_campaign_file(Manifest, manifest_path)
+            if manifest.config_hash != self.config.config_hash:
                 raise ConfigMismatch(
                     "campaign directory was created from a different config"
                 )
             return
-        _write_json(
-            manifest_path,
-            {"version": MANIFEST_VERSION, "config_hash": self.config.config_hash},
-        )
+        # the fields of both records are JSON values already: vars() is their
+        # record, without a to_record walk over the whole config
+        _write_json(manifest_path, vars(Manifest(self.config.config_hash)))
         # unindented, so json's C encoder writes it; resume reads either layout
-        snapshot = {"base_dir": str(self.config.base_dir), "config": self.config.raw}
-        _write_text(self.store.snapshot_path, json.dumps(snapshot, sort_keys=True) + "\n")
+        snapshot = ConfigSnapshot(str(self.config.base_dir), self.config.raw)
+        _write_text(self.store.snapshot_path, json.dumps(vars(snapshot), sort_keys=True) + "\n")
 
-    def _load_catalog(self) -> FeatureCatalog:
-        if self.config.generation.catalogs:
-            return FeatureCatalog.load(
-                Path(_resolve(self.config.base_dir, self.config.generation.catalogs))
-            )
-        return default_catalog()
-
-    def _build_providers(self) -> tuple[LLMService, EmbeddingService]:
+    def _build_providers(self, scenario: Scenario | None) -> tuple[LLMService, EmbeddingService]:
         spec = self.config.providers
         rate_limiter = None
-        if spec.mode == "mock":
-            scenario = load_scenario(spec.scenario)
+        if scenario is not None:
             backend = ScriptedLLM(scenario.llm_entries)
             embed_backend = HashEmbedder(dim=self.config.rag.embedding_dim, seed=0)
             max_retries, backoff = 0, 0.0
@@ -683,7 +726,8 @@ class CampaignRunner:
                     if self.store.case_path(case_id).exists():
                         continue
                     selection = sample_features(
-                        self.catalog, selection_seed(self.config.campaign.seed, case_id)
+                        self.catalog or default_catalog(),
+                        selection_seed(self.config.campaign.seed, case_id),
                     )
                     try:
                         case = self.pipeline.generate_testcase(ch, selection, case_id)
@@ -761,7 +805,7 @@ class CampaignRunner:
                     continue
                 try:
                     child = self.pipeline.mutate_one(
-                        case, j, self.catalog, self.config.campaign.seed
+                        case, j, self.catalog or default_catalog(), self.config.campaign.seed
                     )
                 except RagfuzzError as exc:
                     child = TestCase(
@@ -789,7 +833,6 @@ class CampaignRunner:
                 timeout=self.config.limits.compile_timeout,
             )
             limits = RunLimits(
-                timeout=self.config.limits.run_timeout,
                 address_space_mb=self.config.limits.address_space_mb,
                 file_size_mb=self.config.limits.file_size_mb,
             )
@@ -849,12 +892,6 @@ class CampaignRunner:
 
     # -- report assembly -------------------------------------------------
 
-    def _pricing(self) -> PricingTable:
-        pricing = self.config.report.pricing
-        if pricing:
-            return PricingTable.load(Path(_resolve(self.config.base_dir, pricing)))
-        return default_pricing()
-
     def build_report(self) -> CampaignReport:
         per_pass: dict[str, dict[str, int]] = {}
         all_cases = self.store.all_cases()
@@ -903,7 +940,7 @@ class CampaignRunner:
                 "output_tokens": sum(e.output_tokens for e in stage_entries),
             }
         try:
-            total_dollars = str(estimate_cost(entries, self._pricing()))
+            total_dollars = str(estimate_cost(entries, self.pricing or default_pricing()))
         except RagfuzzError:
             total_dollars = "unpriced"
         cost = {
@@ -934,7 +971,7 @@ def resume(campaign_dir: Path, config: CampaignConfig | None = None) -> Campaign
     if config is None:
         if not store.snapshot_path.exists():
             raise CorruptManifest(f"no config snapshot in {campaign_dir}")
-        snapshot = json.loads(store.snapshot_path.read_text())
-        config = load_config(snapshot["config"], Path(snapshot["base_dir"]))
+        snapshot = _read_campaign_file(ConfigSnapshot, store.snapshot_path)
+        config = load_config(snapshot.config, Path(snapshot.base_dir))
     # CampaignRunner checks the manifest against the config hash
     return run_campaign(config, campaign_dir)

@@ -4,9 +4,10 @@ Cells that share all coordinates but one are compared along that axis;
 cross-compiler pairs additionally tolerate differing devices because each
 compiler's binaries execute on their own hardware. Float tokens are rounded
 before output comparison so expected cross-architecture noise does not flag.
-"""
-from __future__ import annotations
 
+Annotations here are evaluated at import, not postponed: the record codec
+reads the comparison policy's field types as objects when a config loads.
+"""
 import re
 from dataclasses import dataclass
 from enum import Enum

@@ -3,17 +3,19 @@
 Costs are computed in exact decimal arithmetic and rounded to cents only at
 presentation time; the ledger itself is an append-only JSONL file so totals
 can be recomputed from raw artifacts at any point.
-"""
-from __future__ import annotations
 
+Annotations here are evaluated at import, not postponed: the record codec
+reads the pricing table's field types as objects when a campaign sets up.
+"""
 import json
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from .errors import UnpricedModel
+from .errors import RecordError, UnpricedModel
+from .records import from_record, to_record
 
 STAGES = ("characteristics", "codegen", "repair", "mutation", "embedding")
 
@@ -23,8 +25,8 @@ T = TypeVar("T")
 def read_jsonl(path: Path, decode: Callable[[bytes], T]) -> list[T]:
     """Decode every line of an append-only JSONL file, mending a torn tail.
 
-    A final line that ``decode`` rejects (ValueError, KeyError or TypeError)
-    was torn by a kill mid-append: it is cut from the file, so the next
+    A final line that ``decode`` rejects (ValueError, KeyError, TypeError or
+    RecordError) was torn by a kill mid-append: it is cut from the file, so the next
     append starts a fresh line. A valid final line missing its newline gets
     one. A line that fails anywhere else is corruption and raises.
     """
@@ -37,7 +39,7 @@ def read_jsonl(path: Path, decode: Callable[[bytes], T]) -> list[T]:
             continue
         try:
             records.append(decode(line))
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, RecordError):
             if i < len(lines) - 1:
                 raise
             kept -= len(line)
@@ -66,34 +68,21 @@ class ModelRate:
     output_per_million: Decimal
 
 
+@dataclass(frozen=True)
 class PricingTable:
-    """model_id -> per-million-token rates, loaded from a versioned data file."""
+    """model_id -> per-million-token rates, the record of a versioned data file."""
 
-    def __init__(self, rates: dict[str, ModelRate], as_of: str = ""):
-        for model_id, rate in rates.items():
+    models: dict[str, ModelRate]
+    as_of: str = ""
+
+    def __post_init__(self):
+        for model_id, rate in self.models.items():
             if rate.input_per_million <= 0 or rate.output_per_million <= 0:
-                raise ValueError(f"rates must be positive for {model_id}")
-        self.rates = dict(rates)
-        self.as_of = as_of
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PricingTable":
-        rates = {
-            model_id: ModelRate(
-                input_per_million=Decimal(str(spec["input_per_million"])),
-                output_per_million=Decimal(str(spec["output_per_million"])),
-            )
-            for model_id, spec in data.get("models", {}).items()
-        }
-        return cls(rates, as_of=data.get("as_of", ""))
-
-    @classmethod
-    def load(cls, path: Path) -> "PricingTable":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+                raise RecordError(f"models.{model_id}", "rates must be positive")
 
     def rate(self, model_id: str) -> ModelRate:
         try:
-            return self.rates[model_id]
+            return self.models[model_id]
         except KeyError:
             raise UnpricedModel(model_id) from None
 
@@ -101,8 +90,8 @@ class PricingTable:
 def default_pricing() -> PricingTable:
     from importlib.resources import files
 
-    return PricingTable.from_dict(
-        json.loads(files("ragfuzz").joinpath("data/pricing.json").read_text())
+    return from_record(
+        PricingTable, json.loads(files("ragfuzz").joinpath("data/pricing.json").read_text())
     )
 
 
@@ -118,7 +107,7 @@ class CostLedger:
         self._path = Path(path) if path else None
         if self._path and self._path.exists():
             self._entries = read_jsonl(
-                self._path, lambda line: UsageEntry(**json.loads(line))
+                self._path, lambda line: from_record(UsageEntry, json.loads(line))
             )
 
     def record(
@@ -145,7 +134,7 @@ class CostLedger:
             self._entries.append(entry)
             if self._path:
                 with open(self._path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(asdict(entry), sort_keys=True) + "\n")
+                    fh.write(json.dumps(to_record(entry), sort_keys=True) + "\n")
         return entry
 
     def entries(self) -> list[UsageEntry]:
@@ -167,7 +156,6 @@ def estimate_cost(
     entries: list[UsageEntry],
     pricing: PricingTable,
     stages: set[str] | None = None,
-    models: set[str] | None = None,
 ) -> Decimal:
     """Exact dollar cost of the selected entries.
 
@@ -177,8 +165,6 @@ def estimate_cost(
     total = Decimal(0)
     for entry in entries:
         if stages is not None and entry.stage not in stages:
-            continue
-        if models is not None and entry.model_id not in models:
             continue
         rate = pricing.rate(entry.model_id)
         total += (

@@ -5,17 +5,18 @@ the pass function; stage 2 turns those characteristics plus a random feature
 selection into a compilable program. Compile failures feed a repair prompt at
 most ``max_attempts`` times; compiling cases are then mutated X times with
 freshly sampled features.
-"""
-from __future__ import annotations
 
+Annotations here are evaluated at import, not postponed: the record codec
+reads the catalog's field types as objects when a campaign sets up.
+"""
 import hashlib
 import json
 import random
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from importlib.resources import files
-from pathlib import Path
 from typing import Callable
 
 from .errors import EmptyCatalog, EmptyResponse, NoCodeBlock, ProviderError
@@ -23,6 +24,7 @@ from .extraction import PassFunction
 from .prompts import PromptFactory
 from .providers import LLMService
 from .rag import RetrievedChunk, VectorIndex
+from .records import from_record
 from .toolchain import CompileResult
 
 SYCL_PREAMBLE = """#include <sycl/sycl.hpp>
@@ -61,38 +63,29 @@ class FeatureSelection:
 
 @dataclass(frozen=True)
 class FeatureCatalog:
+    """The axis values sampled into generation prompts; every axis must be
+    non-empty, and kernel_count_range is an inclusive (lo, hi), 1 <= lo <= hi."""
+
     optimization_features: tuple[str, ...]
     memory_access: tuple[str, ...]
     data_structures: tuple[str, ...]
     kernel_count_range: tuple[int, int] = (1, 4)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for axis in ("optimization_features", "memory_access", "data_structures"):
             if not getattr(self, axis):
-                raise EmptyCatalog(f"catalog axis {axis} is empty")
+                raise EmptyCatalog(f"{axis}: must be non-empty")
+        if len(self.kernel_count_range) != 2:
+            raise EmptyCatalog("kernel_count_range: must be [lo, hi]")
         lo, hi = self.kernel_count_range
         if lo < 1 or hi < lo:
-            raise EmptyCatalog(f"bad kernel_count_range {self.kernel_count_range}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FeatureCatalog":
-        catalog = cls(
-            optimization_features=tuple(data["optimization_features"]),
-            memory_access=tuple(data["memory_access"]),
-            data_structures=tuple(data["data_structures"]),
-            kernel_count_range=tuple(data.get("kernel_count_range", (1, 4))),
-        )
-        catalog.validate()
-        return catalog
-
-    @classmethod
-    def load(cls, path: Path) -> "FeatureCatalog":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+            raise EmptyCatalog(f"kernel_count_range: bad range {list(self.kernel_count_range)}")
 
 
+@cache  # frozen, so one shared instance serves every caller
 def default_catalog() -> FeatureCatalog:
-    return FeatureCatalog.from_dict(
-        json.loads(files("ragfuzz").joinpath("data/catalogs.json").read_text())
+    return from_record(
+        FeatureCatalog, json.loads(files("ragfuzz").joinpath("data/catalogs.json").read_text())
     )
 
 
@@ -132,7 +125,6 @@ def derive_seed(*parts: object) -> int:
 
 def sample_features(catalog: FeatureCatalog, rng_seed: int) -> FeatureSelection:
     """Uniform independent draw per catalog axis, reproducible from the seed."""
-    catalog.validate()
     rng = random.Random(rng_seed)
     lo, hi = catalog.kernel_count_range
     return FeatureSelection(

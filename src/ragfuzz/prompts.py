@@ -71,11 +71,10 @@ class PromptFactory:
 
     def __init__(self, templates_dir: Path | None = None):
         self._templates: dict[str, PromptTemplate] = {}
+        # one package lookup, not one per template
+        root = Path(templates_dir) if templates_dir is not None else files("ragfuzz") / "prompts"
         for template_id, placeholders in TEMPLATE_PLACEHOLDERS.items():
-            if templates_dir is not None:
-                body = (Path(templates_dir) / f"{template_id}.txt").read_text()
-            else:
-                body = files("ragfuzz").joinpath(f"prompts/{template_id}.txt").read_text()
+            body = (root / f"{template_id}.txt").read_text()
             template = PromptTemplate(template_id, body, dict(placeholders))
             template.validate()
             self._templates[template_id] = template

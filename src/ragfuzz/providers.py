@@ -5,8 +5,10 @@ mocks make the whole pipeline runnable offline and bit-reproducible. Every
 completed provider exchange appends exactly one cost-ledger entry. Retrieved
 context is prepended to the prompt as plain delimited text so the wire
 contract stays provider-agnostic.
+
+Annotations here are evaluated at import, not postponed: the record codec
+reads a scripted scenario's entry types as objects when a campaign sets up.
 """
-from __future__ import annotations
 
 import base64
 import hashlib
@@ -176,14 +178,15 @@ class ScriptEntry:
     """One canned LLM behavior: matchers over prompt bindings -> responses.
 
     Matcher values are exact strings, "sha256:<hex>" digests of the binding
-    value, or "*". Responses are consumed in order; the last one repeats.
+    value, or "*". A ScriptedLLM hands the responses out in call order and
+    repeats the last one; usages, when given, are (input, output) token
+    counts paired with the responses the same way.
     """
 
     template_id: str
     match: dict[str, str]
     responses: list[str]
     usages: list[tuple[int, int]] | None = None
-    _cursor: int = 0
 
     def specificity(self) -> int:
         return sum(1 for v in self.match.values() if v != "*")
@@ -202,14 +205,6 @@ class ScriptEntry:
                 return False
         return True
 
-    def next_response(self) -> tuple[str, tuple[int, int] | None]:
-        i = min(self._cursor, len(self.responses) - 1)
-        self._cursor += 1
-        usage = None
-        if self.usages:
-            usage = self.usages[min(i, len(self.usages) - 1)]
-        return self.responses[i], usage
-
 
 class ScriptedLLM:
     """Closed-world mock: an unmatched prompt is an error, never a guess."""
@@ -218,13 +213,13 @@ class ScriptedLLM:
 
     def __init__(self, entries: list[ScriptEntry]):
         self.entries = entries
-        self.calls: list[RenderedPrompt] = []
+        self._served = [0] * len(entries)  # responses handed out, per entry
         self._lock = threading.Lock()
 
     def complete_prompt(self, prompt: RenderedPrompt, wire_text: str) -> Completion:
         candidates = [
-            e
-            for e in self.entries
+            i
+            for i, e in enumerate(self.entries)
             if e.template_id == prompt.template_id and e.matches(prompt.bindings)
         ]
         if not candidates:
@@ -232,11 +227,14 @@ class ScriptedLLM:
                 f"no scripted response for template {prompt.template_id!r} "
                 f"with bindings {sorted(prompt.bindings)}"
             )
-        best = max(candidates, key=lambda e: e.specificity())
+        best = max(candidates, key=lambda i: self.entries[i].specificity())
+        entry = self.entries[best]
         with self._lock:
-            self.calls.append(prompt)
-            text, usage = best.next_response()
-        if usage is None:
+            served = self._served[best]
+            self._served[best] += 1
+        i = min(served, len(entry.responses) - 1)
+        text = entry.responses[i]
+        if not entry.usages:
             return Completion(
                 text=text,
                 input_tokens=approx_tokens(wire_text),
@@ -244,6 +242,7 @@ class ScriptedLLM:
                 model_id=self.model_id,
                 approximate_usage=True,
             )
+        usage = entry.usages[min(i, len(entry.usages) - 1)]
         return Completion(
             text=text, input_tokens=usage[0], output_tokens=usage[1], model_id=self.model_id
         )

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyIndex, InvalidPolicy, ZeroVector
+from .records import from_record, to_record
 
 
 @dataclass(frozen=True)
@@ -223,7 +224,7 @@ class VectorIndex:
         directory.mkdir(parents=True, exist_ok=True)
         with open(directory / self.MANIFEST, "w", encoding="utf-8") as fh:
             for chunk in self._chunks:
-                fh.write(json.dumps(chunk.__dict__, sort_keys=True) + "\n")
+                fh.write(json.dumps(to_record(chunk), sort_keys=True) + "\n")
         np.save(directory / self.MATRIX, self._scan_arrays()[0])
         (directory / self.META).write_text(
             json.dumps({"count": len(self._chunks), "dim": self.dim}, sort_keys=True)
@@ -235,7 +236,7 @@ class VectorIndex:
         meta = json.loads((directory / cls.META).read_text())
         index = cls(dim=meta["dim"])
         with open(directory / cls.MANIFEST, encoding="utf-8") as fh:
-            index._chunks = [Chunk(**json.loads(line)) for line in fh]
+            index._chunks = [from_record(Chunk, json.loads(line)) for line in fh]
         matrix = np.load(directory / cls.MATRIX)
         if matrix.shape != (len(index._chunks), index.dim or 0):
             raise DimensionMismatch(

@@ -5,11 +5,12 @@ value and a tuple into a list, recursively. ``from_record`` rebuilds an
 object by following each field's type hint; a key that is missing takes the
 field's default, keys the type does not know are ignored, fields that are
 not constructor parameters are not read, and ``int`` and ``float`` values
-are coerced with ``int()``/``float()``. A ``str`` field takes only a string,
-a list or tuple field only a list, and a dataclass or ``dict`` field only a
-mapping. Any error names its field path, such as ``targets[0].name``. Hints
-are resolved once per type, so decoding a record costs one pass over its
-fields.
+are coerced with ``int()``/``float()``. A ``Decimal`` field takes a finite
+number read from ``str(value)``, so a JSON number keeps its written digits.
+A ``str`` field takes only a string, a list or tuple field only a list, and
+a dataclass or ``dict`` field only a mapping. Any error names its field
+path, such as ``targets[0].name``. Hints are resolved once per type, so
+decoding a record costs one pass over its fields.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import functools
 import sys
 import types
 import typing
+from decimal import Decimal, InvalidOperation
 from enum import Enum
 
 from .errors import RecordError
@@ -64,6 +66,8 @@ def _decoder(tp) -> typing.Callable:
         return _dataclass_decoder(tp)
     if tp is str:
         return _str
+    if tp is Decimal:
+        return _decimal
     if tp in (int, float) or (isinstance(tp, type) and issubclass(tp, Enum)):
         return tp
     return _identity
@@ -85,6 +89,16 @@ def _expect(kind, noun: str) -> typing.Callable:
 _list = _expect((list, tuple), "a list")
 _mapping = _expect(dict, "a mapping")
 _str = _expect(str, "a string")
+
+
+def _decimal(v):
+    try:
+        d = Decimal(str(v))
+        if d.is_finite():
+            return d
+    except InvalidOperation:
+        pass
+    raise RecordError("", f"expected a finite decimal number, got {v!r}")
 
 
 def _at(key: str, decode: typing.Callable, value):

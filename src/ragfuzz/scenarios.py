@@ -6,11 +6,12 @@ keyed by source digest, a campaign config, and the expected report. Scenarios
 are closed-world: any LLM prompt or compiled source the script does not cover
 is an error, never a silent guess.
 
-Built-in scenarios live in a registry; external ones load from JSON files
-with the same field names (see scenario_from_dict).
-"""
-from __future__ import annotations
+Built-in scenarios live in a registry; external ones are JSON records of
+``Scenario`` (see scenario_to_dict).
 
+Annotations here are evaluated at import, not postponed: the record codec
+reads the scenario's field types as objects when a campaign sets up.
+"""
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +25,7 @@ from .pipeline import (
     sample_features,
 )
 from .providers import ScriptEntry, binding_digest
+from .records import from_record, to_record
 
 
 def seed_case_id(pass_name: str, function_index: int, seed_index: int) -> str:
@@ -37,7 +39,7 @@ def selection_seed(campaign_seed: int, case_id: str) -> int:
 @dataclass
 class Scenario:
     scenario_id: str
-    input_files: dict[str, str]  # workdir-relative path -> file content
+    input_files: dict[str, str] = field(default_factory=dict)  # workdir path -> content
     llm_entries: list[ScriptEntry] = field(default_factory=list)
     tool_table: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
@@ -64,56 +66,21 @@ class Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "scenario_id": scenario.scenario_id,
-        "input_files": dict(scenario.input_files),
-        "llm_entries": [
-            {
-                "template_id": e.template_id,
-                "match": dict(e.match),
-                "responses": list(e.responses),
-                **({"usages": [list(u) for u in e.usages]} if e.usages else {}),
-            }
-            for e in scenario.llm_entries
-        ],
-        "tool_table": dict(scenario.tool_table),
-        "config": dict(scenario.config),
-        "expected_report": scenario.expected_report,
-    }
-
-
-def scenario_from_dict(data: dict) -> Scenario:
-    scenario = Scenario(
-        scenario_id=data["scenario_id"],
-        input_files=dict(data.get("input_files", {})),
-        llm_entries=[
-            ScriptEntry(
-                template_id=e["template_id"],
-                match=dict(e.get("match", {})),
-                responses=list(e["responses"]),
-                usages=[tuple(u) for u in e["usages"]] if e.get("usages") else None,
-            )
-            for e in data.get("llm_entries", [])
-        ],
-        tool_table=dict(data.get("tool_table", {})),
-        config=dict(data.get("config", {})),
-        expected_report=data.get("expected_report"),
-    )
-    scenario.validate()
-    return scenario
+    return to_record(scenario)
 
 
 def load_scenario(scenario_id: str) -> Scenario:
     """Resolve a built-in scenario by id, or an external one by JSON path."""
     builder = _REGISTRY.get(scenario_id)
+    path = Path(scenario_id)
     if builder is not None:
         scenario = builder()
-        scenario.validate()
-        return scenario
-    path = Path(scenario_id)
-    if path.suffix == ".json" and path.exists():
-        return scenario_from_dict(json.loads(path.read_text()))
-    raise UnknownScenario(scenario_id)
+    elif path.suffix == ".json" and path.exists():
+        scenario = from_record(Scenario, json.loads(path.read_text()))
+    else:
+        raise UnknownScenario(f"no built-in scenario or .json file {scenario_id!r}")
+    scenario.validate()
+    return scenario
 
 
 def materialize_scenario(scenario: Scenario, workdir: Path) -> Path:
@@ -458,28 +425,6 @@ def build_tiny() -> Scenario:
     )
 
 
-def build_paper_shape() -> Scenario:
-    """Counts-only scenario mirroring the reported campaign partition
-    (269 generated = 152 compiled + 117 failed), used as a schema exercise."""
-    return Scenario(
-        scenario_id="paper-shape",
-        input_files={},
-        expected_report={
-            "per_pass": {
-                "AllPasses": {
-                    "functions": 27,
-                    "characteristics": 27,
-                    "generated": 269,
-                    "compiled": 152,
-                    "failed": 117,
-                    "abandoned": 0,
-                }
-            }
-        },
-    )
-
-
 _REGISTRY = {
     "tiny": build_tiny,
-    "paper-shape": build_paper_shape,
 }

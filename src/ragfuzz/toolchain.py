@@ -16,9 +16,10 @@ the text a direct start gives: ``prlimit``'s "failed to execute" exit
 (126/127) maps back to that ``OSError``, and a file that ``execve`` refuses
 as ``ENOEXEC``, which ``execvp`` would hand to ``/bin/sh`` as a script, is
 refused before it starts (see ``_exec_format_error``).
-"""
-from __future__ import annotations
 
+Annotations here are evaluated at import, not postponed: the record codec
+reads the toolchain and device field types as objects when a config loads.
+"""
 import errno
 import functools
 import os
@@ -143,7 +144,8 @@ class RunResult:
 
 @dataclass(frozen=True)
 class RunLimits:
-    timeout: float = 30.0
+    """Resource limits of a run job; its timeout is the job's own."""
+
     address_space_mb: int = 2048
     file_size_mb: int = 64
 

@@ -6,7 +6,7 @@ import pytest
 from test_campaign import MALFORMED
 
 from ragfuzz.cli import main
-from ragfuzz.scenarios import build_tiny, materialize_scenario
+from ragfuzz.scenarios import build_tiny, materialize_scenario, scenario_to_dict
 
 
 @pytest.fixture()
@@ -140,3 +140,153 @@ def test_seed_override_changes_effective_config(workdir):
     # resuming under the original seed must refuse: different effective config
     code = main(["run", "--config", str(config_path), "--campaign-dir", str(campaign_dir)])
     assert code == 1
+
+
+def _one_error_line(capsys, prefix: str) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith(prefix), err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    return err
+
+
+def _packaged_catalog() -> dict:
+    from ragfuzz.pipeline import default_catalog
+    from ragfuzz.records import to_record
+
+    return to_record(default_catalog())
+
+
+def _mock_pricing() -> dict:
+    return {"as_of": "2024-06-01", "models": {
+        "mock-llm": {"input_per_million": "30", "output_per_million": "60"},
+        "mock-embedder": {"input_per_million": "0.10", "output_per_million": "0.10"},
+    }}
+
+
+def _without(record: dict, *path):
+    node = record
+    for key in path[:-1]:
+        node = node[key]
+    node.pop(path[-1])
+    return record
+
+
+# case -> (config key, record written to the file it names, expected message)
+MALFORMED_FILES = {
+    "catalog_missing_axis": (
+        "generation.catalogs",
+        lambda: _without(_packaged_catalog(), "optimization_features"),
+        "optimization_features: is required",
+    ),
+    "catalog_empty_axis": (
+        "generation.catalogs",
+        lambda: dict(_packaged_catalog(), memory_access=[]),
+        "memory_access: must be non-empty",
+    ),
+    "catalog_axis_not_a_list": (
+        "generation.catalogs",
+        lambda: dict(_packaged_catalog(), data_structures="1-D array"),
+        "data_structures: expected a list, got str",
+    ),
+    "pricing_missing_rate": (
+        "report.pricing",
+        lambda: _without(_mock_pricing(), "models", "mock-llm", "output_per_million"),
+        "models.mock-llm.output_per_million: is required",
+    ),
+    "pricing_rate_not_a_number": (
+        "report.pricing",
+        lambda: _mock_pricing() | {"models": {"mock-llm": {
+            "input_per_million": "cheap", "output_per_million": "60"}}},
+        "models.mock-llm.input_per_million: expected a finite decimal number, got 'cheap'",
+    ),
+    "pricing_rate_not_positive": (
+        "report.pricing",
+        lambda: _mock_pricing() | {"models": {"mock-llm": {
+            "input_per_million": 0, "output_per_million": "60"}}},
+        "models.mock-llm: rates must be positive",
+    ),
+    "scenario_entry_without_template_id": (
+        "providers.scenario",
+        lambda: _without(scenario_to_dict(build_tiny()), "llm_entries", 0, "template_id"),
+        "llm_entries[0].template_id: is required",
+    ),
+    "scenario_entry_with_unknown_template": (
+        "providers.scenario",
+        lambda: scenario_to_dict(build_tiny()) | {"llm_entries": [
+            {"template_id": "poetry", "match": {}, "responses": ["x"]}]},
+        "scenario tiny: entry #0 has unknown template 'poetry'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_named_file_exits_one_before_the_campaign_dir_is_touched(
+    workdir, capsys, case
+):
+    config_path, campaign_dir = workdir
+    key, record, message = MALFORMED_FILES[case]
+    named = config_path.parent / "named.json"
+    named.write_text(json.dumps(record()))
+    data = json.loads(config_path.read_text())
+    section, field = key.split(".")
+    # providers.scenario is not resolved against the config directory
+    data[section][field] = str(named) if section == "providers" else named.name
+    config_path.write_text(json.dumps(data))
+    code = main(["run", "--config", str(config_path), "--campaign-dir", str(campaign_dir)])
+    assert code == 1
+    _one_error_line(capsys, f"error: {key}: {message}\n")
+    assert not campaign_dir.exists()
+
+
+@pytest.mark.parametrize("key", ["generation.catalogs", "report.pricing"])
+def test_unreadable_named_file_exits_one(workdir, capsys, key):
+    config_path, campaign_dir = workdir
+    data = json.loads(config_path.read_text())
+    section, field = key.split(".")
+    data[section][field] = "torn.json"
+    config_path.write_text(json.dumps(data))
+    args = ["run", "--config", str(config_path), "--campaign-dir", str(campaign_dir)]
+    assert main(args) == 1
+    _one_error_line(capsys, f"error: {key}: [Errno 2] No such file or directory")
+    (config_path.parent / "torn.json").write_text('{"models": {')
+    assert main(args) == 1
+    _one_error_line(capsys, f"error: {key}: Expecting ")
+    assert not campaign_dir.exists()
+
+
+# case -> how the config snapshot is damaged, and the message after its path
+BROKEN_SNAPSHOTS = {
+    "torn": (lambda text: text[: len(text) // 2], "Unterminated string"),
+    "without_base_dir": (
+        lambda text: json.dumps(_without(json.loads(text), "base_dir")), "base_dir: is required"
+    ),
+    "without_config": (
+        lambda text: json.dumps(_without(json.loads(text), "config")), "config: is required"
+    ),
+    "config_not_a_mapping": (
+        lambda text: json.dumps(dict(json.loads(text), config=[1])),
+        "config: expected a mapping, got list",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_SNAPSHOTS))
+def test_broken_config_snapshot_fails_resume_with_exit_one(workdir, capsys, case):
+    config_path, campaign_dir = workdir
+    assert main(["index", "--config", str(config_path), "--campaign-dir", str(campaign_dir)]) == 0
+    capsys.readouterr()
+    snapshot = campaign_dir / "config.snapshot.json"
+    damage, message = BROKEN_SNAPSHOTS[case]
+    snapshot.write_text(damage(snapshot.read_text()))
+    assert main(["resume", "--campaign-dir", str(campaign_dir)]) == 1
+    assert message in _one_error_line(capsys, f"error: {snapshot}: ")
+
+
+def test_torn_manifest_fails_resume_with_exit_one(workdir, capsys):
+    config_path, campaign_dir = workdir
+    assert main(["index", "--config", str(config_path), "--campaign-dir", str(campaign_dir)]) == 0
+    capsys.readouterr()
+    manifest = campaign_dir / "manifest.json"
+    manifest.write_text(manifest.read_text()[:20])
+    assert main(["resume", "--campaign-dir", str(campaign_dir)]) == 1
+    _one_error_line(capsys, f"error: {manifest}: ")

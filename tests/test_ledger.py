@@ -160,3 +160,13 @@ def test_corrupt_inner_ledger_line_still_raises(tmp_path):
     path.write_text(first[:20] + "\n" + second)
     with pytest.raises(ValueError):
         CostLedger(path)
+
+
+def test_final_line_that_decodes_to_no_usage_record_is_dropped(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    ledger = CostLedger(path)
+    ledger.record(stage="codegen", model_id="gpt-4", input_tokens=1, output_tokens=1)
+    whole = path.read_bytes()
+    path.write_bytes(whole + b'{"call_id": 1}\n')
+    assert CostLedger(path).entries() == ledger.entries()
+    assert path.read_bytes() == whole

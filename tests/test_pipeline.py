@@ -66,7 +66,9 @@ def test_kernel_count_within_range():
 
 def test_empty_catalog_rejected():
     with pytest.raises(EmptyCatalog):
-        FeatureCatalog((), ("m",), ("d",)).validate()
+        FeatureCatalog((), ("m",), ("d",))
+    with pytest.raises(EmptyCatalog):
+        FeatureCatalog(("o",), ("m",), ("d",), (3, 2))
 
 
 # --- code block extraction ---

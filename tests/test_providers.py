@@ -26,6 +26,7 @@ from ragfuzz.providers import (
     build_request_text,
 )
 from ragfuzz.rag import Chunk, RetrievedChunk
+from ragfuzz.records import to_record
 
 
 def prompt(template_id="codegen", **bindings) -> RenderedPrompt:
@@ -73,6 +74,20 @@ def test_scripted_mock_specificity_and_sequences():
     assert service.llm_complete(prompt(), [], "codegen").text == "second"  # last repeats
     other = prompt(pass_name="Q", reqs="R2")
     assert service.llm_complete(other, [], "codegen").text == "generic"
+
+
+def test_each_scripted_llm_hands_out_responses_from_the_first():
+    # the call-order cursor lives in the ScriptedLLM, not in the shared entries
+    entries = [ScriptEntry("codegen", {"pass_name": "P"}, ["one", "two"], [(1, 1), (2, 2)])]
+    for _ in range(2):
+        service = LLMService(ScriptedLLM(entries), CostLedger(), sleep=lambda s: None)
+        got = [service.llm_complete(prompt(), [], "codegen") for _ in range(3)]
+        assert [c.text for c in got] == ["one", "two", "two"]
+        assert [c.input_tokens for c in got] == [1, 2, 2]
+    assert to_record(entries[0]) == {
+        "template_id": "codegen", "match": {"pass_name": "P"},
+        "responses": ["one", "two"], "usages": [[1, 1], [2, 2]],
+    }
 
 
 def test_digest_matcher():

@@ -1,21 +1,27 @@
 """The record codec against artifacts written by an earlier release.
 
-Every file under fixtures/golden/records was written by the campaign code
-that hand-wrote each record type field by field; decoding and re-encoding
-it must give the same bytes, so a campaign directory from that release
-resumes unchanged.
+Every file under fixtures/golden/records was written by code that
+hand-wrote each record type field by field; decoding and re-encoding it
+must give the same bytes, so a campaign directory from that release
+resumes unchanged. scenario.tiny.json is the built-in ``tiny`` scenario as
+that release wrote it: an entry without usages has no ``usages`` key.
 """
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 
+import numpy as np
 import pytest
 
 from ragfuzz.difftest import Discrepancy
 from ragfuzz.errors import RecordError
 from ragfuzz.extraction import DefinitionKind, PassFunction
+from ragfuzz.ledger import CostLedger, PricingTable
 from ragfuzz.pipeline import CaseStatus, Characteristics, TestCase
+from ragfuzz.rag import VectorIndex
 from ragfuzz.records import from_record, to_record
+from ragfuzz.scenarios import build_tiny, load_scenario
 from ragfuzz.toolchain import CellKey, CompileResult, RunResult, RunStatus
 
 # fixture file -> the type it holds
@@ -78,6 +84,61 @@ def test_missing_required_field_names_its_path():
     assert exc.value.field_path == "cell.compiler_id"
 
 
+def test_decimal_fields_keep_their_written_digits():
+    pricing = from_record(
+        PricingTable,
+        {"models": {"m": {"input_per_million": 0.1, "output_per_million": "2.50"}}},
+    )
+    rate = pricing.rate("m")
+    assert (rate.input_per_million, rate.output_per_million) == (Decimal("0.1"), Decimal("2.50"))
+    assert str(rate.output_per_million) == "2.50"
+    with pytest.raises(RecordError) as exc:
+        from_record(PricingTable, {"models": {"m": {"input_per_million": 1}}})
+    assert exc.value.field_path == "models.m.output_per_million"
+    for bad in ("NaN", "Infinity", "cheap", None, [1]):
+        with pytest.raises(RecordError) as exc:
+            from_record(dict[str, Decimal], {"a": "1.5", "b": bad})
+        assert exc.value.field_path == "b"
+
+
 def test_tiny_report_is_byte_identical_to_golden(tiny_campaign, fixtures_dir):
     got = (tiny_campaign.campaign_dir / "report.json").read_bytes()
     assert got == (fixtures_dir / "golden" / "tiny.report.json").read_bytes()
+
+
+def test_ledger_lines_round_trip_byte_for_byte(records_dir, tmp_path):
+    text = (records_dir / "ledger.jsonl").read_text()
+    path = tmp_path / "ledger.jsonl"
+    path.write_text(text)
+    entries = CostLedger(path).entries()
+    assert [json.dumps(to_record(e), sort_keys=True) + "\n" for e in entries] == (
+        text.splitlines(keepends=True)
+    )
+    assert path.read_text() == text  # loading rewrote nothing
+    # the last line was the first record of a fresh ledger
+    fresh = tmp_path / "fresh.jsonl"
+    last = entries[-1]
+    CostLedger(fresh).record(
+        last.stage, last.model_id, last.input_tokens, last.output_tokens, last.approximate
+    )
+    assert fresh.read_text() == text.splitlines(keepends=True)[-1]
+
+
+def test_chunk_manifest_round_trips_byte_for_byte(records_dir, tmp_path):
+    text = (records_dir / "chunks.jsonl").read_text()
+    saved = tmp_path / "saved"
+    saved.mkdir()
+    (saved / VectorIndex.MANIFEST).write_text(text)
+    count = len(text.splitlines())
+    (saved / VectorIndex.META).write_text(json.dumps({"count": count, "dim": 3}))
+    np.save(saved / VectorIndex.MATRIX, np.ones((count, 3)))
+    index = VectorIndex.load(saved)
+    assert index._chunks[0].text.startswith("# Device global variables\n")
+    index.save(tmp_path / "again")
+    assert (tmp_path / "again" / VectorIndex.MANIFEST).read_text() == text
+
+
+def test_scenario_file_of_an_earlier_release_loads_to_an_equal_scenario(records_dir):
+    path = records_dir / "scenario.tiny.json"
+    assert '"usages"' not in path.read_text()
+    assert load_scenario(str(path)) == build_tiny()

@@ -9,13 +9,32 @@ from ragfuzz.mocktool import source_digest
 from ragfuzz.providers import ScriptEntry
 from ragfuzz.scenarios import (
     Scenario,
-    build_paper_shape,
     build_tiny,
     load_scenario,
     materialize_scenario,
-    scenario_from_dict,
     seed_case_id,
 )
+
+
+def build_paper_shape() -> Scenario:
+    """Counts-only scenario mirroring the reported campaign partition
+    (269 generated = 152 compiled + 117 failed), used as a schema exercise."""
+    return Scenario(
+        scenario_id="paper-shape",
+        input_files={},
+        expected_report={
+            "per_pass": {
+                "AllPasses": {
+                    "functions": 27,
+                    "characteristics": 27,
+                    "generated": 269,
+                    "compiled": 152,
+                    "failed": 117,
+                    "abandoned": 0,
+                }
+            }
+        },
+    )
 
 
 def test_load_tiny_scenario():
