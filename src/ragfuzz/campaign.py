@@ -546,7 +546,9 @@ class CampaignRunner:
         )
         scenario = None
         if config.providers.mode == "mock":
-            scenario = _decode_named("providers.scenario", load_scenario, config.providers.scenario)
+            scenario = _decode_named(
+                "providers.scenario", load_scenario, config.providers.scenario, config.base_dir
+            )
         self.store.root.mkdir(parents=True, exist_ok=True)
         self._check_or_write_manifest()
         self.ledger = CostLedger(self.store.ledger_path)
@@ -695,12 +697,13 @@ class CampaignRunner:
             for spec in self.config.passes:
                 for pattern in spec.docs:
                     doc_paths.extend(sorted(globlib.glob(pattern)))
+            # every document is chunked first, so embedding batches span documents
+            chunks = []
             for doc_path in sorted(set(doc_paths)):
                 content = Path(doc_path).read_text()
-                if not content.strip():
-                    continue
-                chunks = chunk_document(Path(doc_path).name, content, policy)
-                index.index_chunks(chunks, self.embedder)
+                if content.strip():
+                    chunks.extend(chunk_document(Path(doc_path).name, content, policy))
+            index.index_chunks(chunks, self.embedder)
             index.save(self.store.index_dir)
             self.index = index
         if len(self.index) > 0:

@@ -38,6 +38,7 @@ from .rag import RetrievedChunk
 CONTEXT_HEADER = "=== Retrieved context ==="
 CONTEXT_FOOTER = "=== End of retrieved context ==="
 CONTEXT_SEPARATOR = "\n---\n"
+EMBED_BATCH = 64  # texts per embedding backend call, ledger entry and cache append
 
 
 @dataclass(frozen=True)
@@ -332,7 +333,9 @@ class HttpEmbeddingBackend:
         self.model_id = config.model_id
         self.dim = dim
 
-    def embed_text(self, text: str) -> np.ndarray:
+    def embed_texts(self, texts: list[str]) -> list[np.ndarray]:
+        """One POST whose ``input`` is the list; each returned item lands at
+        its ``index``."""
         import requests
 
         key = os.environ.get(self.config.api_key_env, "")
@@ -341,7 +344,7 @@ class HttpEmbeddingBackend:
         try:
             resp = requests.post(
                 self.config.endpoint,
-                json={"model": self.config.model_id, "input": text},
+                json={"model": self.config.model_id, "input": texts},
                 headers={"Authorization": f"Bearer {key}"},
                 timeout=self.config.timeout,
             )
@@ -353,12 +356,21 @@ class HttpEmbeddingBackend:
             raise AuthFailure(f"provider returned {resp.status_code}")
         if resp.status_code != 200:
             raise ProviderError(f"provider returned {resp.status_code}")
-        vector = np.asarray(resp.json()["data"][0]["embedding"], dtype=np.float64)
-        if vector.shape[0] != self.dim:
-            raise ProviderError(
-                f"embedding dim {vector.shape[0]} does not match configured {self.dim}"
-            )
-        return vector
+        items = resp.json()["data"]
+        if len(items) != len(texts):
+            raise ProviderError(f"{len(items)} embeddings returned for {len(texts)} inputs")
+        vectors: list[np.ndarray | None] = [None] * len(texts)
+        for item in items:
+            vector = np.asarray(item["embedding"], dtype=np.float64)
+            if vector.shape != (self.dim,):
+                raise ProviderError(
+                    f"embedding shape {vector.shape} does not match configured dim {self.dim}"
+                )
+            i = item["index"]
+            if not (isinstance(i, int) and 0 <= i < len(texts)) or vectors[i] is not None:
+                raise ProviderError(f"embedding index {i!r} is out of range or repeated")
+            vectors[i] = vector
+        return vectors
 
 
 class HashEmbedder:
@@ -382,10 +394,14 @@ class HashEmbedder:
         vec = rng.standard_normal(self.dim)
         return vec / np.linalg.norm(vec)
 
+    def embed_texts(self, texts: list[str]) -> list[np.ndarray]:
+        return [self.embed_text(t) for t in texts]
+
 
 def _encode_cache_line(key: str, vector: np.ndarray) -> str:
+    # hex and base64 need no JSON escaping: the bytes json.dumps would write
     f64 = base64.b64encode(np.asarray(vector, dtype="<f8").tobytes()).decode("ascii")
-    return json.dumps({"hash": key, "f64": f64}) + "\n"
+    return f'{{"hash": "{key}", "f64": "{f64}"}}\n'
 
 
 def _decode_cache_line(line: bytes) -> tuple[str, np.ndarray]:
@@ -401,13 +417,21 @@ def _decode_cache_line(line: bytes) -> tuple[str, np.ndarray]:
 class EmbeddingService:
     """Content-hash cache plus ledger accounting around an embedding backend.
 
-    A cache hit performs no provider call and records no tokens. The cache
-    file holds one JSON line per text, ``{"hash": <sha256 of the text>,
-    "f64": <base64 of the little-endian float64 bytes>}``, which round-trips
-    exactly; lines of the older ``{"hash", "vector": [...]}`` format still
-    load. A final line torn by a kill mid-append is dropped from the file.
-    A miss (backend call, ledger entry, cache append) runs under one lock,
-    so concurrent callers embed and bill each text once.
+    A cache hit performs no provider call and records no tokens. The misses
+    of one ``embed_texts`` call are embedded in order of first appearance,
+    in batches of up to EMBED_BATCH texts. Each batch is one backend call,
+    one ledger entry billing the batch's tokens, then one cache append.
+
+    The cache file holds one JSON line per text, ``{"hash": <sha256 of the
+    text>, "f64": <base64 of the little-endian float64 bytes>}``, which
+    round-trips exactly; lines of the older ``{"hash", "vector": [...]}``
+    format still load. A final line torn by a kill mid-append is dropped
+    from the file.
+
+    The lock is not held across the backend call. Under it a caller claims
+    the keys it will embed; a caller that needs a key another thread has
+    claimed waits for it instead, so concurrent callers embed and bill each
+    text once, and batches of different texts overlap.
     """
 
     def __init__(self, backend, ledger: CostLedger, cache_path: Path | None = None):
@@ -415,32 +439,80 @@ class EmbeddingService:
         self.ledger = ledger
         self.dim = backend.dim
         self._cache: dict[str, np.ndarray] = {}
+        # key -> the Event of the batch embedding it, set once it is cached or given up
+        self._claimed: dict[str, threading.Event] = {}
         self._lock = threading.Lock()
         self._cache_path = Path(cache_path) if cache_path else None
         if self._cache_path and self._cache_path.exists():
             self._cache = dict(read_jsonl(self._cache_path, _decode_cache_line))
 
     def embed_text(self, text: str) -> np.ndarray:
-        if not text:
+        return self.embed_texts([text])[0]
+
+    def embed_texts(self, texts: list[str]) -> list[np.ndarray]:
+        if not all(texts):
             raise ValueError("cannot embed empty text")
-        key = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        keys = [hashlib.sha256(t.encode("utf-8")).hexdigest() for t in texts]
+        cache = self._cache
+        # a key whose claimant failed is claimed again on the next pass
+        while missing := {k: t for k, t in zip(keys, texts) if k not in cache}:
+            batches, waits = self._claim(missing)
+            try:
+                for batch in batches:
+                    self._embed_batch(batch)
+            finally:
+                self._release(batches)
+            for claim in waits:
+                claim.wait()
+        return [cache[k] for k in keys]
+
+    def _claim(self, missing: dict[str, str]):
+        """Claim the keys no other caller has claimed, in batches of up to
+        EMBED_BATCH under one Event each. Returns the batches and the Events
+        of the keys other callers hold."""
         with self._lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
-            vector = self.backend.embed_text(text)
-            self.ledger.record(
-                stage="embedding",
-                model_id=self.backend.model_id,
-                input_tokens=approx_tokens(text),
-                output_tokens=0,
-                approximate=True,
-            )
+            mine: list[tuple[str, str]] = []
+            waits: set[threading.Event] = set()
+            for key, text in missing.items():
+                claim = self._claimed.get(key)
+                if claim is not None:
+                    waits.add(claim)
+                elif key not in self._cache:
+                    mine.append((key, text))
+            batches = [mine[i : i + EMBED_BATCH] for i in range(0, len(mine), EMBED_BATCH)]
+            for batch in batches:
+                claim = threading.Event()
+                for key, _ in batch:
+                    self._claimed[key] = claim
+        return batches, waits
+
+    def _embed_batch(self, batch: list[tuple[str, str]]) -> None:
+        vectors = self.backend.embed_texts([text for _, text in batch])
+        if len(vectors) != len(batch):
+            raise ProviderError(f"{len(vectors)} embeddings returned for {len(batch)} inputs")
+        self.ledger.record(
+            stage="embedding",
+            model_id=self.backend.model_id,
+            input_tokens=sum(approx_tokens(text) for _, text in batch),
+            output_tokens=0,
+            approximate=True,
+        )
+        with self._lock:
             if self._cache_path:
                 with open(self._cache_path, "a", encoding="utf-8") as fh:
-                    fh.write(_encode_cache_line(key, vector))
-            self._cache[key] = vector
-        return vector
+                    fh.writelines(
+                        _encode_cache_line(key, v) for (key, _), v in zip(batch, vectors)
+                    )
+            for (key, _), vector in zip(batch, vectors):
+                self._cache[key] = vector
+                claim = self._claimed.pop(key)
+        claim.set()
+
+    def _release(self, batches: list[list[tuple[str, str]]]) -> None:
+        """Drop the claims a failed batch left open, waking their waiters."""
+        with self._lock:
+            for batch in batches:
+                for key, _ in batch:
+                    claim = self._claimed.pop(key, None)
+                    if claim is not None:
+                        claim.set()

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyIndex, InvalidPolicy, ZeroVector
-from .records import from_record, to_record
+from .records import from_record
 
 
 @dataclass(frozen=True)
@@ -172,9 +172,9 @@ class VectorIndex:
             self._vectors[row] = vector
 
     def index_chunks(self, chunks: list[Chunk], embedder) -> None:
-        """Embed and store every chunk."""
-        for chunk in chunks:
-            self.add(chunk, embedder.embed_text(chunk.text))
+        """Embed every chunk in one ``embed_texts`` call and store it."""
+        for chunk, vector in zip(chunks, embedder.embed_texts([c.text for c in chunks])):
+            self.add(chunk, vector)
 
     def _scan_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         scan = self._scan
@@ -223,8 +223,8 @@ class VectorIndex:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         with open(directory / self.MANIFEST, "w", encoding="utf-8") as fh:
-            for chunk in self._chunks:
-                fh.write(json.dumps(to_record(chunk), sort_keys=True) + "\n")
+            # a Chunk's fields are JSON values already: vars() is its record
+            fh.writelines(json.dumps(vars(c), sort_keys=True) + "\n" for c in self._chunks)
         np.save(directory / self.MATRIX, self._scan_arrays()[0])
         (directory / self.META).write_text(
             json.dumps({"count": len(self._chunks), "dim": self.dim}, sort_keys=True)

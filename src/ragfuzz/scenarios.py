@@ -69,10 +69,11 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return to_record(scenario)
 
 
-def load_scenario(scenario_id: str) -> Scenario:
-    """Resolve a built-in scenario by id, or an external one by JSON path."""
+def load_scenario(scenario_id: str, base_dir: Path | str = ".") -> Scenario:
+    """Resolve a built-in scenario by id, or an external one by a JSON path
+    relative to base_dir."""
     builder = _REGISTRY.get(scenario_id)
-    path = Path(scenario_id)
+    path = Path(base_dir, scenario_id)
     if builder is not None:
         scenario = builder()
     elif path.suffix == ".json" and path.exists():

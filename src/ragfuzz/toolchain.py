@@ -264,11 +264,20 @@ def prlimit_path() -> str:
 
 
 def _elf_machine(head: bytes) -> bytes | None:
-    """Class, byte order and machine of an executable or shared-object ELF header."""
+    """Class, byte order, machine and program-header entry size of an
+    executable or shared-object ELF header whose program-header table
+    binfmt_elf's ``elf_read_phdrs`` accepts by size:
+    ``0 < e_phnum * e_phentsize <= min(65536, page size)``."""
     if head[:4] != b"\x7fELF" or len(head) < (52 if head[4] == 1 else 64):
         return None
-    e_type = int.from_bytes(head[16:18], "little" if head[5] == 1 else "big")
-    return head[4:6] + head[18:20] if e_type in (2, 3) else None  # ET_EXEC, ET_DYN
+    order = "little" if head[5] == 1 else "big"
+    e_type = int.from_bytes(head[16:18], order)
+    ph = 42 if head[4] == 1 else 54  # offset of e_phentsize; e_phnum follows
+    phentsize, phnum = (int.from_bytes(head[i : i + 2], order) for i in (ph, ph + 2))
+    table = phentsize * phnum
+    if e_type not in (2, 3) or not 0 < table <= min(65536, os.sysconf("SC_PAGE_SIZE")):
+        return None  # not ET_EXEC or ET_DYN, or no loadable program-header table
+    return head[4:6] + head[18:20] + head[ph : ph + 2]
 
 
 @functools.cache
@@ -283,11 +292,12 @@ def _exec_format_error(path: str, cwd: Path, depth: int = 0) -> bool:
     hands to /bin/sh as a script.
 
     A file passes as a script whose "#!" line names an interpreter that
-    passes in turn, or as an ELF executable of this host's class, byte order
-    and machine. So two kinds of file that a direct launch would run are
-    refused: a 32-bit ELF on a 64-bit host, and a format a binfmt_misc
-    handler runs. An ELF file with this host's header but program headers
-    the kernel rejects still passes; no compiler writes one.
+    passes in turn, or as an ELF executable of this host's class, byte order,
+    machine and program-header entry size, with a program-header table the
+    kernel accepts by size. So three kinds of file that a direct launch may
+    run are refused: a 32-bit ELF on a 64-bit host, a format a binfmt_misc
+    handler runs, and an ELF whose program headers fill more than a page,
+    which kernels that still bound the table by the page size refuse.
     """
     try:
         with open(os.path.join(cwd, path), "rb") as fh:

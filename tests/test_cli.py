@@ -69,6 +69,19 @@ def test_relative_campaign_dir_works(tmp_path, monkeypatch):
     assert report["per_pass"]["DeviceGlobals"]["compiled"] == 3
 
 
+def test_relative_scenario_file_resolves_against_the_config_directory(tmp_path, monkeypatch):
+    scenario = build_tiny()
+    config_path = materialize_scenario(scenario, tmp_path / "work")
+    (config_path.parent / "tiny_copy.json").write_text(json.dumps(scenario_to_dict(scenario)))
+    data = json.loads(config_path.read_text())
+    data["providers"]["scenario"] = "tiny_copy.json"
+    config_path.write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    code = main(["index", "--config", "work/config.json", "--campaign-dir", "campaign"])
+    assert code == 0
+    assert (tmp_path / "campaign" / "index" / "meta.json").exists()
+
+
 def test_config_error_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"passes": []}))
@@ -229,8 +242,7 @@ def test_malformed_named_file_exits_one_before_the_campaign_dir_is_touched(
     named.write_text(json.dumps(record()))
     data = json.loads(config_path.read_text())
     section, field = key.split(".")
-    # providers.scenario is not resolved against the config directory
-    data[section][field] = str(named) if section == "providers" else named.name
+    data[section][field] = named.name
     config_path.write_text(json.dumps(data))
     code = main(["run", "--config", str(config_path), "--campaign-dir", str(campaign_dir)])
     assert code == 1

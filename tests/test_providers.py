@@ -3,6 +3,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import random
 import sys
 import threading
 import time
@@ -161,14 +162,25 @@ def test_embedding_cache_persists(tmp_path):
 
 
 class CountingEmbedder(HashEmbedder):
+    """Counts the texts it embeds and the most embeddings in flight at once."""
+
     def __init__(self, dim: int = 16, delay: float = 0.0):
         super().__init__(dim=dim)
         self.calls = 0
         self.delay = delay
+        self.texts: list[str] = []
+        self.in_flight = self.max_in_flight = 0
+        self._lock = threading.Lock()
 
     def embed_text(self, text: str) -> np.ndarray:
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
+            self.texts.append(text)
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
         time.sleep(self.delay)
+        with self._lock:
+            self.in_flight -= 1
         return super().embed_text(text)
 
 
@@ -271,6 +283,39 @@ def test_concurrent_misses_embed_and_bill_once(tmp_path):
     assert backend.calls == 1
     assert [e.stage for e in ledger.entries()] == ["embedding"]
     assert len(cache.read_text().splitlines()) == 1
+
+
+def test_overlapping_concurrent_batches_embed_and_bill_each_text_once(tmp_path):
+    cache = tmp_path / "emb.jsonl"
+    backend = CountingEmbedder(delay=0.02)
+    ledger = CostLedger()
+    service = EmbeddingService(backend, ledger, cache_path=cache)
+    shared = [f"shared text {i}" for i in range(4)]
+    lists = [shared + [f"text {n}.{i}" for i in range(6)] for n in range(2)]
+    barrier = threading.Barrier(2)
+    results: list = [None, None]
+
+    def worker(n):
+        barrier.wait()
+        results[n] = service.embed_texts(lists[n])
+
+    threads = [threading.Thread(target=worker, args=(n,)) for n in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    distinct = set(lists[0] + lists[1])
+    assert sorted(backend.texts) == sorted(distinct)  # each text embedded once
+    assert sum(e.input_tokens for e in ledger.entries()) == sum(map(approx_tokens, distinct))
+    assert len(cache.read_text().splitlines()) == len(distinct)
+    # the second caller's own texts embed while the first caller's batch runs
+    assert backend.max_in_flight == 2
+    per_text = EmbeddingService(HashEmbedder(dim=16), CostLedger())
+    for texts, vectors in zip(lists, results):
+        assert [v.tobytes() for v in vectors] == [
+            per_text.embed_text(t).tobytes() for t in texts
+        ]
 
 
 def test_rate_limiter_waits_when_window_full():
@@ -385,3 +430,60 @@ def test_http_backend_approximates_missing_usage(monkeypatch):
     completion = http_backend(monkeypatch, FakeResponse(200, payload)).complete("abcdefgh")
     assert completion.approximate_usage
     assert completion.input_tokens == 2  # ceil(8 / 4)
+
+
+def _embedding_stub(monkeypatch, reply):
+    """requests.post stand-in: records each JSON body, answers reply(texts)."""
+    from ragfuzz.providers import HttpEmbeddingBackend, ProviderConfig
+
+    posts = []
+
+    def post(url, json, headers, timeout):
+        posts.append(json)
+        return FakeResponse(200, {"data": reply(json["input"])})
+
+    monkeypatch.setenv("TEST_API_KEY", "k")
+    monkeypatch.setattr("requests.post", post)
+    backend = HttpEmbeddingBackend(
+        ProviderConfig(endpoint="https://example.invalid/v1", api_key_env="TEST_API_KEY"), dim=3
+    )
+    return backend, posts
+
+
+def _numbered_items(texts, dim=3):
+    """One item per text whose first component is the text's number."""
+    items = [
+        {"index": i, "embedding": [float(t.split()[-1])] + [1.0] * (dim - 1)}
+        for i, t in enumerate(texts)
+    ]
+    random.Random(len(texts)).shuffle(items)  # the stub answers out of order
+    return items
+
+
+def test_http_embeddings_post_batches_and_place_vectors_by_index(monkeypatch):
+    backend, posts = _embedding_stub(monkeypatch, _numbered_items)
+    ledger = CostLedger()
+    texts = [f"text {i}" for i in range(130)]
+    vectors = EmbeddingService(backend, ledger).embed_texts(texts)
+    assert [len(body["input"]) for body in posts] == [64, 64, 2]
+    assert all(isinstance(body["input"], list) for body in posts)
+    assert [text for body in posts for text in body["input"]] == texts
+    assert [v[0] for v in vectors] == list(range(130))
+    assert [e.input_tokens for e in ledger.entries()] == [
+        sum(map(approx_tokens, body["input"])) for body in posts
+    ]
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [lambda texts: _numbered_items(texts)[1:], lambda texts: _numbered_items(texts, dim=2)],
+    ids=["wrong_count", "wrong_dim"],
+)
+def test_http_embeddings_reject_a_malformed_reply(monkeypatch, reply):
+    from ragfuzz.errors import ProviderError
+
+    backend, _ = _embedding_stub(monkeypatch, reply)
+    ledger = CostLedger()
+    with pytest.raises(ProviderError):
+        EmbeddingService(backend, ledger).embed_texts(["text 0", "text 1"])
+    assert len(ledger) == 0

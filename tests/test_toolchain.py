@@ -347,6 +347,7 @@ def test_native_elf_binary_runs_under_limits():
 
 with open("/proc/self/exe", "rb") as _fh:
     _HOST_ELF_HEADER = _fh.read(64)
+_PHNUM = 56 if _HOST_ELF_HEADER[4] == 2 else 44  # offset of e_phnum
 
 # each file also holds "echo pwned", which a shell would print
 _UNLAUNCHABLE = {
@@ -361,6 +362,11 @@ _UNLAUNCHABLE = {
         errno.ENOEXEC,
     ),
     "no_shebang": (b"echo pwned\n", errno.ENOEXEC),
+    # the kernel reads the host header, then finds no program headers
+    "elf_without_program_headers": (
+        _HOST_ELF_HEADER[:_PHNUM] + b"\0\0" + _HOST_ELF_HEADER[_PHNUM + 2 :] + b"\necho pwned\n",
+        errno.ENOEXEC,
+    ),
 }
 
 
