@@ -31,6 +31,7 @@ from .errors import (
     InsufficientCells,
     RagfuzzError,
     RecordError,
+    ToolNotFound,
 )
 from .extraction import PassFunction, PassSource, extract_functions, filter_candidates
 from .ledger import STAGES as LEDGER_STAGES
@@ -785,6 +786,8 @@ class CampaignRunner:
                     self._gate_compile(case.case_id),
                     max_attempts=self.config.generation.max_repair_attempts,
                 )
+            except ToolNotFound:
+                raise  # no fault of the case: it stays a draft for the resume
             except RagfuzzError as exc:
                 case.status = CaseStatus.ABANDONED
                 case.abandon_reason = f"repair_failed: {exc}"

@@ -15,94 +15,61 @@ one record per source hash, with an optional ``"*"`` fallback:
 
 On a successful compile the mock compiler writes a runnable script as the
 output binary, so the full subprocess path (including signals and timeouts)
-is exercised without any real compiler. The compiler fixes the binary's run
-entries at compile time: it writes the ``runs`` list of the source's record
-into the binary as a Python literal, so editing the table afterwards does
-not change binaries already built. At run time the binary picks one entry,
-most specific first, against its compile coordinates plus the RAGFUZZ_DEVICE
-environment variable; ``"*"`` (or an omitted field) matches anything, and
-when nothing matches it prints ``mock run ok``. A binary imports only ``os``
-and ``sys`` eagerly (``time`` and ``signal`` only for an entry that sleeps or
-raises a signal): most of a campaign's jobs are runs, and ``json`` or
-``signal`` would each pull in ``enum`` and double a run's start-up cost.
+is exercised without any real compiler. A binary is a POSIX ``#!/bin/sh``
+script whose run entries are fixed at compile time, so editing the table
+afterwards does not change binaries already built. The compiler knows the
+binary's compiler, target and opt level, so it picks the entry for each
+device the record's ``runs`` name, and for any other device, most specific
+first: ``"*"`` (or an omitted field) matches anything, and when nothing
+matches the binary prints ``mock run ok``. Each pick becomes one arm of
+``case "${RAGFUZZ_DEVICE-}"``, built from shell builtins and ``sleep``:
+``printf`` with every byte but safe printable ASCII as an octal escape
+(stdout encoded as UTF-8 with surrogate escapes, stderr with backslash
+escapes), ``kill -N $$`` and ``exit N``. A run thus starts no Python, and
+most of a campaign's jobs are runs.
 
-The compiler imports only ``os`` and ``sys`` eagerly too, since every gate
-and matrix compile is one start of it: it decodes the table with ``_json``'s
-C scanner (the one ``json.loads`` runs) instead of importing ``json``, and
-hashes with ``_sha2``/``_sha256`` instead of ``hashlib``. README's "Mock
-toolchain fixture format" gives the details and the fallbacks.
+The arms keep what the Python binaries that sh binaries replaced did: exit
+codes go through ``int()`` and keep their low byte (-1 exits 255, 256 exits
+0, ``"3"`` and 3.7 exit 3, beyond a C long 255); a signal name resolves
+through ``_signal`` when the binary is written (``"SIG_IGN"`` is signal 1);
+SIGPIPE and SIGXFSZ, which CPython ignores, and signal 0 send nothing, so
+the run exits with the entry's code; and an entry Python failed on (an
+unknown signal name, an ``exit`` of null, a negative ``sleep``, text that
+is no string) writes what Python wrote before the error, then the error in
+one line, and exits 1. ``sleep`` is no sh builtin, so the binary names it
+by the absolute path ``write_mock_compiler`` found; bash ignores SIGQUIT,
+so under bash a SIGQUIT arm execs the ``kill`` found the same way. Binaries
+that older campaigns left behind, Python scripts, keep running: a run job
+starts any executable.
 
-Both scripts start as ``#!<interpreter> -IS``, where the interpreter is the
-``sys.executable`` that wrote them: a job runs under the harness's own Python
-whatever ``PATH`` its env sets, ``-I`` keeps ``PYTHON*`` variables and the
-script's directory out of its imports, and ``-S`` skips site-packages (the
-mock needs only the stdlib, and ``.pth`` hooks there can cost several times
-the mock's own start-up).
+The compiler imports only ``os`` and ``sys`` eagerly, since every gate and
+matrix compile is one start of it: it decodes the table with ``_json``'s C
+scanner (the one ``json.loads`` runs) instead of importing ``json``, and
+hashes with ``_sha2``/``_sha256`` instead of ``hashlib``; and it keeps the
+binary writer as text that only a compile writing a binary compiles.
+README's "Mock toolchain fixture format" gives the details and the
+fallbacks.
+
+The compiler starts as ``#!<interpreter> -IS``, where the interpreter is the
+``sys.executable`` that wrote it: a compile runs under the harness's own
+Python whatever ``PATH`` its env sets, ``-I`` keeps ``PYTHON*`` variables
+and the script's directory out of its imports, and ``-S`` skips
+site-packages (the mock needs only the stdlib, and ``.pth`` hooks there can
+cost several times the mock's own start-up).
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
-from .errors import InvalidInterpreter
+from .errors import InvalidInterpreter, ToolNotFound
 
 TABLE_ENV = "RAGFUZZ_MOCK_TABLE"
 DEVICE_ENV = "RAGFUZZ_DEVICE"
-
-_RUNNER_SCRIPT = r"""#!@@PY@@ -IS
-# Mock binary: run entries fixed at compile time, picked by device at run time.
-import os, sys
-
-COMPILER = @@C@@
-TARGET = @@T@@
-OPT = @@O@@
-DEVICE_ENV = @@DE@@
-inf, nan = float("inf"), float("nan")  # how repr() spells JSON's Infinity and NaN
-RUNS = @@RUNS@@
-
-
-def pick(runs, device):
-    best, best_score = None, -1
-    for r in runs:
-        score, ok = 0, True
-        for field, value in (("compiler", COMPILER), ("target", TARGET),
-                             ("opt", OPT), ("device", device)):
-            want = r.get(field, "*")
-            if want == "*":
-                continue
-            if want != value:
-                ok = False
-                break
-            score += 1
-        if ok and score > best_score:
-            best, best_score = r, score
-    return best
-
-
-def main():
-    r = pick(RUNS, os.environ.get(DEVICE_ENV, ""))
-    if r is None:
-        r = {"stdout": "mock run ok\n", "exit": 0}
-    sys.stdout.write(r.get("stdout", ""))
-    sys.stdout.flush()
-    sys.stderr.write(r.get("stderr", ""))
-    sys.stderr.flush()
-    if r.get("sleep"):
-        import time
-        time.sleep(float(r["sleep"]))
-    sig = r.get("signal")
-    if sig:
-        import signal
-        os.kill(os.getpid(), getattr(signal, sig))
-    sys.exit(int(r.get("exit", 0)))
-
-
-if __name__ == "__main__":
-    main()
-"""
 
 _COMPILER_SCRIPT = r"""#!@@PY@@ -IS
 # Mock compiler: behavior scripted by a JSON table keyed by source sha256.
@@ -111,7 +78,8 @@ import os, sys
 
 TABLE_ENV = @@TABLE_ENV@@
 DEVICE_ENV = @@DEVICE_ENV@@
-RUNNER_PARTS = @@RUNNER@@
+SLEEP = @@SLEEP@@
+KILL = @@KILL@@
 
 
 def sha256_hex(data):
@@ -152,6 +120,101 @@ def load_table(text):
         return table
     import json
     return json.loads(text)
+
+
+# Python compiles a script's whole source at every start (a script gets no
+# .pyc), so the binary writer is text that only a compile that writes a
+# binary compiles: most of a campaign's gate compiles fail and write none.
+WRITER = r'''
+def pick(runs, coords):
+    # the most specific entry matching (compiler, target, opt, device)
+    best, best_score = None, -1
+    for r in runs:
+        score, ok = 0, True
+        for field, value in zip(("compiler", "target", "opt", "device"), coords):
+            want = r.get(field, "*")
+            if want == "*":
+                continue
+            if want != value:
+                ok = False
+                break
+            score += 1
+        if ok and score > best_score:
+            best, best_score = r, score
+    return best
+
+
+def word(text):
+    # text as one single-quoted sh word
+    return "'" + text.replace("'", "'\\''") + "'"
+
+
+def printf(data, redirect=""):
+    # sh lines writing exactly these bytes: printf's format holds safe
+    # printable ASCII as itself, % as %%, any other byte as a \ooo escape
+    fmt = "".join("%%" if b == 37 else chr(b) if 32 <= b < 127 and b not in (39, 92)
+                  else "\\%03o" % b for b in data)
+    if fmt.startswith("-"):  # would read as an option
+        fmt = "\\055" + fmt[1:]
+    return ["printf '%s'%s" % (fmt, redirect)] if data else []
+
+
+def arm(runs, coords):
+    # sh lines doing what the Python binary this replaces did on one device:
+    # write stdout, then stderr, sleep, raise the signal, exit; where Python
+    # raised, the arm writes the error and exits 1, as an uncaught one did
+    lines = []
+    try:
+        r = pick(runs, coords)
+        if r is None:
+            r = {"stdout": "mock run ok\n"}
+        # encoded as Python's streams did under the C locale
+        lines += printf(r.get("stdout", "").encode("utf-8", "surrogateescape"))
+        lines += printf(r.get("stderr", "").encode("utf-8", "backslashreplace"), " >&2")
+        if r.get("sleep"):
+            secs = float(r["sleep"])
+            if not 0 <= secs < 9e9:  # time.sleep refuses NaN, < 0 and overflow
+                raise ValueError("invalid sleep length: %r" % secs)
+            lines.append("%s %.9f" % (word(SLEEP), secs))
+        sig = r.get("signal")
+        if sig:
+            import _signal  # signal itself imports enum
+            num = getattr(_signal, sig)
+            if type(num) is not int or not 0 <= num < _signal.NSIG:
+                raise ValueError("not a signal: %r" % sig)
+            # 0 sends nothing, and CPython ignores SIGPIPE and SIGXFSZ
+            if num not in (0, _signal.SIGPIPE, _signal.SIGXFSZ):
+                lines.append("kill -%d $$" % num)
+                if num == _signal.SIGQUIT and KILL:
+                    # bash ignores SIGQUIT; its exec restores what it inherited
+                    lines.append('[ -z "${BASH_VERSION-}" ] || exec %s -%d $$' % (word(KILL), num))
+        code = int(r.get("exit", 0))
+        # sys.exit keeps the low byte of a C long, and exits 255 beyond one
+        lines.append("exit %d" % (code & 255 if -(1 << 63) <= code < 1 << 63 else 255))
+    except Exception as exc:
+        error = "%s: %s\n" % (type(exc).__name__, exc)
+        lines += printf(error.encode("utf-8", "backslashreplace"), " >&2") + ["exit 1"]
+    return lines
+
+
+def binary(runs, coords):
+    # one case arm per device the entries name, "*)" for any other device
+    devices = {}
+    for r in runs if isinstance(runs, list) else ():
+        device = r.get("device") if isinstance(r, dict) else None
+        try:  # no environment holds a NUL or a surrogate no byte decodes to
+            if isinstance(device, str) and device != "*" and b"\0" not in device.encode(
+                    "utf-8", "surrogateescape"):
+                devices[device] = None
+        except UnicodeEncodeError:
+            pass
+    lines = ["#!/bin/sh", "# Mock binary: run entries fixed at compile time, one arm per device.",
+             'case "${%s-}" in' % DEVICE_ENV]
+    for device in devices:
+        lines += [word(device) + ")", *arm(runs, (*coords, device)), ";;"]
+    lines += ["*)", *arm(runs, (*coords, object())), ";;", "esac", ""]
+    return "\n".join(lines).encode("utf-8", "surrogateescape")
+'''
 
 
 def main():
@@ -198,13 +261,9 @@ def main():
     sys.stderr.write(comp.get("stderr", ""))
     code = int(comp.get("exit", 0))
     if code == 0 and out:
-        fills = {"PY": sys.executable, "C": repr(compiler_id), "T": repr(target),
-                 "O": repr(opt), "DE": repr(DEVICE_ENV),
-                 "RUNS": repr(entry.get("runs", []))}
-        parts = list(RUNNER_PARTS)
-        parts[1::2] = [fills[name] for name in parts[1::2]]
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("".join(parts))
+        exec(WRITER, globals())
+        with open(out, "wb") as fh:
+            fh.write(binary(entry.get("runs", []), (compiler_id, target, opt)))
         os.chmod(out, 0o755)
     sys.exit(code)
 
@@ -236,13 +295,19 @@ def write_mock_compiler(path: Path) -> Path:
             f"needs an absolute path without whitespace, and the line "
             f"{shebang.strip()!r} must fit in {_SHEBANG_MAX} bytes"
         )
+    # binaries name these by the paths this PATH finds: sleep is no sh
+    # builtin, and kill(1) is how bash raises SIGQUIT on itself
+    sleep, kill = shutil.which("sleep"), shutil.which("kill")
+    if sleep is None:
+        raise ToolNotFound("sleep is not on PATH; mock binaries need it for an entry that sleeps")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fills = {
         "PY": interpreter,
         "TABLE_ENV": repr(TABLE_ENV),
         "DEVICE_ENV": repr(DEVICE_ENV),
-        "RUNNER": repr(_RUNNER_SCRIPT.split("@@")),
+        "SLEEP": repr(os.path.abspath(sleep)),
+        "KILL": repr(kill and os.path.abspath(kill)),
     }
     # one pass over the template, so a value's own text is kept
     parts = _COMPILER_SCRIPT.split("@@")

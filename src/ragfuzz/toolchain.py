@@ -337,9 +337,12 @@ def compile_job(job: CompileJob) -> CompileResult:
     if not executable.exists():
         raise ToolNotFound(f"compiler executable not found: {executable}")
     job.workdir.mkdir(parents=True, exist_ok=True)
-    rc, _stdout, stderr, duration, timed_out = _execute(
-        job.argv, job.workdir, job.env, job.timeout
-    )
+    try:
+        rc, _stdout, stderr, duration, timed_out = _execute(
+            job.argv, job.workdir, job.env, job.timeout
+        )
+    except OSError as exc:  # e.g. a "#!" interpreter that is missing
+        raise ToolNotFound(f"{job.compiler_id}: cannot start {executable}: {exc}") from exc
     if timed_out:
         return CompileResult(
             job.case_id, job.compiler_id, job.target, job.opt_level,

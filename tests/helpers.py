@@ -1,13 +1,18 @@
-"""Shared test helpers: synthetic results matrices for classifier checks and
-a provider backend that fails on cue."""
+"""Shared test helpers: synthetic results matrices for classifier checks, a
+provider backend that fails on cue, and the Python mock binary that sh
+binaries replaced."""
 from __future__ import annotations
 
+import os
 import random
+import sys
+from pathlib import Path
 
 from ragfuzz.difftest import ResultsMatrix
 from ragfuzz.errors import TransportError
+from ragfuzz.mocktool import DEVICE_ENV
 from ragfuzz.providers import Completion, approx_tokens
-from ragfuzz.toolchain import CellKey, RunResult, RunStatus
+from ragfuzz.toolchain import CellKey, RunJob, RunLimits, RunResult, RunStatus, run_job
 
 STATUS_POOL = [
     RunStatus.OK,
@@ -108,3 +113,44 @@ class FlakyBackend:
             model_id=self.model_id,
             approximate_usage=True,
         )
+
+
+PYTHON_BINARY = Path(__file__).parent / "fixtures" / "python_mock_binary.tmpl"
+MOCK_COORDS = ("cc1", "mock-spir", "-O2")
+
+
+def write_python_binary(path: Path, runs, coords=MOCK_COORDS) -> Path:
+    """The binary the mock compiler wrote before it wrote sh scripts: a Python
+    script holding ``runs`` as a literal and its (compiler, target, opt)."""
+    fills = {"PY": sys.executable, "DE": repr(DEVICE_ENV), "RUNS": repr(runs)}
+    fills.update(zip("CTO", map(repr, coords)))
+    parts = PYTHON_BINARY.read_text(encoding="utf-8").split("@@")
+    parts[1::2] = [fills[name] for name in parts[1::2]]
+    path.write_text("".join(parts), encoding="utf-8")
+    path.chmod(0o755)
+    return path
+
+
+def mock_devices(runs) -> list[str | None]:
+    """Every device name an environment can hold that ``runs`` names, one it
+    does not name, and None for the device variable unset."""
+    named = []
+    for r in runs if isinstance(runs, list) else ():
+        device = r.get("device") if isinstance(r, dict) else None
+        if isinstance(device, str) and device != "*" and "\0" not in device:
+            try:
+                os.fsencode(device)
+            except UnicodeEncodeError:
+                continue
+            named.append(device)
+    return [*dict.fromkeys(named), "devZ", None]
+
+
+def run_mock(binary: Path, device: str | None, limits: RunLimits | None = None,
+             timeout: float = 30.0) -> RunResult:
+    """Run a mock binary on ``device`` (None: the variable unset)."""
+    env = {"LC_ALL": "C"}  # the Python binary's stdout took surrogate escapes in C
+    if device is not None:
+        env[DEVICE_ENV] = device
+    job = RunJob("c", CellKey(*MOCK_COORDS, device or ""), str(binary), env=env, timeout=timeout)
+    return run_job(job, limits)

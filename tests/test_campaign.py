@@ -257,6 +257,45 @@ def test_resume_of_completed_campaign_is_noop(tiny_campaign):
     assert report.per_pass == tiny_campaign.report.per_pass
 
 
+def test_resume_of_a_finished_campaign_starts_no_process_and_calls_no_provider(
+    tiny_campaign, tmp_path, monkeypatch
+):
+    import shutil
+    import subprocess
+
+    from ragfuzz.providers import EmbeddingService, LLMService
+
+    counts = {"processes": 0, "llm": 0, "embed": 0}
+
+    class CountingPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            counts["processes"] += 1
+            super().__init__(*args, **kwargs)
+
+    def counting(key, method):
+        def wrapper(self, *args, **kwargs):
+            counts[key] += 1
+            return method(self, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(subprocess, "Popen", CountingPopen)
+    monkeypatch.setattr(LLMService, "llm_complete", counting("llm", LLMService.llm_complete))
+    monkeypatch.setattr(
+        EmbeddingService, "embed_texts", counting("embed", EmbeddingService.embed_texts)
+    )
+    clone = tmp_path / "clone"
+    shutil.copytree(tiny_campaign.campaign_dir, clone)
+    golden = (tiny_campaign.campaign_dir / "report.json").read_bytes()
+    resume(clone)
+    assert counts == {"processes": 0, "llm": 0, "embed": 0}
+    assert (clone / "report.json").read_bytes() == golden
+    # the counts see work: with one run result gone, resume starts that one run
+    next(clone.glob("cases/*/results/run_*.json")).unlink()
+    resume(clone)
+    assert counts == {"processes": 1, "llm": 0, "embed": 0}
+    assert (clone / "report.json").read_bytes() == golden
+
+
 def test_resume_reads_a_snapshot_in_the_indented_layout(tiny_campaign, tmp_path):
     import shutil
 

@@ -141,6 +141,29 @@ def test_internal_fault_exits_two(tmp_path, capsys):
     assert "abandoned=1" in out
 
 
+def test_compiler_that_cannot_start_exits_one_and_resumes(workdir, capsys, fixtures_dir):
+    from ragfuzz.mocktool import write_mock_compiler
+
+    config_path, campaign_dir = workdir
+    cc = config_path.parent / "tools" / "mockcc"
+    script = cc.read_text()
+    cc.write_text("#!/nonexistent/python3 -IS\n" + script.split("\n", 1)[1])
+    code = main(["run", "--config", str(config_path), "--campaign-dir", str(campaign_dir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == [
+        f"error: cc1: cannot start {cc}: [Errno 2] No such file or directory: '{cc}'"
+    ]
+    cases = [json.loads(p.read_text()) for p in campaign_dir.glob("cases/*/case.json")]
+    assert cases and all(case["status"] == "draft" for case in cases)
+    # once the compiler starts, the campaign resumes to the uninterrupted report
+    write_mock_compiler(cc)
+    assert main(["resume", "--campaign-dir", str(campaign_dir)]) == 0
+    assert (campaign_dir / "report.json").read_bytes() == (
+        fixtures_dir / "golden" / "tiny.report.json"
+    ).read_bytes()
+
+
 def test_seed_override_changes_effective_config(workdir):
     config_path, campaign_dir = workdir
     code = main(

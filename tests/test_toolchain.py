@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import mock_devices, run_mock, write_python_binary
 
 from ragfuzz.errors import InvalidInterpreter, ToolNotFound
 from ragfuzz.mocktool import (
@@ -238,6 +239,19 @@ def test_compile_raises_tool_not_found(tmp_path):
         compile_job(job)
 
 
+def test_compiler_that_cannot_start_raises_tool_not_found(tmp_path):
+    cc = tmp_path / "cc"
+    cc.write_text("#!/nonexistent/python3\n")
+    cc.chmod(0o755)
+    tc = ToolchainConfig("ghost", str(cc), (), (TargetSpec("t"),), ("-O0",))
+    tc.probe()  # the file exists and is executable: only starting it fails
+    job = build_matrix("c", tmp_path / "s.cpp", [tc], tmp_path / "out")[0]
+    with pytest.raises(ToolNotFound) as info:
+        compile_job(job)
+    assert str(info.value) == f"ghost: cannot start {cc}: {info.value.__cause__}"
+    assert isinstance(info.value.__cause__, FileNotFoundError)
+
+
 def test_jobs_use_isolated_workdirs(mock_env):
     tmp_path, source, _, _, toolchain = mock_env
     jobs = build_matrix("case0", source, [toolchain], tmp_path / "out")
@@ -405,14 +419,13 @@ def _compile_and_run(source, toolchain, out_dir, env):
     return result, run_job(expand_run_jobs(result, [device], None)[0])
 
 
-def test_mock_scripts_start_under_this_interpreter_isolated(mock_env):
+def test_mock_compiler_starts_under_this_interpreter_isolated(mock_env):
     tmp_path, source, _, _, toolchain = mock_env
-    shebang = f"#!{sys.executable} -IS\n"
     with open(toolchain.executable) as fh:
-        assert fh.readline() == shebang
+        assert fh.readline() == f"#!{sys.executable} -IS\n"
     result, rr = _compile_and_run(source, toolchain, tmp_path / "out", {})
     with open(result.binary_path) as fh:
-        assert fh.readline() == shebang
+        assert fh.readline() == "#!/bin/sh\n"
     assert rr.stdout == "Output value from device kernel: 1\n"
 
 
@@ -512,24 +525,28 @@ def test_binary_keeps_its_compile_time_run_entries(mock_env, tmp_path):
     assert _run_on(result, "devC").stdout == "mock run ok\n"
 
 
-def test_printing_binary_imports_no_json_re_enum_or_signal(mock_env, tmp_path):
+def test_binaries_run_with_an_empty_path(mock_env, tmp_path):
     _, _, _, _, toolchain = mock_env
     result, _ = _compile_with_table(
-        tmp_path, toolchain, "light",
-        [{"device": "devA", "stdout": "Output value from device kernel: 1\n"}],
+        tmp_path, toolchain, "no_path",
+        [
+            {"device": "devA", "stdout": "Output value from device kernel: 1\n"},
+            {"device": "devB", "stdout": "slept\n", "sleep": 0.05, "exit": 3},
+            {"device": "devC", "signal": "SIGQUIT"},
+        ],
     )
-    proc = subprocess.run(
-        [sys.executable, "-IS", "-X", "importtime", result.binary_path],
-        env={**os.environ, DEVICE_ENV: "devA"},
-        capture_output=True,
-        text=True,
-        timeout=30,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "Output value from device kernel: 1\n"
-    imported = _imported(proc.stderr)
-    assert "os" in imported  # the log is the one we think it is
-    assert imported.isdisjoint({"json", "re", "enum", "signal"}), sorted(imported)
+    empty_bin = tmp_path / "empty_bin"
+    empty_bin.mkdir()
+    outcomes = []
+    for device in ("devA", "devB", "devC"):
+        env = {DEVICE_ENV: device, "PATH": str(empty_bin)}
+        rr = run_job(expand_run_jobs(result, [DeviceConfig(device, env)], None)[0])
+        outcomes.append((rr.status, rr.exit_code, rr.stdout, rr.stderr))
+    assert outcomes == [
+        (RunStatus.OK, 0, "Output value from device kernel: 1\n", ""),
+        (RunStatus.NONZERO_EXIT, 3, "slept\n", ""),  # by the path of sleep baked in
+        (RunStatus.CRASH_SIGNAL, -signal.SIGQUIT, "", ""),
+    ]
 
 
 def _imported(importtime_log: str) -> set[str]:
@@ -573,7 +590,7 @@ def _drive(cc, table_text, source_text, workdir, json_loads=False):
         capture_output=True,
         timeout=30,
     )
-    binary = out.read_text(encoding="utf-8") if out.exists() else None
+    binary = out.read_bytes() if out.exists() else None
     return proc.returncode, proc.stdout, proc.stderr, binary
 
 
@@ -630,9 +647,22 @@ def _tricky_tables() -> dict[str, str]:
     return tables
 
 
+def _outcome(binary: Path, device) -> tuple:
+    rr = run_mock(binary, device)
+    return rr.status, rr.exit_code, rr.stdout, rr.stderr
+
+
+def _oracle_outcome(oracle: Path, runs, device, cache: dict) -> tuple:
+    key = (repr(runs), device)
+    if key not in cache:
+        cache[key] = _outcome(oracle, device)
+    return cache[key]
+
+
 def test_compiler_decodes_tables_exactly_as_json_loads(mock_env, tmp_path):
     _, _, _, _, toolchain = mock_env
     cc = toolchain.executable
+    oracles = {}
     load_table = _load_compiler(cc)["load_table"]
     for label, text in _tricky_tables().items():
         table = json.loads(text)
@@ -649,7 +679,15 @@ def test_compiler_decodes_tables_exactly_as_json_loads(mock_env, tmp_path):
                 assert stderr == b"mockcc: no fixture entry for source %s\n" % digest[:12].encode()
                 continue
             assert code == 0, (label, name, stderr)
-            assert f"\nRUNS = {expected.get('runs', [])!r}\n" in binary, (label, name)
+            # the binary runs as pick() over the json.loads record did in
+            # the Python binary, on each device the record names and others
+            runs = expected.get("runs", [])
+            workdir = tmp_path / label / name
+            oracle = write_python_binary(workdir / "python.bin", runs)
+            for device in mock_devices(runs):
+                assert _outcome(workdir / "case.bin", device) == _oracle_outcome(
+                    oracle, runs, device, oracles
+                ), (label, name, device)
 
 
 def test_compiler_decodes_the_table_without_json(mock_env, monkeypatch):
