@@ -83,10 +83,6 @@ class ToolNotFound(RagfuzzError):
     pass
 
 
-class InvalidInterpreter(RagfuzzError):
-    """An interpreter path that a "#!" line cannot name."""
-
-
 # --- differential testing ---
 
 class InsufficientCells(RagfuzzError):

@@ -64,10 +64,24 @@ class ToolchainConfig:
     env: dict = field(default_factory=dict)
 
     def probe(self) -> None:
-        """Campaign-start check that the executable exists and is runnable."""
+        """Campaign-start check that the executable exists and can start:
+        each interpreter its "#!" chain names, as deep as the kernel follows
+        one, must be executable (a relative name resolves against the
+        current directory)."""
         path = Path(self.executable)
         if not path.exists() or not os.access(path, os.X_OK):
             raise ToolNotFound(f"{self.compiler_id}: {self.executable} is not an executable")
+        program = self.executable
+        for _ in range(_SHEBANG_DEPTH):
+            interpreter = _shebang_interpreter(_head(program) or b"")
+            if interpreter is None:
+                break
+            if not os.access(interpreter, os.X_OK):
+                raise ToolNotFound(
+                    f"{self.compiler_id}: cannot start {self.executable}: the interpreter "
+                    f"{interpreter!r} that {program} names is missing or not executable"
+                )
+            program = interpreter
         if not self.opt_levels:
             raise ToolNotFound(f"{self.compiler_id}: no optimization levels configured")
 
@@ -286,6 +300,29 @@ def _host_elf_machine() -> bytes | None:
         return _elf_machine(fh.read(64))
 
 
+# the kernel starts the interpreter a "#!" line names the same way, at most
+# this many deep
+_SHEBANG_DEPTH = 4
+
+
+def _head(path: str) -> bytes | None:
+    """All of a "#!" line the kernel reads (None for an unreadable file)."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read(256)
+    except OSError:
+        return None
+
+
+def _shebang_interpreter(head: bytes) -> str | None:
+    """The interpreter a "#!" line names ("" for none), or None for a file
+    without one."""
+    if head[:2] != b"#!":
+        return None
+    line = head[2:].split(b"\n", 1)[0].strip(b" \t")
+    return os.fsdecode(line.replace(b"\t", b" ").split(b" ", 1)[0])
+
+
 def _exec_format_error(path: str, cwd: Path, depth: int = 0) -> bool:
     """Whether the file at ``path`` (relative to ``cwd``) is no executable
     format, which execve(2) refuses with ENOEXEC and prlimit's execvp(3) then
@@ -299,20 +336,14 @@ def _exec_format_error(path: str, cwd: Path, depth: int = 0) -> bool:
     handler runs, and an ELF whose program headers fill more than a page,
     which kernels that still bound the table by the page size refuse.
     """
-    try:
-        with open(os.path.join(cwd, path), "rb") as fh:
-            head = fh.read(256)  # all of a "#!" line the kernel reads
-    except OSError:
+    head = _head(os.path.join(cwd, path))
+    if head is None:
         return False  # unreadable: neither can /bin/sh read it; let execve decide
-    if head[:2] == b"#!":
-        line = head[2:].split(b"\n", 1)[0].strip(b" \t")
-        if not line:
-            return True
-        name = os.fsdecode(line.replace(b"\t", b" ").split(b" ", 1)[0])
-        # the kernel starts the interpreter the same way, at most 4 deep;
-        # a missing or non-executable one fails with its own errno
-        return (
-            depth < 4
+    name = _shebang_interpreter(head)
+    if name is not None:
+        # a missing or non-executable interpreter fails with its own errno
+        return not name or (
+            depth < _SHEBANG_DEPTH
             and os.access(os.path.join(cwd, name), os.X_OK)
             and _exec_format_error(name, cwd, depth + 1)
         )

@@ -1,16 +1,18 @@
 """Shared test helpers: synthetic results matrices for classifier checks, a
-provider backend that fails on cue, and the Python mock binary that sh
-binaries replaced."""
+provider backend that fails on cue, and the Python mock compiler and mock
+binary that the sh ones replaced."""
 from __future__ import annotations
 
 import os
 import random
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 from ragfuzz.difftest import ResultsMatrix
 from ragfuzz.errors import TransportError
-from ragfuzz.mocktool import DEVICE_ENV
+from ragfuzz.mocktool import DEVICE_ENV, TABLE_ENV
 from ragfuzz.providers import Completion, approx_tokens
 from ragfuzz.toolchain import CellKey, RunJob, RunLimits, RunResult, RunStatus, run_job
 
@@ -115,8 +117,16 @@ class FlakyBackend:
         )
 
 
-PYTHON_BINARY = Path(__file__).parent / "fixtures" / "python_mock_binary.tmpl"
+FIXTURES = Path(__file__).parent / "fixtures"
 MOCK_COORDS = ("cc1", "mock-spir", "-O2")
+
+
+def _fill(template: str, path: Path, fills: dict) -> Path:
+    parts = (FIXTURES / template).read_text(encoding="utf-8").split("@@")
+    parts[1::2] = [fills[name] for name in parts[1::2]]
+    path.write_text("".join(parts), encoding="utf-8")
+    path.chmod(0o755)
+    return path
 
 
 def write_python_binary(path: Path, runs, coords=MOCK_COORDS) -> Path:
@@ -124,11 +134,42 @@ def write_python_binary(path: Path, runs, coords=MOCK_COORDS) -> Path:
     script holding ``runs`` as a literal and its (compiler, target, opt)."""
     fills = {"PY": sys.executable, "DE": repr(DEVICE_ENV), "RUNS": repr(runs)}
     fills.update(zip("CTO", map(repr, coords)))
-    parts = PYTHON_BINARY.read_text(encoding="utf-8").split("@@")
-    parts[1::2] = [fills[name] for name in parts[1::2]]
-    path.write_text("".join(parts), encoding="utf-8")
-    path.chmod(0o755)
-    return path
+    return _fill("python_mock_binary.tmpl", path, fills)
+
+
+def write_python_compiler(path: Path) -> Path:
+    """The mock compiler before it was a sh script: a Python script that
+    decodes the JSON table at every compile and writes sh binaries naming
+    ``sleep`` and ``kill`` by the paths this PATH finds."""
+    sleep, kill = shutil.which("sleep"), shutil.which("kill")
+    fills = {
+        "PY": sys.executable,
+        "TABLE_ENV": repr(TABLE_ENV),
+        "DEVICE_ENV": repr(DEVICE_ENV),
+        "SLEEP": repr(os.path.abspath(sleep)),
+        "KILL": repr(kill and os.path.abspath(kill)),
+    }
+    return _fill("python_mock_compiler.tmpl", path, fills)
+
+
+def compile_outcome(argv, env: dict, cwd: Path, out: Path) -> tuple:
+    """(exit, stdout, stderr, binary bytes or None) of one mock compile to ``out``."""
+    if out.exists():
+        out.unlink()
+    proc = subprocess.run(argv, env=env, cwd=cwd, capture_output=True, timeout=30)
+    return proc.returncode, proc.stdout, proc.stderr, out.read_bytes() if out.exists() else None
+
+
+def assert_same_compile(got, want, context) -> None:
+    """Compile outcomes (exit, stdout, stderr, binary bytes or None) of the
+    sh compiler and of the Python one match; where Python raised, stderr is
+    what it wrote before its traceback, then the traceback's last line."""
+    assert (got[0], got[1], got[3]) == (want[0], want[1], want[3]), context
+    written, traceback, _ = want[2].partition(b"Traceback (most recent call last):\n")
+    if traceback:
+        assert got[2] == written + want[2].splitlines(keepends=True)[-1], context
+    else:
+        assert got[2] == want[2], context
 
 
 def mock_devices(runs) -> list[str | None]:

@@ -190,7 +190,8 @@ def test_campaign_is_bit_reproducible(tiny_campaign, tmp_path):
 
 def test_report_is_byte_identical_across_worker_counts(tiny_campaign, tmp_path):
     reports = []
-    for workers in (1, 4):
+    # the mock compiles of concurrent workers source one table.json.sh at once
+    for workers in (1, 4, 8):
         config = load_config_file(
             tiny_campaign.config_path,
             overrides={"campaign.workers_llm": workers, "campaign.workers_tool": workers},
@@ -198,7 +199,7 @@ def test_report_is_byte_identical_across_worker_counts(tiny_campaign, tmp_path):
         assert (config.campaign.workers_llm, config.campaign.workers_tool) == (workers, workers)
         run_campaign(config, tmp_path / f"workers{workers}")
         reports.append((tmp_path / f"workers{workers}" / "report.json").read_bytes())
-    assert reports[0] == reports[1]
+    assert len(set(reports)) == 1
 
 
 def test_zero_mutations_per_seed_makes_no_mutants(tmp_path):

@@ -147,15 +147,18 @@ def test_compiler_that_cannot_start_exits_one_and_resumes(workdir, capsys, fixtu
     config_path, campaign_dir = workdir
     cc = config_path.parent / "tools" / "mockcc"
     script = cc.read_text()
-    cc.write_text("#!/nonexistent/python3 -IS\n" + script.split("\n", 1)[1])
+    cc.write_text("#!/nonexistent/sh\n" + script.split("\n", 1)[1])
     code = main(["run", "--config", str(config_path), "--campaign-dir", str(campaign_dir)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.splitlines() == [
-        f"error: cc1: cannot start {cc}: [Errno 2] No such file or directory: '{cc}'"
+        f"error: cc1: cannot start {cc}: the interpreter '/nonexistent/sh' that {cc} "
+        "names is missing or not executable"
     ]
-    cases = [json.loads(p.read_text()) for p in campaign_dir.glob("cases/*/case.json")]
-    assert cases and all(case["status"] == "draft" for case in cases)
+    # the probe stops the campaign before it bills anything or makes a case
+    ledger = campaign_dir / "ledger.jsonl"
+    assert not ledger.exists() or ledger.read_text() == ""
+    assert not list(campaign_dir.glob("cases/*/case.json"))
     # once the compiler starts, the campaign resumes to the uninterrupted report
     write_mock_compiler(cc)
     assert main(["resume", "--campaign-dir", str(campaign_dir)]) == 0

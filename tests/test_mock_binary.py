@@ -15,7 +15,13 @@ import pytest
 from helpers import MOCK_COORDS, mock_devices, run_mock, write_python_binary
 
 from ragfuzz.campaign import CampaignStore, load_config_file, resume, run_campaign
-from ragfuzz.mocktool import DEVICE_ENV, TABLE_ENV, source_digest, write_mock_compiler
+from ragfuzz.mocktool import (
+    DEVICE_ENV,
+    TABLE_ENV,
+    source_digest,
+    write_mock_compiler,
+    write_mock_table,
+)
 from ragfuzz.scenarios import build_tiny, materialize_scenario
 from ragfuzz.toolchain import (
     CellKey,
@@ -78,6 +84,7 @@ CASES = {
         {"device": "", "stdout": "empty name\n"},
         {"device": "grüße", "stdout": "umlaut\n"},
         {"device": "a\x00b", "stdout": "NUL, never in an environment\n"},
+        {"device": "ctl\x01\x02\x1b", "stdout": "control characters\n"},
         {"device": "\ud800", "stdout": "no bytes decode to it\n"},
         {"device": None, "stdout": "null matches no device\n"},
         {"device": 1, "stdout": "a number matches no device\n"},
@@ -132,8 +139,7 @@ def built(tmp_path_factory):
         source_digest(text): {"compile": {"exit": 0}, "runs": CASES[name]}
         for name, text in sources.items()
     }
-    table_path = tmp / "table.json"
-    table_path.write_text(json.dumps(table, indent=2, sort_keys=True))
+    table_path = write_mock_table(tmp / "table.json", table)
     compiler, target, opt = MOCK_COORDS
     toolchain = ToolchainConfig(
         compiler, str(cc), ("--mock-id", compiler),

@@ -2,11 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import errno
-import importlib.util
 import json
 import os
 import random
-import runpy
 import shutil
 import signal
 import subprocess
@@ -14,14 +12,22 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import mock_devices, run_mock, write_python_binary
+from helpers import (
+    assert_same_compile,
+    compile_outcome,
+    mock_devices,
+    run_mock,
+    write_python_binary,
+    write_python_compiler,
+)
 
-from ragfuzz.errors import InvalidInterpreter, ToolNotFound
+from ragfuzz.errors import ToolNotFound
 from ragfuzz.mocktool import (
     DEVICE_ENV,
     TABLE_ENV,
     source_digest,
     table_entry,
+    translate_mock_table,
     write_mock_compiler,
     write_mock_table,
 )
@@ -244,12 +250,32 @@ def test_compiler_that_cannot_start_raises_tool_not_found(tmp_path):
     cc.write_text("#!/nonexistent/python3\n")
     cc.chmod(0o755)
     tc = ToolchainConfig("ghost", str(cc), (), (TargetSpec("t"),), ("-O0",))
-    tc.probe()  # the file exists and is executable: only starting it fails
+    with pytest.raises(ToolNotFound, match="'/nonexistent/python3'"):
+        tc.probe()  # the file exists and is executable; its interpreter does not
     job = build_matrix("c", tmp_path / "s.cpp", [tc], tmp_path / "out")[0]
     with pytest.raises(ToolNotFound) as info:
         compile_job(job)
     assert str(info.value) == f"ghost: cannot start {cc}: {info.value.__cause__}"
     assert isinstance(info.value.__cause__, FileNotFoundError)
+
+
+def test_probe_follows_the_interpreter_chain(tmp_path):
+    def script(name, interpreter, mode=0o755):
+        path = tmp_path / name
+        path.write_text(f"#!{interpreter} -x\n")
+        path.chmod(mode)
+        return path
+
+    def probe(executable):
+        ToolchainConfig("cc", str(executable), (), (TargetSpec("t"),), ("-O0",)).probe()
+
+    # a script run by a script run by sh starts, as the kernel starts it
+    probe(script("outer", script("inner", "/bin/sh")))
+    not_executable = script("not_executable", "/bin/sh", mode=0o644)
+    for name, interpreter in (("deep", not_executable), ("bare", "")):
+        cc = script(name, script(f"{name}_via", interpreter))
+        with pytest.raises(ToolNotFound, match=f"cannot start {cc}: the interpreter"):
+            probe(cc)
 
 
 def test_jobs_use_isolated_workdirs(mock_env):
@@ -419,10 +445,10 @@ def _compile_and_run(source, toolchain, out_dir, env):
     return result, run_job(expand_run_jobs(result, [device], None)[0])
 
 
-def test_mock_compiler_starts_under_this_interpreter_isolated(mock_env):
+def test_mock_compiler_and_its_binaries_are_sh_scripts(mock_env):
     tmp_path, source, _, _, toolchain = mock_env
     with open(toolchain.executable) as fh:
-        assert fh.readline() == f"#!{sys.executable} -IS\n"
+        assert fh.readline() == "#!/bin/sh\n"
     result, rr = _compile_and_run(source, toolchain, tmp_path / "out", {})
     with open(result.binary_path) as fh:
         assert fh.readline() == "#!/bin/sh\n"
@@ -448,17 +474,6 @@ def test_mock_toolchain_ignores_pythonpath(mock_env):
     )
     assert rr.status == RunStatus.OK
     assert rr.stdout == "Output value from device kernel: 1\n"
-
-
-@pytest.mark.parametrize(
-    "interpreter",
-    ["python3", "/opt/my python/bin/python3", "/" + "p" * 255, "/" + "p" * 250],
-)
-def test_unusable_interpreter_path_is_rejected(tmp_path, monkeypatch, interpreter):
-    monkeypatch.setattr(sys, "executable", interpreter)
-    with pytest.raises(InvalidInterpreter, match="shebang"):
-        write_mock_compiler(tmp_path / "mockcc")
-    assert not (tmp_path / "mockcc").exists()
 
 
 def _compile_with_table(tmp_path, toolchain, name, runs):
@@ -549,49 +564,28 @@ def test_binaries_run_with_an_empty_path(mock_env, tmp_path):
     ]
 
 
-def _imported(importtime_log: str) -> set[str]:
-    return {
-        line.rsplit("|", 1)[1].strip()
-        for line in importtime_log.splitlines()
-        if line.startswith("import time:")
-    }
+# --- the mock compiler's table: as json.loads reads it ------------------------
 
 
-# --- the mock compiler's table decode --------------------------------------
-
-
-def _load_compiler(path) -> dict:
-    """The compiler script's functions, without running its main()."""
-    return runpy.run_path(str(path), run_name="mockcc")
-
-
-# runs the compiler script with its table decode swapped for json.loads, the
-# decode it used before it read the table with _json's scanner
-_JSON_LOADS_PRELUDE = (
-    "import json, sys; sys.argv = sys.argv[1:]; g = {'__name__': 'mockcc'}; "
-    "exec(compile(open(sys.argv[0]).read(), sys.argv[0], 'exec'), g); "
-    "g['load_table'] = json.loads; g['main']()"
-)
-
-
-def _drive(cc, table_text, source_text, workdir, json_loads=False):
-    """Compile one source against a table given as text: (exit, stdout, stderr, binary)."""
+def _drive(cc, table, source_text, workdir):
+    """Compile one source against a table: (exit, stdout, stderr, binary)."""
     workdir.mkdir(parents=True)
     source = workdir / "case.cpp"
     source.write_text(source_text)
-    table = workdir / "table.json"
-    table.write_text(table_text)
     out = workdir / "case.bin"
-    launch = [sys.executable, "-IS", "-c", _JSON_LOADS_PRELUDE] if json_loads else []
-    proc = subprocess.run(
-        [*launch, str(cc), "--mock-id", "cc1", "--mock-target", "mock-spir", "-O2",
+    return compile_outcome(
+        [str(cc), "--mock-id", "cc1", "--mock-target", "mock-spir", "-O2",
          str(source), "-o", str(out)],
-        env={**os.environ, TABLE_ENV: str(table)},
-        capture_output=True,
-        timeout=30,
+        {**os.environ, TABLE_ENV: str(table), "LC_ALL": "C"}, workdir, out,
     )
-    binary = out.read_bytes() if out.exists() else None
-    return proc.returncode, proc.stdout, proc.stderr, binary
+
+
+def _table_file(workdir: Path, text: str) -> Path:
+    workdir.mkdir(parents=True)
+    table = workdir / "table.json"
+    table.write_text(text)
+    translate_mock_table(table)
+    return table
 
 
 def _splice_duplicate(text: str, key: str, record) -> str:
@@ -662,16 +656,16 @@ def _oracle_outcome(oracle: Path, runs, device, cache: dict) -> tuple:
 def test_compiler_decodes_tables_exactly_as_json_loads(mock_env, tmp_path):
     _, _, _, _, toolchain = mock_env
     cc = toolchain.executable
+    python_cc = write_python_compiler(tmp_path / "python_mockcc")
     oracles = {}
-    load_table = _load_compiler(cc)["load_table"]
     for label, text in _tricky_tables().items():
         table = json.loads(text)
-        assert repr(load_table(text)) == repr(table), label
+        table_path = _table_file(tmp_path / label, text)
         for name, source_text in _TRICKY_SOURCES.items():
             digest = source_digest(source_text)
             expected = table.get(digest) or table.get("*")
-            got = _drive(cc, text, source_text, tmp_path / label / name)
-            want = _drive(cc, text, source_text, tmp_path / label / f"{name}_ref", json_loads=True)
+            got = _drive(cc, table_path, source_text, tmp_path / label / name)
+            want = _drive(python_cc, table_path, source_text, tmp_path / label / f"{name}_ref")
             assert got == want, (label, name)
             code, _stdout, stderr, binary = got
             if expected is None:
@@ -688,19 +682,6 @@ def test_compiler_decodes_tables_exactly_as_json_loads(mock_env, tmp_path):
                 assert _outcome(workdir / "case.bin", device) == _oracle_outcome(
                     oracle, runs, device, oracles
                 ), (label, name, device)
-
-
-def test_compiler_decodes_the_table_without_json(mock_env, monkeypatch):
-    _, _, _, _, toolchain = mock_env
-    load_table = _load_compiler(toolchain.executable)["load_table"]
-    tables = _tricky_tables()
-    expected = {label: repr(json.loads(text)) for label, text in tables.items()}
-    monkeypatch.setitem(sys.modules, "json", None)  # any json.loads fallback now raises
-    for label, text in tables.items():
-        assert repr(load_table(text)) == expected[label], label
-    for bad in (tables["star"][:-1], tables["star"] + "{}", "[]", ""):
-        with pytest.raises(ImportError):  # json.loads gets what the scanner will not take
-            load_table(bad)
 
 
 def _fuzz_value(rng: random.Random, depth: int):
@@ -721,19 +702,20 @@ def _fuzz_value(rng: random.Random, depth: int):
     return {rng.choice(keys): _fuzz_value(rng, depth + 1) for _ in range(rng.randrange(3))}
 
 
-def _outcome(decode, text: str) -> str:
+def _decoded(decode, text: str) -> str:
     try:
         return repr(decode(text))
     except Exception as exc:  # noqa: BLE001 - the error is part of the outcome
         return f"{type(exc).__name__}: {exc}"
 
 
-def test_compiler_decode_matches_json_loads_on_fuzzed_tables(mock_env):
+def test_compiler_decode_matches_json_loads_on_fuzzed_tables(mock_env, tmp_path):
     _, _, _, _, toolchain = mock_env
-    load_table = _load_compiler(toolchain.executable)["load_table"]
+    python_cc = write_python_compiler(tmp_path / "python_mockcc")
     rng = random.Random(20260417)
     digests = [source_digest(str(i)) for i in range(5)]
-    for _ in range(300):
+    compiled = 0
+    for n in range(300):
         table = {}
         for key in rng.sample(digests + ["*"], rng.randrange(1, 6)):
             table[key] = rng.choice(
@@ -753,19 +735,48 @@ def test_compiler_decode_matches_json_loads_on_fuzzed_tables(mock_env):
             text = rng.choice([" \n", "\t", "﻿", "\x0c"]) + text + rng.choice(["", "\r\n", " x"])
         elif edit == 2:
             text = json.dumps(_fuzz_value(rng, 0))  # a top level that may not be an object
-        assert _outcome(load_table, text) == _outcome(json.loads, text), text
+        workdir = tmp_path / str(n)
+        workdir.mkdir()
+        table_path = workdir / "table.json"
+        table_path.write_text(text)
+        decoded = _decoded(json.loads, text)
+        if not decoded.startswith("{"):
+            # refused where it is written: with json.loads's error, or as no object
+            with pytest.raises(ValueError) as info:
+                translate_mock_table(table_path)
+            if isinstance(info.value, json.JSONDecodeError):
+                assert decoded == f"JSONDecodeError: {info.value}", text
+            else:
+                assert str(info.value) == f"{table_path}: a mock fixture table is a JSON object"
+            assert not table_path.with_name("table.json.sh").exists()
+            continue
+        translate_mock_table(table_path)
+        if compiled < 40:  # each compile starts a process: compare a sample
+            source_text = str(rng.randrange(5))
+            got = _drive(toolchain.executable, table_path, source_text, workdir / "sh")
+            want = _drive(python_cc, table_path, source_text, workdir / "python")
+            assert_same_compile(got, want, text)
+            compiled += 1
+    assert compiled == 40
 
 
 def test_cut_short_table_fails_as_with_json_loads(mock_env, tmp_path):
     _, _, source_text, _, toolchain = mock_env
-    text = json.dumps({source_digest(source_text): table_entry()}, indent=2)
+    table_path = write_mock_table(tmp_path / "table.json", {source_digest(source_text): table_entry()})
+    text = table_path.read_text()
     cut = text[: len(text) // 2]
-    got = _drive(toolchain.executable, cut, source_text, tmp_path / "got")
-    want = _drive(toolchain.executable, cut, source_text, tmp_path / "want", json_loads=True)
-    assert got[0] == want[0] == 1 and got[3] is None
-    last_line = [proc[2].decode().splitlines()[-1] for proc in (got, want)]
-    assert last_line[0] == last_line[1]
-    assert last_line[0].startswith("json.decoder.JSONDecodeError: ")
+    table_path.write_text(cut)
+    os.utime(table_path, ns=(0, table_path.with_name("table.json.sh").stat().st_mtime_ns + 10**9))
+    with pytest.raises(json.JSONDecodeError) as info:
+        translate_mock_table(table_path)
+    assert _decoded(json.loads, cut) == f"JSONDecodeError: {info.value}"
+    # the sh form left from before is stale: the compile refuses it
+    code, stdout, stderr, binary = _drive(toolchain.executable, table_path, source_text, tmp_path / "got")
+    assert (code, stdout, binary) == (91, b"", None)
+    assert stderr == (
+        f"mockcc: fixture table {table_path} is newer than its sh form; translate it "
+        "again with ragfuzz.mocktool.translate_mock_table\n"
+    ).encode()
 
 
 @pytest.mark.parametrize("layout", ["compact", "indent4", "star_only"])
@@ -778,6 +789,7 @@ def test_compact_indented_and_star_only_tables_compile(mock_env, tmp_path, layou
         table = {source_digest(source_text): record, source_digest("other"): table_entry(1)}
     table_path = tmp_path / f"{layout}.json"
     table_path.write_text(json.dumps(table, indent=4 if layout == "indent4" else None))
+    translate_mock_table(table_path)
     toolchain = dataclasses.replace(toolchain, env={TABLE_ENV: str(table_path)})
     result, rr = _compile_and_run(source, toolchain, tmp_path / "out", {})
     assert result.status == CompileStatus.OK
@@ -818,43 +830,3 @@ def test_compile_entry_that_sleeps_times_out(mock_env, tmp_path):
     assert result.status == CompileStatus.TIMEOUT
     assert result.binary_path is None
     assert result.duration < 4
-
-
-def _compiler_imports(cc, source, table_path, tmp_path) -> set[str]:
-    """Modules the compiler imports, ``time`` included although start-up loads it."""
-    # the interpreter's own start-up imports time (zipimport), so the log
-    # cannot show the script's import of it; drop it and log from a marker on
-    prelude = (
-        "import sys; sys.modules.pop('time', None); sys.argv = sys.argv[1:]; "
-        "sys.stderr.write('-- mockcc --\\n'); sys.stderr.flush(); "
-        "exec(compile(open(sys.argv[0]).read(), sys.argv[0], 'exec'), {'__name__': '__main__'})"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-IS", "-X", "importtime", "-c", prelude, str(cc), str(source),
-         "-o", str(tmp_path / "a.out")],
-        env={**os.environ, TABLE_ENV: str(table_path)},
-        capture_output=True,
-        text=True,
-        timeout=30,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return _imported(proc.stderr.split("-- mockcc --\n", 1)[1])
-
-
-def test_compiler_imports_no_json_re_enum_or_time_at_2000_entries(mock_env, tmp_path):
-    _, source, source_text, _, toolchain = mock_env
-    table = {source_digest(f"filler {i}"): table_entry(runs=[{"stdout": f"{i}\n"}])
-             for i in range(1999)}
-    table[source_digest(source_text)] = table_entry(runs=[{"device": "devA", "stdout": "1\n"}])
-    table_path = write_mock_table(tmp_path / "big.json", table)
-    imported = _compiler_imports(toolchain.executable, source, table_path, tmp_path)
-    assert imported.isdisjoint({"json", "re", "enum", "time"}), sorted(imported)
-    private_sha = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
-    assert ("hashlib" in imported) == (not private_sha), sorted(imported)
-    assert "_json" in imported  # the C scanner decoded the table
-
-    # the log does show time when the compile entry sleeps
-    record = table_entry()
-    record["compile"]["sleep"] = 0.01
-    slow = write_mock_table(tmp_path / "slow.json", {source_digest(source_text): record})
-    assert "time" in _compiler_imports(toolchain.executable, source, slow, tmp_path)
