@@ -189,17 +189,22 @@ class CampaignConfig:
 
 
 def _resolve(base_dir: Path, value: str) -> str:
-    """Relative paths in the config resolve against the config directory."""
+    """Relative paths in the config resolve against the config directory.
+
+    Symlinks are kept, as for an absolute path: a compiler linked as
+    ``clang++`` must start as ``clang++``, since clang picks its driver
+    mode from argv[0].
+    """
     if os.path.isabs(value):
         return str(Path(value))
-    return os.path.realpath(os.path.join(base_dir, value))
+    return os.path.abspath(os.path.join(base_dir, value))
 
 
 def _resolve_env(base_dir: Path, env: dict) -> dict:
     out = {}
     for key, value in env.items():
         if isinstance(value, str) and os.path.exists(os.path.join(base_dir, value)):
-            out[key] = os.path.realpath(os.path.join(base_dir, value))
+            out[key] = os.path.abspath(os.path.join(base_dir, value))
         else:
             out[key] = value
     return out
@@ -756,7 +761,9 @@ class CampaignRunner:
         target = next(t for t in toolchain.targets if t.name == gate.target)
         gate_toolchain = replace(toolchain, targets=(target,), opt_levels=(gate.opt_level,))
         gate_dir = self.store.case_dir(case_id) / "gate"
-        counter = {"n": 0}
+        # a resumed repair numbers its attempts after those already on disk
+        earlier = (p.name.removeprefix("attempt_") for p in gate_dir.glob("attempt_*"))
+        counter = {"n": max((int(n) for n in earlier if n.isdigit()), default=0)}
 
         def compile_source(source_text: str) -> CompileResult:
             counter["n"] += 1

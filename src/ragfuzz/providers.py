@@ -333,9 +333,9 @@ class HttpEmbeddingBackend:
         self.model_id = config.model_id
         self.dim = dim
 
-    def embed_texts(self, texts: list[str]) -> list[np.ndarray]:
-        """One POST whose ``input`` is the list; each returned item lands at
-        its ``index``."""
+    def embed_texts(self, texts: list[str]) -> np.ndarray:
+        """One POST whose ``input`` is the list; each returned item lands in
+        the row of the ``(len(texts), dim)`` matrix its ``index`` names."""
         import requests
 
         key = os.environ.get(self.config.api_key_env, "")
@@ -359,7 +359,8 @@ class HttpEmbeddingBackend:
         items = resp.json()["data"]
         if len(items) != len(texts):
             raise ProviderError(f"{len(items)} embeddings returned for {len(texts)} inputs")
-        vectors: list[np.ndarray | None] = [None] * len(texts)
+        matrix = np.empty((len(texts), self.dim))
+        placed = set()
         for item in items:
             vector = np.asarray(item["embedding"], dtype=np.float64)
             if vector.shape != (self.dim,):
@@ -367,10 +368,11 @@ class HttpEmbeddingBackend:
                     f"embedding shape {vector.shape} does not match configured dim {self.dim}"
                 )
             i = item["index"]
-            if not (isinstance(i, int) and 0 <= i < len(texts)) or vectors[i] is not None:
+            if not (isinstance(i, int) and 0 <= i < len(texts)) or i in placed:
                 raise ProviderError(f"embedding index {i!r} is out of range or repeated")
-            vectors[i] = vector
-        return vectors
+            placed.add(i)
+            matrix[i] = vector
+        return matrix
 
 
 class HashEmbedder:
@@ -394,8 +396,12 @@ class HashEmbedder:
         vec = rng.standard_normal(self.dim)
         return vec / np.linalg.norm(vec)
 
-    def embed_texts(self, texts: list[str]) -> list[np.ndarray]:
-        return [self.embed_text(t) for t in texts]
+    def embed_texts(self, texts: list[str]) -> np.ndarray:
+        """The ``(len(texts), dim)`` matrix of ``embed_text`` of each text."""
+        matrix = np.empty((len(texts), self.dim))
+        for row, text in zip(matrix, texts):
+            row[:] = self.embed_text(text)
+        return matrix
 
 
 def _encode_cache_line(key: str, vector: np.ndarray) -> str:
@@ -417,10 +423,17 @@ def _decode_cache_line(line: bytes) -> tuple[str, np.ndarray]:
 class EmbeddingService:
     """Content-hash cache plus ledger accounting around an embedding backend.
 
-    A cache hit performs no provider call and records no tokens. The misses
-    of one ``embed_texts`` call are embedded in order of first appearance,
-    in batches of up to EMBED_BATCH texts. Each batch is one backend call,
-    one ledger entry billing the batch's tokens, then one cache append.
+    ``embed_texts`` returns one C-contiguous ``(len(texts), dim)`` float64
+    matrix. The misses of one call are embedded in order of first
+    appearance, in batches of up to EMBED_BATCH texts. Each batch is one
+    backend call, one ledger entry billing the batch's tokens, then one
+    cache append, and writes its vectors straight into their rows of the
+    matrix. The in-memory cache keeps views of those rows, so a vector
+    exists once: a caller that keeps the matrix (the RAG index does) holds
+    the cache's vectors too. Cache hits, repeated texts and keys another
+    caller embedded are copied into their rows. A cache hit performs no
+    provider call and records no tokens. ``embed_text`` returns the cached
+    vector itself; the row views are read-only.
 
     The cache file holds one JSON line per text, ``{"hash": <sha256 of the
     text>, "f64": <base64 of the little-endian float64 bytes>}``, which
@@ -447,24 +460,38 @@ class EmbeddingService:
             self._cache = dict(read_jsonl(self._cache_path, _decode_cache_line))
 
     def embed_text(self, text: str) -> np.ndarray:
-        return self.embed_texts([text])[0]
+        key = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        vector = self._cache.get(key)
+        if vector is None:
+            self.embed_texts([text])
+            vector = self._cache[key]
+        return vector
 
-    def embed_texts(self, texts: list[str]) -> list[np.ndarray]:
+    def embed_texts(self, texts: list[str]) -> np.ndarray:
         if not all(texts):
             raise ValueError("cannot embed empty text")
         keys = [hashlib.sha256(t.encode("utf-8")).hexdigest() for t in texts]
+        out = np.empty((len(keys), self.dim))
+        first: dict[str, int] = {}  # key -> its first row in out
+        for row, key in enumerate(keys):
+            first.setdefault(key, row)
         cache = self._cache
+        embedded: set[str] = set()  # keys whose first row a batch of this call wrote
         # a key whose claimant failed is claimed again on the next pass
-        while missing := {k: t for k, t in zip(keys, texts) if k not in cache}:
+        while missing := {k: texts[row] for k, row in first.items() if k not in cache}:
             batches, waits = self._claim(missing)
             try:
                 for batch in batches:
-                    self._embed_batch(batch)
+                    self._embed_batch(batch, out, first)
+                    embedded.update(key for key, _ in batch)
             finally:
                 self._release(batches)
             for claim in waits:
                 claim.wait()
-        return [cache[k] for k in keys]
+        for row, key in enumerate(keys):
+            if row != first[key] or key not in embedded:
+                out[row] = cache[key]
+        return out
 
     def _claim(self, missing: dict[str, str]):
         """Claim the keys no other caller has claimed, in batches of up to
@@ -486,10 +513,19 @@ class EmbeddingService:
                     self._claimed[key] = claim
         return batches, waits
 
-    def _embed_batch(self, batch: list[tuple[str, str]]) -> None:
-        vectors = self.backend.embed_texts([text for _, text in batch])
-        if len(vectors) != len(batch):
-            raise ProviderError(f"{len(vectors)} embeddings returned for {len(batch)} inputs")
+    def _embed_batch(
+        self, batch: list[tuple[str, str]], out: np.ndarray, first: dict[str, int]
+    ) -> None:
+        """Embed one batch into its rows of out (``first[key]``) and cache
+        those rows."""
+        vectors = np.asarray(self.backend.embed_texts([text for _, text in batch]))
+        if vectors.shape != (len(batch), self.dim):
+            raise ProviderError(
+                f"embeddings of shape {vectors.shape} returned for {len(batch)} inputs "
+                f"of dim {self.dim}"
+            )
+        rows = [first[key] for key, _ in batch]
+        out[rows] = vectors
         self.ledger.record(
             stage="embedding",
             model_id=self.backend.model_id,
@@ -501,9 +537,11 @@ class EmbeddingService:
             if self._cache_path:
                 with open(self._cache_path, "a", encoding="utf-8") as fh:
                     fh.writelines(
-                        _encode_cache_line(key, v) for (key, _), v in zip(batch, vectors)
+                        _encode_cache_line(key, out[row]) for (key, _), row in zip(batch, rows)
                     )
-            for (key, _), vector in zip(batch, vectors):
+            for (key, _), row in zip(batch, rows):
+                vector = out[row]
+                vector.flags.writeable = False  # a write would reach the caller's matrix
                 self._cache[key] = vector
                 claim = self._claimed.pop(key)
         claim.set()

@@ -122,10 +122,13 @@ def _with_norms(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class VectorIndex:
     """Flat, exhaustively scanned embedding index with JSON+npy persistence.
 
-    ``retrieve`` scores every chunk in one pass over a contiguous float64
-    row matrix whose row norms are computed with it. Both are built once,
-    on the first ``retrieve`` or ``save``, and dropped by ``add``; ``save``
-    writes that matrix and ``load`` adopts the ``.npy`` file as it.
+    The index holds one row store: a C-contiguous float64 ``(n, dim)``
+    matrix, row i the vector of chunk i, with its row norms. ``retrieve``
+    scans it, ``save`` writes it and ``load`` adopts the ``.npy`` file as
+    it. ``index_chunks`` on an empty index adopts the matrix the embedder
+    returns, so the corpus vectors exist once: an ``EmbeddingService``
+    caches views of the same rows. Later ``add`` and ``index_chunks`` calls
+    build a new matrix and never write into one they adopted.
 
     The scan uses ``np.vecdot``, which takes the same per-row BLAS ``ddot``
     as ``np.dot`` on two vectors, so every distance equals
@@ -145,10 +148,9 @@ class VectorIndex:
     def __init__(self, dim: int | None = None):
         self.dim = dim
         self._chunks: list[Chunk] = []
-        self._vectors: list[np.ndarray] = []
         self._row_by_id: dict[str, int] = {}
         # (row matrix, row norms); one attribute so a reader never sees half
-        self._scan: tuple[np.ndarray, np.ndarray] | None = None
+        self._rows = _with_norms(np.zeros((0, dim or 0)))
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -157,33 +159,42 @@ class VectorIndex:
         vector = np.asarray(vector, dtype=np.float64)
         if vector.ndim != 1:
             raise DimensionMismatch(f"expected 1-d vector, got shape {vector.shape}")
-        if self.dim is None:
-            self.dim = int(vector.shape[0])
-        if vector.shape[0] != self.dim:
-            raise DimensionMismatch(f"index dim {self.dim}, embedding dim {vector.shape[0]}")
-        self._scan = None
-        row = self._row_by_id.get(chunk.chunk_id)
-        if row is None:
-            self._row_by_id[chunk.chunk_id] = len(self._chunks)
-            self._chunks.append(chunk)
-            self._vectors.append(vector)
-        else:
-            self._chunks[row] = chunk
-            self._vectors[row] = vector
+        self._put([chunk], vector[np.newaxis])
 
     def index_chunks(self, chunks: list[Chunk], embedder) -> None:
-        """Embed every chunk in one ``embed_texts`` call and store it."""
-        for chunk, vector in zip(chunks, embedder.embed_texts([c.text for c in chunks])):
-            self.add(chunk, vector)
+        """Embed every chunk in one ``embed_texts`` call and store the
+        returned matrix as the chunks' rows."""
+        if chunks:
+            self._put(chunks, embedder.embed_texts([c.text for c in chunks]))
 
-    def _scan_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        scan = self._scan
-        if scan is None:
-            matrix = (
-                np.vstack(self._vectors) if self._vectors else np.zeros((0, self.dim or 0))
-            )
-            scan = self._scan = _with_norms(matrix)
-        return scan
+    def _put(self, chunks: list[Chunk], matrix) -> None:
+        """Store chunks[i] with row i of matrix. A known chunk_id keeps its
+        row and takes the new vector; a matrix of new chunks only, put into
+        an empty index, becomes the store as it is."""
+        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[0] != len(chunks):
+            raise DimensionMismatch(f"{len(chunks)} chunks, embedding matrix {matrix.shape}")
+        if self.dim is None:
+            self.dim = int(matrix.shape[1])
+        if matrix.shape[1] != self.dim:
+            raise DimensionMismatch(f"index dim {self.dim}, embedding dim {matrix.shape[1]}")
+        old = len(self._chunks)
+        source: dict[int, int] = {}  # store row -> the matrix row it takes; the last wins
+        for i, chunk in enumerate(chunks):
+            row = self._row_by_id.setdefault(chunk.chunk_id, len(self._chunks))
+            if row == len(self._chunks):
+                self._chunks.append(chunk)
+            else:
+                self._chunks[row] = chunk
+            source[row] = i
+        if old == 0 and len(source) == len(chunks):
+            store = matrix
+        else:
+            store = np.empty((len(self._chunks), self.dim))
+            if old:
+                store[:old] = self._rows[0]
+            store[list(source)] = matrix[list(source.values())]
+        self._rows = _with_norms(store)
 
     def retrieve(self, query_text: str, threshold: float, k: int, embedder) -> list[RetrievedChunk]:
         """Up to k chunks with distance < threshold, closest first.
@@ -199,7 +210,7 @@ class VectorIndex:
         q = np.asarray(embedder.embed_text(query_text), dtype=np.float64)
         if q.shape != (self.dim,):
             raise DimensionMismatch(f"dim {q.shape} vs {(self.dim,)}")
-        matrix, norms = self._scan_arrays()
+        matrix, norms = self._rows
         nq = float(np.linalg.norm(q))
         if nq == 0.0 or not norms.all():
             raise ZeroVector("cosine distance is undefined for the all-zero vector")
@@ -225,7 +236,7 @@ class VectorIndex:
         with open(directory / self.MANIFEST, "w", encoding="utf-8") as fh:
             # a Chunk's fields are JSON values already: vars() is its record
             fh.writelines(json.dumps(vars(c), sort_keys=True) + "\n" for c in self._chunks)
-        np.save(directory / self.MATRIX, self._scan_arrays()[0])
+        np.save(directory / self.MATRIX, self._rows[0])
         (directory / self.META).write_text(
             json.dumps({"count": len(self._chunks), "dim": self.dim}, sort_keys=True)
         )
@@ -243,6 +254,5 @@ class VectorIndex:
                 f"matrix shape {matrix.shape} vs {len(index._chunks)} chunks of dim {index.dim}"
             )
         index._row_by_id = {c.chunk_id: row for row, c in enumerate(index._chunks)}
-        index._vectors = list(matrix)
-        index._scan = _with_norms(matrix)
+        index._rows = _with_norms(matrix)
         return index

@@ -159,6 +159,36 @@ def test_override_into_a_non_mapping_section_raises_config_error(tmp_path):
     assert exc.value.field_path == "campaign"
 
 
+def test_relative_executable_keeps_its_symlink(tmp_path):
+    # clang picks its driver mode from argv[0]: clang++ must not start as clang-18
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "clang-18").write_text("#!/bin/sh\n")
+    (bin_dir / "clang-18").chmod(0o755)
+    (bin_dir / "clang++").symlink_to("clang-18")
+    data = minimal_config_dict()
+    for toolchain in data["toolchains"]:
+        toolchain["executable"] = "bin/clang++"
+        toolchain["env"] = {"CLANG": "bin/clang++", "ABSOLUTE": str(bin_dir / "clang++")}
+    config = load_config(data, tmp_path)
+    for toolchain in config.toolchains:
+        assert toolchain.executable == str(bin_dir / "clang++")
+        assert toolchain.env["CLANG"] == toolchain.env["ABSOLUTE"] == str(bin_dir / "clang++")
+
+
+def test_resumed_repair_numbers_its_attempts_after_the_earlier_ones(tmp_path):
+    config = load_config_file(materialize_scenario(build_tiny(), tmp_path / "work"))
+    campaign_dir = tmp_path / "campaign"
+    run_campaign(config, campaign_dir, halt_after="generate")
+    case = next(c for c in CampaignStore(campaign_dir).all_cases() if c.status == CaseStatus.DRAFT)
+    earlier = campaign_dir / "cases" / case.case_id / "gate" / "attempt_01"
+    earlier.mkdir(parents=True)
+    (earlier / "source.cpp").write_text("// an attempt from before the kill\n")
+    run_campaign(config, campaign_dir, halt_after="repair")
+    assert (earlier / "source.cpp").read_text() == "// an attempt from before the kill\n"
+    assert (earlier.parent / "attempt_02" / "source.cpp").read_text() == case.source
+
+
 # --- end-to-end campaign against the scripted scenario ---
 
 def test_report_counts_match_scenario_expectation(tiny_campaign):

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ragfuzz.errors import DimensionMismatch, EmptyIndex, InvalidPolicy, ZeroVector
-from ragfuzz.providers import HashEmbedder
+from ragfuzz.ledger import CostLedger
+from ragfuzz.providers import EmbeddingService, HashEmbedder
 from ragfuzz.rag import Chunk, ChunkPolicy, VectorIndex, chunk_document, cosine_distance
 
 
@@ -342,3 +344,80 @@ def test_add_after_retrieve_rebuilds_the_scan():
     late = Chunk("late#0", "late", "added after the first retrieve", 0)
     idx.add(late, embedder.embed_text(late.text))
     assert _hits(idx, late.text, 2.0, 1, embedder) == [("late#0", 0.0)]
+
+
+# --- one copy of the corpus vectors ---
+
+def _corpus(n):
+    return [Chunk(f"doc#{i}", "doc", f"corpus fragment {i}", i) for i in range(n)]
+
+
+def test_indexing_and_a_retrieve_hold_the_corpus_matrix_once():
+    n, dim = 300, 512
+    service = EmbeddingService(HashEmbedder(dim=dim), CostLedger())
+    chunks = _corpus(n)
+    warm = VectorIndex()  # numpy's lazy imports and first-call buffers are not the corpus
+    warm.index_chunks(_corpus(2), EmbeddingService(HashEmbedder(dim=dim), CostLedger()))
+    warm.retrieve("warm-up", 2.0, 1, service)
+    idx = VectorIndex()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        idx.index_chunks(chunks, service)
+        idx.retrieve("a query after indexing", 2.0, 4, service)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * dim * 8
+
+
+def test_the_index_scans_the_rows_the_embedding_cache_holds():
+    service = EmbeddingService(HashEmbedder(dim=64), CostLedger())
+    chunks = _corpus(100)
+    idx = VectorIndex()
+    idx.index_chunks(chunks, service)
+    matrix = idx._rows[0]
+    assert matrix.flags.c_contiguous and matrix.dtype == np.float64
+    cached = service.embed_text(chunks[70].text)
+    assert np.shares_memory(matrix, cached) and not cached.flags.writeable
+
+
+def test_repeated_texts_and_a_chunk_query_reuse_the_embedded_row():
+    backend = HashEmbedder(dim=32)
+    ledger = CostLedger()
+    service = EmbeddingService(backend, ledger)
+    texts = ["alpha", "beta", "alpha", "gamma", "beta"]
+    matrix = service.embed_texts(texts)
+    assert matrix.shape == (5, 32) and matrix.flags.c_contiguous
+    assert [row.tobytes() for row in matrix] == [backend.embed_text(t).tobytes() for t in texts]
+    assert len(ledger) == 1
+    idx = VectorIndex()
+    idx.index_chunks([Chunk(f"d#{i}", "d", t, i) for i, t in enumerate(texts)], service)
+    assert idx._rows[0].tobytes() == matrix.tobytes()
+    assert service.embed_text("gamma").tobytes() == matrix[3].tobytes()
+    assert _hits(idx, "gamma", 2.0, 1, service) == [("d#3", 0.0)]
+    assert len(ledger) == 1
+
+
+def test_overwriting_a_row_leaves_the_cached_vector_alone():
+    service = EmbeddingService(HashEmbedder(dim=16), CostLedger())
+    chunks = _corpus(3)
+    idx = VectorIndex()
+    idx.index_chunks(chunks, service)
+    before = service.embed_text(chunks[1].text).copy()
+    idx.add(Chunk("doc#1", "doc", "a new text for row 1", 1), np.ones(16))
+    assert np.array_equal(service.embed_text(chunks[1].text), before)
+    assert np.array_equal(idx._rows[0][1], np.ones(16)) and len(idx) == 3
+
+
+def test_a_chunk_id_repeated_in_one_call_keeps_its_last_vector():
+    embedder = HashEmbedder(dim=16)
+    chunks = [Chunk("a#0", "a", "first", 0), Chunk("b#0", "b", "other", 0),
+              Chunk("a#0", "a", "second", 0)]
+    for prior in ([], [Chunk("a#0", "a", "before", 0)]):
+        idx = VectorIndex()
+        idx.index_chunks(prior, embedder)
+        idx.index_chunks(chunks, embedder)
+        assert len(idx) == 2
+        assert _hits(idx, "second", 2.0, 1, embedder) == [("a#0", 0.0)]
+        assert _hits(idx, "other", 2.0, 1, embedder) == [("b#0", 0.0)]
