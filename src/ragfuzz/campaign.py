@@ -1,11 +1,12 @@
 """Campaign orchestration: config, staged execution, persistence, reporting.
 
-The campaign directory is the source of truth. Every stage persists one file
-per unit of work and skips units whose artifact already exists, so an
-interrupted campaign resumes exactly where it stopped and never re-bills the
-provider for finished generation work. The canonical report contains no
-wall-clock data; timings live in a sidecar so repeated mock runs emit
-byte-identical reports.
+The campaign directory is the source of truth. Every stage persists each unit
+of work as it finishes, one file per unit or, for the ledger, the embedding
+cache and the matrix, one line per unit in an append-only log, and skips units
+already persisted. So an interrupted campaign resumes exactly where it stopped
+and never re-bills the provider for finished generation work. The canonical
+report contains no wall-clock data; timings live in a sidecar so repeated mock
+runs emit byte-identical reports.
 
 Annotations here are evaluated at import, not postponed: the record codec
 reads each config field's type as an object instead of compiling its string
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .extraction import PassFunction, PassSource, extract_functions, filter_candidates
 from .ledger import STAGES as LEDGER_STAGES
-from .ledger import CostLedger, PricingTable, default_pricing, estimate_cost
+from .ledger import CostLedger, PricingTable, default_pricing, estimate_cost, read_jsonl
 from .pipeline import (
     CaseStatus,
     Characteristics,
@@ -241,6 +242,13 @@ def load_config(data: dict, base_dir: Path) -> CampaignConfig:
             raise ConfigError(f"toolchains[{i}].targets", "name values must be unique")
         if not t.opt_levels:
             raise ConfigError(f"toolchains[{i}].opt_levels", "must be non-empty")
+    # a cell's label names its build directory, so two cells may not share one
+    cells: dict[str, tuple] = {}
+    for t in config.toolchains:
+        for cell in ((t.compiler_id, g.name, o) for g in t.targets for o in t.opt_levels):
+            first = cells.setdefault(CellKey(*cell).label(), cell)
+            if first is not cell:
+                raise ConfigError("toolchains", f"cells {first} and {cell} share one label")
 
     if config.extraction.min_lines < 1:
         raise ConfigError("extraction.min_lines", "must be >= 1")
@@ -360,6 +368,14 @@ class Manifest:
 
 
 @dataclass(frozen=True)
+class ResultLine:
+    """One line of a case's results.jsonl: {"compile": ...} or {"run": ...}."""
+
+    compile: CompileResult | None = None
+    run: RunResult | None = None
+
+
+@dataclass(frozen=True)
 class ConfigSnapshot:
     """config.snapshot.json: the raw config a campaign started from, and the
     directory its relative paths resolve against, for ``resume``."""
@@ -378,7 +394,8 @@ def _read_campaign_file(cls: type, path: Path):
 
 
 class CampaignStore:
-    """Filesystem layout of one campaign; all writes are atomic renames.
+    """Filesystem layout of one campaign. Files are written by atomic rename;
+    the append-only logs lose at most a torn last line, cut on resume.
 
     The root resolves to an absolute path immediately: job argv paths must
     stay valid after subprocesses change into their own working directories.
@@ -426,11 +443,8 @@ class CampaignStore:
     def source_path(self, case_id: str) -> Path:
         return self.case_dir(case_id) / "source.cpp"
 
-    def compile_result_path(self, case_id: str, key: CellKey) -> Path:
-        return self.case_dir(case_id) / "results" / f"compile_{key.label()}.json"
-
-    def run_result_path(self, case_id: str, key: CellKey) -> Path:
-        return self.case_dir(case_id) / "results" / f"run_{key.label()}.json"
+    def results_path(self, case_id: str) -> Path:
+        return self.case_dir(case_id) / "results.jsonl"
 
     @property
     def findings_path(self) -> Path:
@@ -441,6 +455,12 @@ class CampaignStore:
         return self.root / "timing.json"
 
     # persistence helpers
+    def results(self, case_id: str) -> list[ResultLine]:
+        """The case's results log in job order, a torn last line cut."""
+        return read_jsonl(
+            self.results_path(case_id), lambda line: from_record(ResultLine, json.loads(line))
+        )
+
     def save_case(self, case: TestCase) -> None:
         _write_json(self.case_path(case.case_id), to_record(case))
         _write_text(self.source_path(case.case_id), case.source)
@@ -655,16 +675,12 @@ class CampaignRunner:
         report: CampaignReport | None = None
         for stage in STAGES:
             started = time.monotonic()
-            report = self._run_stage(stage)
+            report = getattr(self, f"_stage_{stage}")()
             self._timing[stage] = round(time.monotonic() - started, 6)
             _write_json(self.store.timing_path, self._timing)
             if stage == halt_after:
                 return report
         return report
-
-    def _run_stage(self, stage: str) -> CampaignReport | None:
-        handler = getattr(self, f"_stage_{stage}")
-        return handler()
 
     # -- stages ---------------------------------------------------------
 
@@ -837,43 +853,41 @@ class CampaignRunner:
 
     def _stage_matrix(self) -> None:
         compiled = [c for c in self.store.all_cases() if c.status == CaseStatus.COMPILES]
+        limits = RunLimits(
+            address_space_mb=self.config.limits.address_space_mb,
+            file_size_mb=self.config.limits.file_size_mb,
+        )
 
         def process_case(case: TestCase) -> None:
-            source_path = self.store.source_path(case.case_id)
-            build_root = self.store.case_dir(case.case_id) / "build"
             jobs = build_matrix(
-                case.case_id, source_path, self.config.toolchains, build_root,
+                case.case_id, self.store.source_path(case.case_id), self.config.toolchains,
+                self.store.case_dir(case.case_id) / "build",
                 timeout=self.config.limits.compile_timeout,
             )
-            limits = RunLimits(
-                address_space_mb=self.config.limits.address_space_mb,
-                file_size_mb=self.config.limits.file_size_mb,
-            )
-            for job in jobs:
-                compile_key = CellKey(job.compiler_id, job.target, job.opt_level)
-                result_path = self.store.compile_result_path(case.case_id, compile_key)
-                if result_path.exists():
-                    result = _read_json(CompileResult, result_path)
-                else:
-                    result = compile_job(job)
-                    _write_json(result_path, to_record(result))
-                for run in expand_run_jobs(
-                    result,
-                    self.config.devices,
-                    self.config.compatibility or None,
-                    timeout=self.config.limits.run_timeout,
-                ):
-                    run_path = self.store.run_result_path(case.case_id, run.cell)
-                    if run_path.exists():
-                        continue
-                    _write_json(run_path, to_record(run_job(run, limits)))
+            # a resume skips every cell the log holds
+            logged = self.store.results(case.case_id)
+            compiles = {line.compile.cell: line.compile for line in logged if line.compile}
+            ran = {line.run.cell for line in logged if line.run}
+            with open(self.store.results_path(case.case_id), "a", encoding="utf-8") as log:
+                def append(tag: str, result) -> None:
+                    log.write(json.dumps({tag: to_record(result)}, sort_keys=True) + "\n")
+                    log.flush()  # a kill loses at most the line being written
+
+                for job in jobs:
+                    result = compiles.get(CellKey(job.compiler_id, job.target, job.opt_level))
+                    if result is None:
+                        result = compile_job(job)
+                        append("compile", result)
+                    for run in expand_run_jobs(
+                        result,
+                        self.config.devices,
+                        self.config.compatibility or None,
+                        timeout=self.config.limits.run_timeout,
+                    ):
+                        if run.cell not in ran:
+                            append("run", run_job(run, limits))
 
         _pmap(process_case, compiled, self.config.campaign.workers_tool)
-
-    def _load_matrix(self, case: TestCase) -> ResultsMatrix:
-        results_dir = self.store.case_dir(case.case_id) / "results"
-        runs = [_read_json(RunResult, path) for path in sorted(results_dir.glob("run_*.json"))]
-        return ResultsMatrix(case_id=case.case_id, cells={r.cell: r for r in runs})
 
     def _stage_classify(self) -> None:
         if self.store.findings_path.exists():
@@ -887,7 +901,8 @@ class CampaignRunner:
                 continue
             if suppress and any(p.search(case.source) for p in suppress):
                 continue  # operator triage valve: known-noise sources
-            matrix = self._load_matrix(case)
+            runs = [line.run for line in self.store.results(case.case_id) if line.run]
+            matrix = ResultsMatrix(case_id=case.case_id, cells={r.cell: r for r in runs})
             if len(matrix.cells) < 2:
                 continue
             try:

@@ -29,24 +29,29 @@ def read_jsonl(path: Path, decode: Callable[[bytes], T]) -> list[T]:
     RecordError) was torn by a kill mid-append: it is cut from the file, so the next
     append starts a fresh line. A valid final line missing its newline gets
     one. A line that fails anywhere else is corruption and raises.
+
+    Lines are decoded as they are read, so only the records stay in memory.
+    A missing file holds no lines.
     """
-    data = Path(path).read_bytes()
-    lines = data.splitlines(keepends=True)
     records: list[T] = []
-    kept = len(data)
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            records.append(decode(line))
-        except (ValueError, KeyError, TypeError, RecordError):
-            if i < len(lines) - 1:
-                raise
-            kept -= len(line)
-    if kept < len(data):
+    if not Path(path).exists():
+        return records
+    kept, line, torn = 0, b"", None
+    with open(path, "rb") as fh:
+        for line in fh:
+            if torn is not None:  # the rejected line was not the last
+                raise torn
+            if line.strip():
+                try:
+                    records.append(decode(line))
+                except (ValueError, KeyError, TypeError, RecordError) as exc:
+                    torn = exc
+                    continue
+            kept += len(line)
+    if torn is not None:
         with open(path, "r+b") as fh:
             fh.truncate(kept)
-    elif data and not data.endswith(b"\n"):
+    elif line and not line.endswith(b"\n"):
         with open(path, "ab") as fh:
             fh.write(b"\n")
     return records
@@ -105,7 +110,7 @@ class CostLedger:
         self._entries: list[UsageEntry] = []
         self._lock = threading.Lock()
         self._path = Path(path) if path else None
-        if self._path and self._path.exists():
+        if self._path:
             self._entries = read_jsonl(
                 self._path, lambda line: from_record(UsageEntry, json.loads(line))
             )

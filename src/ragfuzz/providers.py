@@ -456,7 +456,7 @@ class EmbeddingService:
         self._claimed: dict[str, threading.Event] = {}
         self._lock = threading.Lock()
         self._cache_path = Path(cache_path) if cache_path else None
-        if self._cache_path and self._cache_path.exists():
+        if self._cache_path:
             self._cache = dict(read_jsonl(self._cache_path, _decode_cache_line))
 
     def embed_text(self, text: str) -> np.ndarray:

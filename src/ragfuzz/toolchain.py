@@ -135,6 +135,10 @@ class CompileResult:
     def ok(self) -> bool:
         return self.status == CompileStatus.OK
 
+    @property
+    def cell(self) -> CellKey:
+        return CellKey(self.compiler_id, self.target, self.opt_level)
+
 
 @dataclass(frozen=True)
 class RunJob:

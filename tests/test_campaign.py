@@ -58,6 +58,42 @@ def test_missing_toolchains_rejected(tmp_path):
         load_config(data, tmp_path)
 
 
+@pytest.mark.parametrize(
+    "toolchain, other",
+    [
+        # "_" joins the label's parts
+        ({"compiler_id": "icpx_a", "targets": ["b"]}, {"compiler_id": "icpx", "targets": ["a_b"]}),
+        # "/" becomes "-"
+        ({"targets": ["spir64/x86", "spir64-x86"]}, None),
+        # the leading "-" of an opt level is dropped
+        ({"opt_levels": ["-O2", "O2"]}, None),
+        # an opt level listed twice is one cell twice
+        ({"opt_levels": ["-O2", "-O2"]}, None),
+    ],
+    ids=["underscore", "slash", "dash", "repeated"],
+)
+def test_matrix_cells_sharing_a_label_are_rejected(tmp_path, toolchain, other):
+    data = minimal_config_dict()
+    template = data["toolchains"][0]
+
+    def entry(spec: dict) -> dict:
+        targets = [{"name": name, "flags": []} for name in spec.get("targets", ["t"])]
+        return {**template, "compiler_id": spec.get("compiler_id", "icpx"),
+                "targets": targets, "opt_levels": spec.get("opt_levels", ["-O2"])}
+
+    data["toolchains"] = [entry(toolchain)] + ([entry(other)] if other else [])
+    data["gate"] = {"compiler_id": data["toolchains"][0]["compiler_id"],
+                    "target": data["toolchains"][0]["targets"][0]["name"], "opt_level": "-O2"}
+    with pytest.raises(ConfigError) as exc:
+        load_config(data, tmp_path)
+    assert exc.value.field_path == "toolchains"
+    cells = [
+        (t["compiler_id"], g["name"], o)
+        for t in data["toolchains"] for g in t["targets"] for o in t["opt_levels"]
+    ]
+    assert str(cells[0]) in str(exc.value) and str(cells[1]) in str(exc.value)
+
+
 def test_repair_attempts_capped(tmp_path):
     data = minimal_config_dict()
     data["generation"]["max_repair_attempts"] = 9
@@ -320,11 +356,93 @@ def test_resume_of_a_finished_campaign_starts_no_process_and_calls_no_provider(
     resume(clone)
     assert counts == {"processes": 0, "llm": 0, "embed": 0}
     assert (clone / "report.json").read_bytes() == golden
-    # the counts see work: with one run result gone, resume starts that one run
-    next(clone.glob("cases/*/results/run_*.json")).unlink()
+    # the counts see work: with one run line gone, resume starts that one run
+    log = next(clone.glob("cases/*/results.jsonl"))
+    lines = log.read_text().splitlines(keepends=True)
+    lines.remove(next(line for line in lines if line.startswith('{"run"')))
+    log.write_text("".join(lines))
     resume(clone)
     assert counts == {"processes": 1, "llm": 0, "embed": 0}
     assert (clone / "report.json").read_bytes() == golden
+
+
+def test_results_log_holds_one_line_per_compile_and_run_cell(tiny_campaign):
+    from ragfuzz.toolchain import CellKey, build_matrix, expand_run_jobs
+
+    config, store = tiny_campaign.config, CampaignStore(tiny_campaign.campaign_dir)
+    compiled = [c for c in store.all_cases() if c.status == CaseStatus.COMPILES]
+    assert compiled
+    for case in compiled:
+        case_dir = store.case_dir(case.case_id)
+        assert not (case_dir / "results").exists()
+        lines = store.results(case.case_id)
+        assert all((line.compile is None) != (line.run is None) for line in lines)
+        jobs = build_matrix(
+            case.case_id, store.source_path(case.case_id), config.toolchains, case_dir / "build"
+        )
+        compiles = [line.compile for line in lines if line.compile]
+        assert [r.cell for r in compiles] == [
+            CellKey(job.compiler_id, job.target, job.opt_level) for job in jobs
+        ]
+        runs = [
+            run.cell
+            for r in compiles
+            for run in expand_run_jobs(r, config.devices, config.compatibility or None)
+        ]
+        assert runs and [line.run.cell for line in lines if line.run] == runs
+
+
+def test_resume_cuts_a_torn_results_line_and_reruns_only_that_cell(
+    tiny_campaign, tmp_path, monkeypatch
+):
+    import shutil
+    import subprocess
+
+    started = []
+
+    class CountingPopen(subprocess.Popen):
+        def __init__(self, args, *rest, **kwargs):
+            started.append(args)
+            super().__init__(args, *rest, **kwargs)
+
+    clone = tmp_path / "clone"
+    shutil.copytree(tiny_campaign.campaign_dir, clone)
+    (clone / "findings.jsonl").unlink()  # so classify reads the mended log again
+    log = next(clone.glob("cases/*/results.jsonl"))
+    lines = log.read_bytes().splitlines(keepends=True)
+    # a kill tore the last append mid-line
+    log.write_bytes(b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+    monkeypatch.setattr(subprocess, "Popen", CountingPopen)
+    resume(clone)
+    assert len(started) == 1
+    mended = log.read_bytes().splitlines(keepends=True)
+    assert mended[:-1] == lines[:-1]
+    assert json.loads(mended[-1])["run"]["cell"] == json.loads(lines[-1])["run"]["cell"]
+    assert (clone / "report.json").read_bytes() == (
+        tiny_campaign.campaign_dir / "report.json"
+    ).read_bytes()
+
+
+def test_results_logs_hold_the_same_lines_at_one_and_four_tool_workers(tiny_campaign, tmp_path):
+    def summary(line):
+        if line.compile:
+            return ("compile", line.compile.cell, line.compile.status, None, None)
+        run = line.run
+        return ("run", run.cell, run.status, run.exit_code, run.stdout)
+
+    logs = []
+    for workers in (1, 4):
+        config = load_config_file(
+            tiny_campaign.config_path, overrides={"campaign.workers_tool": workers}
+        )
+        run_campaign(config, tmp_path / f"workers{workers}", halt_after="matrix")
+        store = CampaignStore(tmp_path / f"workers{workers}")
+        logs.append({
+            case.case_id: [summary(line) for line in store.results(case.case_id)]
+            for case in store.all_cases()
+        })
+    assert logs[0] == logs[1]
+    assert sum(len(lines) > 0 for lines in logs[0].values()) > 1
 
 
 def test_resume_reads_a_snapshot_in_the_indented_layout(tiny_campaign, tmp_path):

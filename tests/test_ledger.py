@@ -170,3 +170,25 @@ def test_final_line_that_decodes_to_no_usage_record_is_dropped(tmp_path):
     path.write_bytes(whole + b'{"call_id": 1}\n')
     assert CostLedger(path).entries() == ledger.entries()
     assert path.read_bytes() == whole
+
+
+def test_read_jsonl_decodes_line_by_line_without_holding_the_file(tmp_path):
+    import json
+    import tracemalloc
+
+    from ragfuzz.ledger import read_jsonl
+
+    path = tmp_path / "big.jsonl"
+    line = json.dumps({"n": 0, "pad": "x" * 1000}) + "\n"
+    count = 10 * 1024 * 1024 // len(line)
+    path.write_text(line * count)
+    size = path.stat().st_size
+    decode = lambda raw: len(raw)  # noqa: E731 - a record far smaller than its line
+    tracemalloc.start()
+    try:
+        records = read_jsonl(path, decode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert records == [len(line)] * count
+    assert peak < size / 8, (peak, size)

@@ -214,22 +214,29 @@ def test_resume_runs_binaries_left_in_the_python_format(tmp_path, fixtures_dir):
     run_campaign(load_config_file(config_path), campaign_dir, halt_after="matrix")
     store = CampaignStore(campaign_dir)
     table = json.loads((tmp_path / "work" / "tools" / "table.json").read_text())
+
+    def logged(log: Path, kind: str) -> list[dict]:
+        lines = [json.loads(line) for line in log.read_text().splitlines()]
+        return [line[kind] for line in lines if kind in line]
+
     replaced = 0
-    for path in sorted(campaign_dir.glob("cases/*/results/compile_*.json")):
-        result = json.loads(path.read_text())
-        if result["status"] != "ok":
-            continue
-        source = store.source_path(result["case_id"]).read_text()
-        record = table.get(source_digest(source)) or table["*"]
-        coords = (result["compiler_id"], result["target"], result["opt_level"])
-        write_python_binary(Path(result["binary_path"]), record.get("runs", []), coords)
-        replaced += 1
-    runs = sorted(campaign_dir.glob("cases/*/results/run_*.json"))
-    assert replaced and runs
-    for path in runs:
-        path.unlink()
+    logs = sorted(campaign_dir.glob("cases/*/results.jsonl"))
+    runs = {log: [run["cell"] for run in logged(log, "run")] for log in logs}
+    for log in logs:
+        compiles = logged(log, "compile")
+        for result in compiles:
+            if result["status"] != "ok":
+                continue
+            source = store.source_path(result["case_id"]).read_text()
+            record = table.get(source_digest(source)) or table["*"]
+            coords = (result["compiler_id"], result["target"], result["opt_level"])
+            write_python_binary(Path(result["binary_path"]), record.get("runs", []), coords)
+            replaced += 1
+        # keep the compile lines only, so the resume runs every binary again
+        log.write_text("".join(json.dumps({"compile": r}, sort_keys=True) + "\n" for r in compiles))
+    assert replaced and any(runs.values())
     resume(campaign_dir)
-    assert sorted(campaign_dir.glob("cases/*/results/run_*.json")) == runs
+    assert {log: [run["cell"] for run in logged(log, "run")] for log in logs} == runs
     assert (campaign_dir / "report.json").read_bytes() == (
         fixtures_dir / "golden" / "tiny.report.json"
     ).read_bytes()
