@@ -713,7 +713,8 @@ class CampaignRunner:
         if meta.exists():
             self.index = VectorIndex.load(self.store.index_dir)
         else:
-            index = VectorIndex(dim=self.config.rag.embedding_dim)
+            # the rows are written into the index directory as they are embedded
+            index = VectorIndex(self.config.rag.embedding_dim, self.store.index_dir)
             policy = ChunkPolicy(self.config.rag.max_chars, self.config.rag.overlap_chars)
             doc_paths: list[str] = []
             for spec in self.config.passes:

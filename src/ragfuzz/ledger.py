@@ -22,7 +22,7 @@ STAGES = ("characteristics", "codegen", "repair", "mutation", "embedding")
 T = TypeVar("T")
 
 
-def read_jsonl(path: Path, decode: Callable[[bytes], T]) -> list[T]:
+def read_jsonl(path: Path, decode: Callable[[bytes], T], with_offsets: bool = False) -> list:
     """Decode every line of an append-only JSONL file, mending a torn tail.
 
     A final line that ``decode`` rejects (ValueError, KeyError, TypeError or
@@ -30,10 +30,11 @@ def read_jsonl(path: Path, decode: Callable[[bytes], T]) -> list[T]:
     append starts a fresh line. A valid final line missing its newline gets
     one. A line that fails anywhere else is corruption and raises.
 
-    Lines are decoded as they are read, so only the records stay in memory.
+    Lines are decoded as they are read, so only the records stay in memory;
+    with_offsets pairs each record with the byte offset its line starts at.
     A missing file holds no lines.
     """
-    records: list[T] = []
+    records: list = []
     if not Path(path).exists():
         return records
     kept, line, torn = 0, b"", None
@@ -43,7 +44,8 @@ def read_jsonl(path: Path, decode: Callable[[bytes], T]) -> list[T]:
                 raise torn
             if line.strip():
                 try:
-                    records.append(decode(line))
+                    record = decode(line)
+                    records.append((kept, record) if with_offsets else record)
                 except (ValueError, KeyError, TypeError, RecordError) as exc:
                     torn = exc
                     continue

@@ -15,8 +15,10 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -396,18 +398,25 @@ class HashEmbedder:
         vec = rng.standard_normal(self.dim)
         return vec / np.linalg.norm(vec)
 
-    def embed_texts(self, texts: list[str]) -> np.ndarray:
-        """The ``(len(texts), dim)`` matrix of ``embed_text`` of each text."""
-        matrix = np.empty((len(texts), self.dim))
-        for row, text in zip(matrix, texts):
-            row[:] = self.embed_text(text)
-        return matrix
+    def embed_texts(self, texts: list[str], out=None):
+        """``embed_text`` of each text, written into row i of out (a new
+        ``(len(texts), dim)`` matrix by default); returns out."""
+        if out is None:
+            out = np.empty((len(texts), self.dim))
+        for row, text in enumerate(texts):
+            out[row] = self.embed_text(text)
+        return out
 
 
 def _encode_cache_line(key: str, vector: np.ndarray) -> str:
     # hex and base64 need no JSON escaping: the bytes json.dumps would write
     f64 = base64.b64encode(np.asarray(vector, dtype="<f8").tobytes()).decode("ascii")
     return f'{{"hash": "{key}", "f64": "{f64}"}}\n'
+
+
+def _cache_line_key(line: bytes) -> tuple[str, int]:
+    """The key and byte length of a cache line, which must decode."""
+    return _decode_cache_line(line)[0], len(line)
 
 
 def _decode_cache_line(line: bytes) -> tuple[str, np.ndarray]:
@@ -423,23 +432,25 @@ def _decode_cache_line(line: bytes) -> tuple[str, np.ndarray]:
 class EmbeddingService:
     """Content-hash cache plus ledger accounting around an embedding backend.
 
-    ``embed_texts`` returns one C-contiguous ``(len(texts), dim)`` float64
-    matrix. The misses of one call are embedded in order of first
-    appearance, in batches of up to EMBED_BATCH texts. Each batch is one
-    backend call, one ledger entry billing the batch's tokens, then one
-    cache append, and writes its vectors straight into their rows of the
-    matrix. The in-memory cache keeps views of those rows, so a vector
-    exists once: a caller that keeps the matrix (the RAG index does) holds
-    the cache's vectors too. Cache hits, repeated texts and keys another
-    caller embedded are copied into their rows. A cache hit performs no
-    provider call and records no tokens. ``embed_text`` returns the cached
-    vector itself; the row views are read-only.
+    ``embed_texts`` writes row i of its ``out`` (by default a new
+    C-contiguous ``(len(texts), dim)`` float64 matrix) with the vector of
+    text i; a caller such as the RAG index may pass any object that takes
+    ``out[rows] = vectors`` instead, and so never holds the whole matrix.
+    The misses of one call are embedded in order of first appearance, in
+    batches of up to EMBED_BATCH texts. Each batch is one backend call, one
+    ledger entry billing the batch's tokens, then one cache append, and
+    writes its vectors straight into their rows of out. A cache hit
+    performs no provider call and records no tokens.
 
     The cache file holds one JSON line per text, ``{"hash": <sha256 of the
     text>, "f64": <base64 of the little-endian float64 bytes>}``, which
     round-trips exactly; lines of the older ``{"hash", "vector": [...]}``
     format still load. A final line torn by a kill mid-append is dropped
-    from the file.
+    from the file. With no cache path the lines go to an anonymous
+    temporary file instead. The cache in memory holds no vectors: it maps
+    each hash to the (offset, length) of its line, and a hit (``embed_text``
+    of a cached text, a repeated text, a key another caller embedded) reads
+    the line back and decodes it, so it returns the exact bytes embedded.
 
     The lock is not held across the backend call. Under it a caller claims
     the keys it will embed; a caller that needs a key another thread has
@@ -451,27 +462,47 @@ class EmbeddingService:
         self.backend = backend
         self.ledger = ledger
         self.dim = backend.dim
-        self._cache: dict[str, np.ndarray] = {}
+        self._cache: dict[str, tuple[int, int]] = {}  # key -> (offset, length) of its line
         # key -> the Event of the batch embedding it, set once it is cached or given up
         self._claimed: dict[str, threading.Event] = {}
         self._lock = threading.Lock()
         self._cache_path = Path(cache_path) if cache_path else None
+        self._fd: int | None = None  # the cache file, opened when it first holds a line
         if self._cache_path:
-            self._cache = dict(read_jsonl(self._cache_path, _decode_cache_line))
+            lines = read_jsonl(self._cache_path, _cache_line_key, with_offsets=True)
+            self._cache = {key: (offset, length) for offset, (key, length) in lines}
+            if self._cache:
+                self._fd = self._open()
+
+    def _open(self) -> int:
+        if self._cache_path:
+            fd = os.open(self._cache_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        else:
+            fd, name = tempfile.mkstemp(suffix=".jsonl")
+            os.unlink(name)
+        weakref.finalize(self, os.close, fd)
+        return fd
+
+    def _cached(self, key: str) -> np.ndarray:
+        """The vector of a cached key, read back from its cache line."""
+        offset, length = self._cache[key]
+        found, vector = _decode_cache_line(os.pread(self._fd, length, offset))
+        if found != key:
+            raise ProviderError(f"embedding cache line at byte {offset} holds {found}, not {key}")
+        return vector
 
     def embed_text(self, text: str) -> np.ndarray:
         key = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        vector = self._cache.get(key)
-        if vector is None:
-            self.embed_texts([text])
-            vector = self._cache[key]
-        return vector
+        if key in self._cache:
+            return self._cached(key)
+        return self.embed_texts([text])[0]
 
-    def embed_texts(self, texts: list[str]) -> np.ndarray:
+    def embed_texts(self, texts: list[str], out=None):
         if not all(texts):
             raise ValueError("cannot embed empty text")
         keys = [hashlib.sha256(t.encode("utf-8")).hexdigest() for t in texts]
-        out = np.empty((len(keys), self.dim))
+        if out is None:
+            out = np.empty((len(keys), self.dim))
         first: dict[str, int] = {}  # key -> its first row in out
         for row, key in enumerate(keys):
             first.setdefault(key, row)
@@ -490,7 +521,7 @@ class EmbeddingService:
                 claim.wait()
         for row, key in enumerate(keys):
             if row != first[key] or key not in embedded:
-                out[row] = cache[key]
+                out[row] = self._cached(key)
         return out
 
     def _claim(self, missing: dict[str, str]):
@@ -513,19 +544,16 @@ class EmbeddingService:
                     self._claimed[key] = claim
         return batches, waits
 
-    def _embed_batch(
-        self, batch: list[tuple[str, str]], out: np.ndarray, first: dict[str, int]
-    ) -> None:
-        """Embed one batch into its rows of out (``first[key]``) and cache
-        those rows."""
+    def _embed_batch(self, batch: list[tuple[str, str]], out, first: dict[str, int]) -> None:
+        """Embed one batch into its rows of out (``first[key]``) and append
+        its cache lines."""
         vectors = np.asarray(self.backend.embed_texts([text for _, text in batch]))
         if vectors.shape != (len(batch), self.dim):
             raise ProviderError(
                 f"embeddings of shape {vectors.shape} returned for {len(batch)} inputs "
                 f"of dim {self.dim}"
             )
-        rows = [first[key] for key, _ in batch]
-        out[rows] = vectors
+        out[[first[key] for key, _ in batch]] = vectors
         self.ledger.record(
             stage="embedding",
             model_id=self.backend.model_id,
@@ -534,17 +562,22 @@ class EmbeddingService:
             approximate=True,
         )
         with self._lock:
-            if self._cache_path:
-                with open(self._cache_path, "a", encoding="utf-8") as fh:
-                    fh.writelines(
-                        _encode_cache_line(key, out[row]) for (key, _), row in zip(batch, rows)
-                    )
-            for (key, _), row in zip(batch, rows):
-                vector = out[row]
-                vector.flags.writeable = False  # a write would reach the caller's matrix
-                self._cache[key] = vector
+            if self._fd is None:
+                self._fd = self._open()
+            for (key, _), vector in zip(batch, vectors):
+                line = _encode_cache_line(key, vector).encode("ascii")
+                self._cache[key] = (self._append(line), len(line))
                 claim = self._claimed.pop(key)
         claim.set()
+
+    def _append(self, line: bytes) -> int:
+        """Append line to the cache file; returns the offset it starts at.
+        The file is opened for appending, so the line lands at its end even
+        when another process appended since."""
+        view = memoryview(line)
+        while view:
+            view = view[os.write(self._fd, view):]
+        return os.lseek(self._fd, 0, os.SEEK_CUR) - len(line)
 
     def _release(self, batches: list[list[tuple[str, str]]]) -> None:
         """Drop the claims a failed batch left open, waking their waiters."""

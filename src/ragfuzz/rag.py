@@ -7,8 +7,13 @@ matrix (.npy) so a campaign directory is self-contained.
 """
 from __future__ import annotations
 
+import io
 import json
+import os
 import re
+import shutil
+import tempfile
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -115,71 +120,275 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     return min(max(d, 0.0), 2.0)
 
 
-def _with_norms(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return matrix, np.sqrt(np.vecdot(matrix, matrix))
+# Rows read, copied or scored at once: the float64 a scan or a load holds.
+_BLOCK_BYTES = 1 << 18
+# A row or query whose float64 norm lies outside this range is never screened
+# out: there float64 squares and products can underflow or overflow, and the
+# screen's bound would not hold.
+_NORM_RANGE = (2.0**-480, 2.0**480)
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's gamma_n = n*u / (1 - n*u): the relative error bound of a
+    product of n roundings of unit u."""
+    return n * u / (1.0 - n * u)
+
+
+def _screen_slack(dim: int) -> float:
+    """The bound eps on |screened distance - exact distance| at dimension
+    dim; the ``VectorIndex`` docstring derives it."""
+    return _gamma(dim + 2, 2.0**-24) + 4 * _gamma(dim + 2, 2.0**-53) + 1e-12
+
+
+def _npy_header(n: int, dim: int) -> bytes:
+    """The header ``np.save`` writes before an (n, dim) float64 matrix."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": (n, dim)}
+    )
+    return buf.getvalue()
+
+
+def _runs(rows: np.ndarray):
+    """(i, j) for each run rows[i:j] of consecutive row numbers."""
+    cuts = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(), len(rows)]
+    return [(i, j) for i, j in zip(cuts, cuts[1:]) if j > i]
+
+
+class _Rows:
+    """The rows of an index: float64 in an .npy file, float32 unit rows and
+    float64 norms in memory.
+
+    Row i's float64 bytes sit at ``offset + i * dim * 8`` of the file, which
+    is ``path`` or, with no path, an anonymous temporary file. The file is
+    read and written at explicit offsets only, so threads may read at once,
+    and it is closed when the object is dropped. ``rows[r] = vectors`` takes
+    each row once: its norm and unit float32 image stay in memory, its bytes
+    go to the file.
+    """
+
+    def __init__(self, fd: int, offset: int, n: int, dim: int, path: Path | None):
+        self.fd, self.offset, self.dim, self.path = fd, offset, dim, path
+        self.block = max(1, _BLOCK_BYTES // (8 * dim or 1))
+        self.screen = np.empty((n, dim), dtype=np.float32)
+        self.norms = np.empty(n)
+        weakref.finalize(self, os.close, fd)
+
+    @classmethod
+    def create(cls, n: int, dim: int, path: Path | None = None) -> "_Rows":
+        """Empty rows in a new .npy file at path, or in a temporary file."""
+        if path is None:
+            fd, name = tempfile.mkstemp(suffix=".npy")
+            os.unlink(name)
+        else:
+            fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)
+        header = _npy_header(n, dim)
+        rows = cls(fd, len(header), n, dim, path)
+        _pwrite_all(fd, header, 0)
+        return rows
+
+    @classmethod
+    def open(cls, path: Path, n: int, dim: int) -> "_Rows":
+        """The rows of the (n, dim) float64 .npy file at path, read into
+        memory one block at a time."""
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            with open(fd, "rb", closefd=False) as fh:
+                version = np.lib.format.read_magic(fh)
+                read_header = {
+                    (1, 0): np.lib.format.read_array_header_1_0,
+                    (2, 0): np.lib.format.read_array_header_2_0,
+                }[version]
+                shape, fortran, dtype = read_header(fh)
+                offset = fh.tell()
+        except BaseException:
+            os.close(fd)
+            raise
+        rows = cls(fd, offset, n, dim, path)
+        if shape != (n, dim) or dtype != np.float64 or fortran:
+            raise DimensionMismatch(
+                f"matrix {shape} {dtype} vs {n} chunks of dim {dim} in C-order float64"
+            )
+        for lo in range(0, n, rows.block):
+            part = np.arange(lo, min(lo + rows.block, n))
+            rows._keep(part, rows.read(part))
+        return rows
+
+    def _keep(self, rows: np.ndarray, vectors: np.ndarray) -> None:
+        norms = np.sqrt(np.vecdot(vectors, vectors))
+        self.norms[rows] = norms
+        with np.errstate(all="ignore"):  # a zero, inf or NaN norm
+            for i, j in _runs(rows):  # divided in float64, cast into the screen, no temporary
+                first = int(rows[i])
+                np.divide(
+                    vectors[i:j], norms[i:j, np.newaxis],
+                    out=self.screen[first : first + j - i], casting="same_kind",
+                )
+        lo, hi = _NORM_RANGE
+        self.screen[rows[~((norms >= lo) & (norms <= hi))]] = 0.0  # never screened out
+
+    def __setitem__(self, rows, vectors) -> None:
+        rows = np.atleast_1d(np.asarray(rows, dtype=np.intp))
+        vectors = np.ascontiguousarray(vectors, dtype=np.float64).reshape(len(rows), self.dim)
+        self._keep(rows, vectors)
+        for i, j in _runs(rows):
+            _pwrite_all(self.fd, vectors[i:j], self.offset + int(rows[i]) * 8 * self.dim)
+
+    def read(self, rows) -> np.ndarray:
+        """The float64 vectors of rows, read from the file."""
+        rows = np.asarray(rows, dtype=np.intp)
+        out = np.empty((len(rows), self.dim))
+        for i, j in _runs(rows):
+            _pread_into(self.fd, out[i:j], self.offset + int(rows[i]) * 8 * self.dim)
+        return out
+
+    def candidates(self, q: np.ndarray, nq: float, threshold: float, k: int) -> np.ndarray:
+        """The rows the float32 screen cannot rule out, in row order: every
+        other row scores at least threshold, or worse than k rows that are
+        returned."""
+        lo, hi = _NORM_RANGE
+        if not lo <= nq <= hi:
+            return np.arange(len(self.norms))
+        eps = _screen_slack(self.dim)
+        screened = np.vecdot(self.screen, (q / nq).astype(np.float32)).astype(np.float64)
+        screened = np.clip(1.0 - screened, 0.0, 2.0)
+        unsafe = ~((self.norms >= lo) & (self.norms <= hi))
+        near = screened < threshold + eps
+        ranked = screened[near & ~unsafe]
+        if len(ranked) > k:
+            near &= screened <= np.partition(ranked, k - 1)[k - 1] + 2 * eps
+        return np.flatnonzero(near | unsafe)
+
+    def distances(self, rows: np.ndarray, q: np.ndarray, nq: float) -> np.ndarray:
+        """The exact distances of rows, scored in float64 one block at a time."""
+        dist = np.empty(len(rows))
+        for lo in range(0, len(rows), self.block):
+            part = rows[lo : lo + self.block]
+            vectors = self.read(part)
+            d = np.clip(1.0 - np.vecdot(vectors, q) / (nq * self.norms[part]), 0.0, 2.0)
+            # An equal row scores within a few ulp of zero; pin it to exactly 0.0.
+            for i in np.flatnonzero(d < 1e-12):
+                if np.array_equal(vectors[i], q):
+                    d[i] = 0.0
+            dist[lo : lo + len(part)] = d
+        return dist
+
+
+def _pwrite_all(fd: int, data, pos: int) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        written = os.pwrite(fd, view, pos)
+        view, pos = view[written:], pos + written
+
+
+def _pread_into(fd: int, out: np.ndarray, pos: int) -> None:
+    view = memoryview(out).cast("B")
+    while view:
+        got = os.preadv(fd, [view], pos)
+        if not got:
+            raise DimensionMismatch(f"embedding rows end at byte {pos}, before the rows asked for")
+        view, pos = view[got:], pos + got
 
 
 class VectorIndex:
     """Flat, exhaustively scanned embedding index with JSON+npy persistence.
 
-    The index holds one row store: a C-contiguous float64 ``(n, dim)``
-    matrix, row i the vector of chunk i, with its row norms. ``retrieve``
-    scans it, ``save`` writes it and ``load`` adopts the ``.npy`` file as
-    it. ``index_chunks`` on an empty index adopts the matrix the embedder
-    returns, so the corpus vectors exist once: an ``EmbeddingService``
-    caches views of the same rows. Later ``add`` and ``index_chunks`` calls
-    build a new matrix and never write into one they adopted.
+    Row i holds the vector of chunk i. Its exact float64 bytes live in an
+    ``.npy`` file: ``directory/embeddings.npy`` when the index was given a
+    directory and its rows came from one ``index_chunks`` call into the empty
+    index (the rows are then written there once, as they are embedded), the
+    loaded file after ``load``, and an anonymous temporary file otherwise.
+    Memory holds only each row's float64 norm ``n_x = ||x||`` and the
+    float32 image of its unit vector, ``x32 = fl32(x / n_x)``: half the
+    bytes of the rows. Unit vectors keep every float32 value within
+    [-1, 1], so none overflows and underflow costs only an absolute error.
+    ``save`` writes the manifest and meta and copies the rows only when
+    they live elsewhere.
 
-    The scan uses ``np.vecdot``, which takes the same per-row BLAS ``ddot``
-    as ``np.dot`` on two vectors, so every distance equals
+    ``retrieve`` screens every row with ``np.vecdot(x32, fl32(q / n_q))``.
+    For any summation order, a float32 dot product of d terms is within
+    gamma_d * sum |x_i q_i| of the exact one, gamma_d = d*u / (1 - d*u),
+    u = 2^-24 (Higham, Accuracy and Stability, 3.1); the two casts to float32
+    add two more roundings, so gamma_(d+2) bounds the screen's error, and
+    sum |x_i q_i| <= 1 for unit vectors by Cauchy-Schwarz. The exact score
+    ``1 - fl64(x.q) / (n_q * n_x)`` and the unit rows carry float64
+    rounding of at most 4 gamma_(d+2) at u = 2^-53; underflow in float32
+    adds at most d * 2^-126. So a screened distance differs from the exact
+    one by less than ``eps = _screen_slack(d)``, whose 1e-12 also covers the
+    rows pinned to exactly 0.0 (exact distance below 1e-12, equal vectors).
+    A row is a candidate when its screened distance is below threshold + eps
+    and within 2 eps of the k-th smallest screened distance: any other row
+    scores at least threshold, or at least k candidates each score less.
+    Rows whose norm lies outside ``_NORM_RANGE``, where float64 can
+    underflow or overflow, are always candidates, and a query whose norm
+    does makes every row one.
+    Only the candidates are read back with ``os.preadv`` and scored in
+    float64 with ``np.vecdot``, which takes the same per-row BLAS ``ddot`` as
+    ``np.dot`` on two vectors: every returned distance equals
     ``cosine_distance`` bit for bit, and with it the
-    ``(distance, doc_id, ordinal)`` order. ``M @ q``, ``np.matvec`` and
-    ``einsum`` sum in another order, differ in the last ulp on most rows,
-    and ``@`` also starts BLAS's thread pool.
+    ``(distance, doc_id, ordinal)`` order. ``M @ q`` and ``np.matvec`` sum in
+    another order, and ``@`` also starts BLAS's thread pool.
 
-    Indexing is idempotent per chunk_id (re-adding overwrites). Mutation is
-    not thread-safe; campaigns index once up front and then only read.
+    Indexing is idempotent per chunk_id (re-adding overwrites). A put into a
+    non-empty index writes a new row file and never writes into one it
+    read; mutation is not thread-safe, but retrieves may run at once.
     """
 
     MANIFEST = "chunks.jsonl"
     MATRIX = "embeddings.npy"
     META = "meta.json"
 
-    def __init__(self, dim: int | None = None):
+    def __init__(self, dim: int | None = None, directory: Path | None = None):
         self.dim = dim
+        self.directory = Path(directory) if directory else None
         self._chunks: list[Chunk] = []
         self._row_by_id: dict[str, int] = {}
-        # (row matrix, row norms); one attribute so a reader never sees half
-        self._rows = _with_norms(np.zeros((0, dim or 0)))
+        self._rows: _Rows | None = None
 
     def __len__(self) -> int:
         return len(self._chunks)
+
+    def vectors(self, rows) -> np.ndarray:
+        """The exact float64 vectors of the given rows, read from their file."""
+        if self._rows is None:
+            raise EmptyIndex("no rows in an empty index")
+        return self._rows.read(rows)
 
     def add(self, chunk: Chunk, vector: np.ndarray) -> None:
         vector = np.asarray(vector, dtype=np.float64)
         if vector.ndim != 1:
             raise DimensionMismatch(f"expected 1-d vector, got shape {vector.shape}")
-        self._put([chunk], vector[np.newaxis])
+        rows = self._new_rows(1, len(vector))
+        rows[0] = vector
+        self._put([chunk], rows)
 
     def index_chunks(self, chunks: list[Chunk], embedder) -> None:
-        """Embed every chunk in one ``embed_texts`` call and store the
-        returned matrix as the chunks' rows."""
+        """Embed every chunk in one ``embed_texts`` call, which writes each
+        row into the chunks' row file as it is embedded."""
         if chunks:
-            self._put(chunks, embedder.embed_texts([c.text for c in chunks]))
+            fresh = not self._chunks and len({c.chunk_id for c in chunks}) == len(chunks)
+            rows = self._new_rows(len(chunks), embedder.dim, fresh)
+            embedder.embed_texts([c.text for c in chunks], out=rows)
+            self._put(chunks, rows)
 
-    def _put(self, chunks: list[Chunk], matrix) -> None:
-        """Store chunks[i] with row i of matrix. A known chunk_id keeps its
-        row and takes the new vector; a matrix of new chunks only, put into
-        an empty index, becomes the store as it is."""
-        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != len(chunks):
-            raise DimensionMismatch(f"{len(chunks)} chunks, embedding matrix {matrix.shape}")
-        if self.dim is None:
-            self.dim = int(matrix.shape[1])
-        if matrix.shape[1] != self.dim:
-            raise DimensionMismatch(f"index dim {self.dim}, embedding dim {matrix.shape[1]}")
+    def _new_rows(self, n: int, dim: int, fresh: bool = False) -> _Rows:
+        """Rows for n vectors of dim: in the directory's matrix file when
+        they will be the whole index, else in a temporary file."""
+        if self.dim is not None and dim != self.dim:
+            raise DimensionMismatch(f"index dim {self.dim}, embedding dim {dim}")
+        path = None
+        if fresh and self.directory is not None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            path = self.directory / self.MATRIX
+        return _Rows.create(n, dim, path)
+
+    def _put(self, chunks: list[Chunk], rows: _Rows) -> None:
+        """Store chunks[i] with row i of rows. A known chunk_id keeps its row
+        and takes the new vector; rows of new chunks only, put into an empty
+        index, become the store as they are."""
+        self.dim = rows.dim
         old = len(self._chunks)
-        source: dict[int, int] = {}  # store row -> the matrix row it takes; the last wins
+        source: dict[int, int] = {}  # store row -> the row of rows it takes; the last wins
         for i, chunk in enumerate(chunks):
             row = self._row_by_id.setdefault(chunk.chunk_id, len(self._chunks))
             if row == len(self._chunks):
@@ -188,13 +397,16 @@ class VectorIndex:
                 self._chunks[row] = chunk
             source[row] = i
         if old == 0 and len(source) == len(chunks):
-            store = matrix
-        else:
-            store = np.empty((len(self._chunks), self.dim))
-            if old:
-                store[:old] = self._rows[0]
-            store[list(source)] = matrix[list(source.values())]
-        self._rows = _with_norms(store)
+            self._rows = rows
+            return
+        store = _Rows.create(len(self._chunks), self.dim)
+        for src, dst, picked in (
+            (self._rows, range(old), range(old)),
+            (rows, list(source), list(source.values())),
+        ):
+            for lo in range(0, len(picked), store.block):
+                store[dst[lo : lo + store.block]] = src.read(picked[lo : lo + store.block])
+        self._rows = store
 
     def retrieve(self, query_text: str, threshold: float, k: int, embedder) -> list[RetrievedChunk]:
         """Up to k chunks with distance < threshold, closest first.
@@ -210,21 +422,19 @@ class VectorIndex:
         q = np.asarray(embedder.embed_text(query_text), dtype=np.float64)
         if q.shape != (self.dim,):
             raise DimensionMismatch(f"dim {q.shape} vs {(self.dim,)}")
-        matrix, norms = self._rows
+        rows = self._rows
         nq = float(np.linalg.norm(q))
-        if nq == 0.0 or not norms.all():
+        if nq == 0.0 or not rows.norms.all():
             raise ZeroVector("cosine distance is undefined for the all-zero vector")
-        dist = np.clip(1.0 - np.vecdot(matrix, q) / (nq * norms), 0.0, 2.0)
-        # An equal row scores within a few ulp of zero; pin it to exactly 0.0.
-        for row in np.flatnonzero(dist < 1e-12):
-            if np.array_equal(matrix[row], q):
-                dist[row] = 0.0
-        rows = np.flatnonzero(dist < threshold)
-        if len(rows) > k:
+        picked = rows.candidates(q, nq, threshold, k)
+        dist = rows.distances(picked, q, nq)
+        below = dist < threshold
+        picked, dist = picked[below], dist[below]
+        if len(picked) > k:
             # keep every row tied with the k-th distance for the exact tie-break
-            kth = np.partition(dist[rows], k - 1)[k - 1]
-            rows = rows[dist[rows] <= kth]
-        hits = [RetrievedChunk(self._chunks[row], float(dist[row])) for row in rows]
+            within = dist <= np.partition(dist, k - 1)[k - 1]
+            picked, dist = picked[within], dist[within]
+        hits = [RetrievedChunk(self._chunks[row], float(d)) for row, d in zip(picked, dist)]
         hits.sort(key=lambda r: (r.distance, r.chunk.doc_id, r.chunk.ordinal))
         return hits[:k]
 
@@ -236,23 +446,25 @@ class VectorIndex:
         with open(directory / self.MANIFEST, "w", encoding="utf-8") as fh:
             # a Chunk's fields are JSON values already: vars() is its record
             fh.writelines(json.dumps(vars(c), sort_keys=True) + "\n" for c in self._chunks)
-        np.save(directory / self.MATRIX, self._rows[0])
+        target = directory / self.MATRIX
+        if self._rows is None:
+            _Rows.create(0, self.dim or 0, target)
+        elif self._rows.path is None or os.path.abspath(self._rows.path) != os.path.abspath(target):
+            with open(self._rows.fd, "rb", closefd=False) as src, open(target, "wb") as dst:
+                src.seek(0)
+                shutil.copyfileobj(src, dst)
         (directory / self.META).write_text(
             json.dumps({"count": len(self._chunks), "dim": self.dim}, sort_keys=True)
         )
 
     @classmethod
     def load(cls, directory: Path) -> "VectorIndex":
+        """The saved index; its float64 rows stay in ``embeddings.npy``."""
         directory = Path(directory)
         meta = json.loads((directory / cls.META).read_text())
         index = cls(dim=meta["dim"])
         with open(directory / cls.MANIFEST, encoding="utf-8") as fh:
             index._chunks = [from_record(Chunk, json.loads(line)) for line in fh]
-        matrix = np.load(directory / cls.MATRIX)
-        if matrix.shape != (len(index._chunks), index.dim or 0):
-            raise DimensionMismatch(
-                f"matrix shape {matrix.shape} vs {len(index._chunks)} chunks of dim {index.dim}"
-            )
+        index._rows = _Rows.open(directory / cls.MATRIX, len(index._chunks), index.dim or 0)
         index._row_by_id = {c.chunk_id: row for row, c in enumerate(index._chunks)}
-        index._rows = _with_norms(matrix)
         return index

@@ -4,12 +4,15 @@ brute_force_classify restates the discrepancy rules as a naive scan over
 every unordered cell pair, deliberately sharing no pairing or grouping logic
 with the production classifier. It stays the slow, obviously-correct
 benchmark that classify() is checked against. validate_partition checks a
-report's per-pass counts add up.
+report's per-pass counts add up. full_scan is the exhaustive float64 scan the
+RAG index made before it screened in float32, which retrieve must equal.
 """
 from __future__ import annotations
 
 import re
 from itertools import combinations
+
+import numpy as np
 
 from ragfuzz.difftest import (
     Axis,
@@ -123,3 +126,23 @@ def validate_partition(per_pass: dict[str, dict[str, int]]) -> bool:
         if counts["generated"] != counts["compiled"] + counts["failed"] + counts["abandoned"]:
             return False
     return True
+
+
+def full_scan(chunks, matrix, q, threshold: float, k: int) -> list[tuple[str, float]]:
+    """(chunk_id, distance) of up to k rows of matrix with distance <
+    threshold, closest first: every row scored in float64, then ordered by
+    (distance, doc_id, ordinal)."""
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    norms = np.sqrt(np.vecdot(matrix, matrix))
+    nq = float(np.linalg.norm(q))
+    dist = np.clip(1.0 - np.vecdot(matrix, q) / (nq * norms), 0.0, 2.0)
+    for row in np.flatnonzero(dist < 1e-12):
+        if np.array_equal(matrix[row], q):
+            dist[row] = 0.0
+    rows = np.flatnonzero(dist < threshold)
+    if len(rows) > k:
+        kth = np.partition(dist[rows], k - 1)[k - 1]
+        rows = rows[dist[rows] <= kth]
+    rows = sorted(rows, key=lambda r: (float(dist[r]), chunks[r].doc_id, chunks[r].ordinal))
+    return [(chunks[r].chunk_id, float(dist[r])) for r in rows[:k]]

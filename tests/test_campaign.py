@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import tracemalloc
 from decimal import Decimal
 
 import pytest
@@ -223,6 +224,36 @@ def test_resumed_repair_numbers_its_attempts_after_the_earlier_ones(tmp_path):
     run_campaign(config, campaign_dir, halt_after="repair")
     assert (earlier / "source.cpp").read_text() == "// an attempt from before the kill\n"
     assert (earlier.parent / "attempt_02" / "source.cpp").read_text() == case.source
+
+
+def test_resumed_index_holds_the_corpus_once(tmp_path):
+    """A campaign shaped like the benchmark's generate workload (1000+
+    chunks of ~700 characters at dim 1536), halted after the index stage,
+    sets up and loads its index again without a float64 copy of the corpus.
+    The float32 screen is half of one; the chunk texts the index keeps, as
+    it always has, are allowed on top, at the manifest's size."""
+    scenario = build_tiny()
+    scenario.config["rag"]["embedding_dim"] = 1536
+    scenario.input_files["inputs/docs/corpus.md"] = "".join(
+        f"Paragraph {p}: kernel {p % 7} reads the device_global property {p} "
+        f"after the host writes it, then the queue waits on event {p % 11}.\n\n"
+        for p in range(7000)
+    )
+    config = load_config_file(materialize_scenario(scenario, tmp_path / "work"))
+    campaign_dir = tmp_path / "campaign"
+    run_campaign(config, campaign_dir, halt_after="index")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        runner = CampaignRunner(config, campaign_dir)
+        runner._stage_index()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    n = len(runner.index)
+    assert n >= 1000
+    manifest = (campaign_dir / "index" / "chunks.jsonl").stat().st_size
+    assert peak <= 0.6 * n * 1536 * 8 + manifest
 
 
 # --- end-to-end campaign against the scripted scenario ---

@@ -279,7 +279,7 @@ def test_concurrent_misses_embed_and_bill_once(tmp_path):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(results) == 8 and all(r is results[0] for r in results)
+    assert len(results) == 8 and all(r.tobytes() == results[0].tobytes() for r in results)
     assert backend.calls == 1
     assert [e.stage for e in ledger.entries()] == ["embedding"]
     assert len(cache.read_text().splitlines()) == 1

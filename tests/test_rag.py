@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import full_scan
 
 from ragfuzz.errors import DimensionMismatch, EmptyIndex, InvalidPolicy, ZeroVector
 from ragfuzz.ledger import CostLedger
@@ -352,34 +355,42 @@ def _corpus(n):
     return [Chunk(f"doc#{i}", "doc", f"corpus fragment {i}", i) for i in range(n)]
 
 
-def test_indexing_and_a_retrieve_hold_the_corpus_matrix_once():
-    n, dim = 300, 512
-    service = EmbeddingService(HashEmbedder(dim=dim), CostLedger())
-    chunks = _corpus(n)
-    warm = VectorIndex()  # numpy's lazy imports and first-call buffers are not the corpus
-    warm.index_chunks(_corpus(2), EmbeddingService(HashEmbedder(dim=dim), CostLedger()))
-    warm.retrieve("warm-up", 2.0, 1, service)
-    idx = VectorIndex()
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        idx.index_chunks(chunks, service)
-        idx.retrieve("a query after indexing", 2.0, 4, service)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * n * dim * 8
+def test_indexing_and_a_retrieve_hold_the_corpus_matrix_once(tmp_path):
+    # 2000 rows, so one EMBED_BATCH of float64 in flight is 3% of the matrix
+    n, dim = 2000, 1536
+    for cache in (None, tmp_path / "embeddings.cache.jsonl"):
+        service = EmbeddingService(HashEmbedder(dim=dim), CostLedger(), cache_path=cache)
+        chunks = _corpus(n)
+        warm = VectorIndex()  # numpy's lazy imports and first-call buffers are not the corpus
+        warm.index_chunks(_corpus(2), EmbeddingService(HashEmbedder(dim=dim), CostLedger()))
+        warm.retrieve("warm-up", 2.0, 1, service)
+        idx = VectorIndex()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            idx.index_chunks(chunks, service)
+            idx.retrieve("a query after indexing", 2.0, 4, service)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # the float32 screen is 0.5 of the float64 matrix; no float64 copy fits
+        assert peak <= 0.6 * n * dim * 8, cache
 
 
 def test_the_index_scans_the_rows_the_embedding_cache_holds():
-    service = EmbeddingService(HashEmbedder(dim=64), CostLedger())
+    ledger = CostLedger()
+    service = EmbeddingService(HashEmbedder(dim=64), ledger)
     chunks = _corpus(100)
     idx = VectorIndex()
     idx.index_chunks(chunks, service)
-    matrix = idx._rows[0]
-    assert matrix.flags.c_contiguous and matrix.dtype == np.float64
-    cached = service.embed_text(chunks[70].text)
-    assert np.shares_memory(matrix, cached) and not cached.flags.writeable
+    assert not [v for v in vars(service).values() if isinstance(v, np.ndarray)]
+    assert all(
+        isinstance(offset, int) and isinstance(length, int)
+        for offset, length in service._cache.values()
+    )
+    entries = len(ledger)
+    assert service.embed_text(chunks[70].text).tobytes() == idx.vectors([70]).tobytes()
+    assert len(ledger) == entries
 
 
 def test_repeated_texts_and_a_chunk_query_reuse_the_embedded_row():
@@ -393,7 +404,7 @@ def test_repeated_texts_and_a_chunk_query_reuse_the_embedded_row():
     assert len(ledger) == 1
     idx = VectorIndex()
     idx.index_chunks([Chunk(f"d#{i}", "d", t, i) for i, t in enumerate(texts)], service)
-    assert idx._rows[0].tobytes() == matrix.tobytes()
+    assert idx.vectors(range(5)).tobytes() == matrix.tobytes()
     assert service.embed_text("gamma").tobytes() == matrix[3].tobytes()
     assert _hits(idx, "gamma", 2.0, 1, service) == [("d#3", 0.0)]
     assert len(ledger) == 1
@@ -407,7 +418,7 @@ def test_overwriting_a_row_leaves_the_cached_vector_alone():
     before = service.embed_text(chunks[1].text).copy()
     idx.add(Chunk("doc#1", "doc", "a new text for row 1", 1), np.ones(16))
     assert np.array_equal(service.embed_text(chunks[1].text), before)
-    assert np.array_equal(idx._rows[0][1], np.ones(16)) and len(idx) == 3
+    assert np.array_equal(idx.vectors([1])[0], np.ones(16)) and len(idx) == 3
 
 
 def test_a_chunk_id_repeated_in_one_call_keeps_its_last_vector():
@@ -421,3 +432,152 @@ def test_a_chunk_id_repeated_in_one_call_keeps_its_last_vector():
         assert len(idx) == 2
         assert _hits(idx, "second", 2.0, 1, embedder) == [("a#0", 0.0)]
         assert _hits(idx, "other", 2.0, 1, embedder) == [("b#0", 0.0)]
+
+
+# --- the float32 screen against the full float64 scan ---
+
+class TableEmbedder:
+    """Embeds each known text to the vector the test gave it."""
+
+    def __init__(self, table: dict[str, np.ndarray]):
+        self.table = {text: np.asarray(v, dtype=np.float64) for text, v in table.items()}
+        self.dim = len(next(iter(self.table.values())))
+
+    def embed_text(self, text: str) -> np.ndarray:
+        return self.table[text]
+
+    def embed_texts(self, texts, out=None):
+        if out is None:
+            out = np.empty((len(texts), self.dim))
+        for row, text in enumerate(texts):
+            out[row] = self.table[text]
+        return out
+
+
+def _table_index(rows: list[np.ndarray]):
+    """An index of one chunk per row, with chunk i's text "row i"; also
+    returns the chunks and an embedder that knows each row's text."""
+    chunks = [Chunk(f"c{i}", f"doc{i % 7}", f"row {i}", i) for i in range(len(rows))]
+    embedder = TableEmbedder({c.text: v for c, v in zip(chunks, rows)})
+    idx = VectorIndex()
+    idx.index_chunks(chunks, embedder)
+    return idx, chunks, embedder
+
+
+def _against_full_scan(idx, chunks, matrix, embedder, queries, cases):
+    for name, q in queries.items():
+        embedder.table[name] = np.asarray(q, dtype=np.float64)
+        for threshold, k in cases:
+            want = full_scan(chunks, matrix, embedder.table[name], threshold, k)
+            assert _hits(idx, name, threshold, k, embedder) == want, (name, threshold, k)
+
+
+def test_screen_sees_1_ulp_apart_rows_around_the_kth_distance_and_the_threshold():
+    rng = np.random.default_rng(17)
+    base = rng.standard_normal(PAPER_DIM)
+    q = base + 0.9 * rng.standard_normal(PAPER_DIM)
+    cluster = []
+    for _ in range(40):  # each component of base, one float64 ulp up, down or kept
+        step = rng.integers(-1, 2, PAPER_DIM)
+        toward = np.where(step > 0, np.inf, -np.inf)
+        cluster.append(np.where(step == 0, base, np.nextafter(base, toward)))
+    # rows a few float32 rounding errors apart, which the screen ranks in
+    # another order than the exact scan does
+    apart = np.random.default_rng(17)
+    other = apart.standard_normal(PAPER_DIM)
+    q2 = other + 0.9 * apart.standard_normal(PAPER_DIM)
+    close = [other + 3e-7 * apart.standard_normal(PAPER_DIM) for _ in range(40)]
+    filler = list(rng.standard_normal((200, PAPER_DIM)))
+    matrix = np.array(cluster + close + filler)
+    images = {(v / np.linalg.norm(v)).astype(np.float32).tobytes() for v in cluster}
+    assert len(images) <= 3  # the screen cannot tell most of the cluster apart
+    idx, chunks, embedder = _table_index(list(matrix))
+    everything = full_scan(chunks, matrix, q, 2.0, len(matrix))
+    cluster_dists = sorted({d for cid, d in everything if int(cid[1:]) < len(cluster)})
+    assert len(cluster_dists) >= 3  # the exact scores differ in their last bits
+    unit = lambda v: (v / np.linalg.norm(v)).astype(np.float32)  # noqa: E731
+    screened = np.array([float(np.vecdot(unit(v), unit(q2))) for v in close])
+    best = np.argmin([cosine_distance(v, q2) for v in close])
+    assert np.count_nonzero(screened > screened[best]) >= 3
+    cases = [(2.0, k) for k in (1, 5, 20, 39, 40, 41)]
+    for d in cluster_dists:  # thresholds on, just above and just below a row's distance
+        cases += [(d, 10), (float(np.nextafter(d, 3.0)), 25), (float(np.nextafter(d, 0.0)), 40)]
+    _against_full_scan(idx, chunks, matrix, embedder, {"q": q, "q2": q2}, cases)
+
+
+def test_screen_keeps_duplicate_rows_and_scores_a_self_query_zero():
+    rng = np.random.default_rng(5)
+    rows = list(rng.standard_normal((60, PAPER_DIM)))
+    rows[10] = rows[30] = rows[50] = rows[3].copy()  # four equal rows
+    rows[20] = rows[40] = rows[7].copy()
+    idx, chunks, embedder = _table_index(rows)
+    matrix = np.array(rows)
+    cases = [(2.0, 1), (2.0, 3), (2.0, 4), (2.0, 6), (1e-9, 4), (1.0, 60)]
+    _against_full_scan(idx, chunks, matrix, embedder, {"row 3": rows[3], "row 7": rows[7]}, cases)
+    hits = _hits(idx, "row 3", 2.0, 4, embedder)
+    assert [d for _, d in hits] == [0.0] * 4
+    assert _hits(idx, "row 7", 2.0, 1, embedder)[0][1] == 0.0
+
+
+def test_screen_scores_rows_of_extreme_magnitude_exactly():
+    rng = np.random.default_rng(11)
+    q = rng.standard_normal(PAPER_DIM)
+    near = [q + 0.3 * rng.standard_normal(PAPER_DIM) for _ in range(8)]
+    rows = list(rng.standard_normal((40, PAPER_DIM))) + near
+    rows += [near[0] * 1e150, near[1] * 1e-150, near[2] * 1e-160, near[3] * 1e145]
+    huge, tiny = near[4].copy(), near[5].copy()
+    huge[7] = 1e300  # the norm overflows: the exact distance is NaN, never returned
+    tiny[7] = 1e-300  # underflows in float32, harmless after the scan
+    rows += [huge, tiny]
+    matrix = np.array(rows)
+    queries = {
+        "q": q, "q tiny": q * 1e-160, "q tinier": q * 1e-161, "q huge": q * 1e150,
+        "q 1e300": huge,
+    }
+    cases = [(2.0, 1), (2.0, 4), (2.0, 12), (1.0, 3), (0.9, 60)]
+    with np.errstate(all="ignore"):  # the overflowing row's norm, and inf / inf
+        idx, chunks, embedder = _table_index(rows)
+        _against_full_scan(idx, chunks, matrix, embedder, queries, cases)
+
+
+def test_screen_follows_a_row_overwritten_after_a_retrieve():
+    rng = np.random.default_rng(3)
+    rows = list(rng.standard_normal((80, PAPER_DIM)))
+    idx, chunks, embedder = _table_index(rows)
+    q = rows[9] + 0.5 * rng.standard_normal(PAPER_DIM)
+    cases = [(2.0, 1), (2.0, 5), (1.0, 80)]
+    _against_full_scan(idx, chunks, np.array(rows), embedder, {"q": q}, cases)
+    rows[60] = q.copy()  # becomes the closest row, at distance 0.0
+    idx.add(chunks[60], rows[60])
+    _against_full_scan(idx, chunks, np.array(rows), embedder, {"q": q}, cases)
+    assert _hits(idx, "q", 2.0, 1, embedder) == [("c60", 0.0)]
+
+
+def test_concurrent_retrieves_give_the_serial_results(tmp_path):
+    idx, _chunks, _vectors, backend = _paper_index()
+    service = EmbeddingService(backend, CostLedger(), cache_path=tmp_path / "cache.jsonl")
+    queries = [(f"query {i}", 0.99 + i / 100, 1 + i % 6) for i in range(16)]
+    queries.append(("paper-scale fragment 5", 2.0, 3))
+    serial = [_hits(idx, *query, backend) for query in queries]
+    barrier = threading.Barrier(8)
+    results: list = [None] * 8
+
+    def worker(n):
+        barrier.wait()
+        order = list(range(len(queries)))
+        random.Random(n).shuffle(order)
+        got = {i: _hits(idx, *queries[i], service) for i in order}
+        results[n] = [got[i] for i in range(len(queries))]
+
+    threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(result == serial for result in results)
