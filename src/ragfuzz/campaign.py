@@ -64,6 +64,7 @@ from .toolchain import (
     CellKey,
     CompileResult,
     DeviceConfig,
+    JobLauncher,
     RunLimits,
     RunResult,
     ToolchainConfig,
@@ -770,7 +771,7 @@ class CampaignRunner:
                         )
                     self.store.save_case(case)
 
-    def _gate_compile(self, case_id: str):
+    def _gate_compile(self, case_id: str, launcher: JobLauncher):
         gate = self.config.gate
         toolchain = next(
             t for t in self.config.toolchains if t.compiler_id == gate.compiler_id
@@ -792,7 +793,7 @@ class CampaignRunner:
                 case_id, source_path, [gate_toolchain], attempt_dir,
                 timeout=self.config.limits.compile_timeout,
             )[0]
-            return compile_job(job)
+            return compile_job(job, launcher)
 
         return compile_source
 
@@ -802,12 +803,13 @@ class CampaignRunner:
             for case in self.store.all_cases()
             if case.status == CaseStatus.DRAFT and parent_filter(case)
         ]
+        launcher = JobLauncher()
 
         def repair_one(case: TestCase) -> None:
             try:
                 self.pipeline.repair_loop(
                     case,
-                    self._gate_compile(case.case_id),
+                    self._gate_compile(case.case_id, launcher),
                     max_attempts=self.config.generation.max_repair_attempts,
                 )
             except ToolNotFound:
@@ -858,6 +860,7 @@ class CampaignRunner:
             address_space_mb=self.config.limits.address_space_mb,
             file_size_mb=self.config.limits.file_size_mb,
         )
+        launcher = JobLauncher()
 
         def process_case(case: TestCase) -> None:
             jobs = build_matrix(
@@ -877,7 +880,7 @@ class CampaignRunner:
                 for job in jobs:
                     result = compiles.get(CellKey(job.compiler_id, job.target, job.opt_level))
                     if result is None:
-                        result = compile_job(job)
+                        result = compile_job(job, launcher)
                         append("compile", result)
                     for run in expand_run_jobs(
                         result,
@@ -886,7 +889,7 @@ class CampaignRunner:
                         timeout=self.config.limits.run_timeout,
                     ):
                         if run.cell not in ran:
-                            append("run", run_job(run, limits))
+                            append("run", run_job(run, limits, launcher))
 
         _pmap(process_case, compiled, self.config.campaign.workers_tool)
 

@@ -5,6 +5,18 @@ whole process group is killed on expiry so compilers and generated binaries
 never leak children. Run jobs get address-space and file-size limits because
 LLM-generated programs can loop or allocate without bound.
 
+A job costs the harness one ``subprocess.Popen`` and little else. Its
+environment comes from a ``JobLauncher``, which a stage makes once: it reads
+the harness's environment when it is made and overlays each distinct job
+``env`` on it once, already encoded as the bytes ``execve`` takes. One
+``select.poll`` loop reads both pipes as raw bytes and checks the deadline
+at every wakeup, so a program that writes without pause still times out.
+It keeps at most ``OUTPUT_CAP`` bytes of each stream and drains the rest,
+so a flood can neither block the program nor fill the harness's memory; a
+cut stream ends with a ``[harness]`` line that gives its size and sha256.
+The bytes are then decoded as a text-mode pipe would: UTF-8 with
+``errors="replace"``, ``\r\n`` and ``\r`` made ``\n``.
+
 The limits are set by util-linux ``prlimit(1)``, not by a Python
 ``preexec_fn``: with a ``preexec_fn``, CPython ``fork()``s the whole harness
 (numpy, the index, worker threads) for every run and runs Python code in the
@@ -15,14 +27,18 @@ the binary's own. A binary that cannot start stays ``LAUNCH_ERROR``, with
 the text a direct start gives: ``prlimit``'s "failed to execute" exit
 (126/127) maps back to that ``OSError``, and a file that ``execve`` refuses
 as ``ENOEXEC``, which ``execvp`` would hand to ``/bin/sh`` as a script, is
-refused before it starts (see ``_exec_format_error``).
+refused before it starts (see ``_exec_format_error``). A launcher makes that
+check once per binary file, not once per run.
 
 Annotations here are evaluated at import, not postponed: the record codec
 reads the toolchain and device field types as objects when a config loads.
 """
 import errno
 import functools
+import hashlib
+import math
 import os
+import select
 import shutil
 import signal
 import subprocess
@@ -241,34 +257,147 @@ def expand_run_jobs(
     return jobs
 
 
+# bytes kept of each stream a job writes; the rest is drained, counted and hashed
+OUTPUT_CAP = 1024 * 1024
+_READ_SIZE = 65536  # a Linux pipe's default capacity
+
+
+class JobLauncher:
+    """What one stage's jobs share, so that starting a job costs the harness
+    one ``Popen`` and little else.
+
+    The harness's environment is read once, when the launcher is made. Each
+    distinct job ``env`` is overlaid on it once, encoded as the bytes
+    ``Popen`` hands to ``execve``: reading ``os.environ`` decodes every
+    variable, which ``Popen`` then encodes again. The launch check of a
+    binary is made once per file, keyed by its path and identity (device,
+    inode, size, mtime), so a file rewritten in place is checked again. A
+    job started without a launcher gets a new one, and so sees
+    ``os.environ`` as it is at the call. Worker threads may share a
+    launcher: two that race on one key compute the same value.
+    """
+
+    def __init__(self) -> None:
+        self._environ = dict(os.environb)
+        self._envs: dict[tuple, dict[bytes, bytes]] = {}
+        self._refused: dict[tuple, bool] = {}
+
+    def environ(self, env: dict) -> dict[bytes, bytes]:
+        """The harness's environment overlaid with ``env``, as bytes."""
+        key = tuple(env.items())
+        encoded = self._envs.get(key)
+        if encoded is None:
+            overlay = {os.fsencode(name): os.fsencode(value) for name, value in key}
+            encoded = self._envs[key] = {**self._environ, **overlay}
+        return encoded
+
+    def exec_format_error(self, path: str, cwd: Path) -> bool:
+        """``_exec_format_error``, made once per file identity."""
+        try:
+            st = os.stat(os.path.join(cwd, path))
+        except OSError:
+            return _exec_format_error(path, cwd)
+        key = (path, cwd, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+        refused = self._refused.get(key)
+        if refused is None:
+            refused = self._refused[key] = _exec_format_error(path, cwd)
+        return refused
+
+
+class _Capture:
+    """The bytes one pipe carried: the first ``OUTPUT_CAP`` kept, all of
+    them counted, and all of them hashed once the cap is passed, so two
+    floods that differ only past the cap still read unequal."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.kept = bytearray()
+        self.size = 0
+        self.sha256 = None
+
+    def add(self, chunk: bytes) -> None:
+        self.size += len(chunk)
+        if self.sha256 is None:
+            if self.size <= OUTPUT_CAP:
+                self.kept += chunk
+                return
+            self.sha256 = hashlib.sha256(self.kept)
+            self.kept += chunk[: OUTPUT_CAP - len(self.kept)]
+        self.sha256.update(chunk)
+
+    def text(self) -> str:
+        """The kept bytes decoded as ``text=True`` decodes a pipe."""
+        text = self.kept.decode("utf-8", "replace")  # a program's bytes are untrusted
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+        if self.sha256 is not None:
+            text += (
+                f"\n[harness] {self.name} truncated: kept the first {OUTPUT_CAP} of "
+                f"{self.size} bytes, sha256 {self.sha256.hexdigest()}\n"
+            )
+        return text
+
+
+def _kill_group(proc: subprocess.Popen) -> None:
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
 def _execute(
-    argv: tuple[str, ...], cwd: Path, env: dict, timeout: float
+    argv: tuple[str, ...], cwd: Path, env: dict[bytes, bytes], timeout: float
 ) -> tuple[int | None, str, str, float, bool]:
-    """(returncode, stdout, stderr, duration, timed_out); kills the group on expiry."""
+    """(returncode, stdout, stderr, duration, timed_out); kills the group on expiry.
+
+    ``env`` is the child's whole environment (see ``JobLauncher.environ``).
+    """
     start = time.monotonic()
+    deadline = start + timeout
     proc = subprocess.Popen(
         argv,
+        bufsize=0,
         cwd=str(cwd),
-        env={**os.environ, **env},
+        env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        text=True,
-        encoding="utf-8",
-        errors="replace",  # a program's bytes are untrusted; never abort on them
         start_new_session=True,
     )
+    out, err = _Capture("stdout"), _Capture("stderr")
+    captures = {proc.stdout.fileno(): out, proc.stderr.fileno(): err}
+    poller = select.poll()
+    for fd in captures:
+        poller.register(fd, select.POLLIN)
     timed_out = False
     try:
-        stdout, stderr = proc.communicate(timeout=timeout)
-    except subprocess.TimeoutExpired:
-        timed_out = True
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        stdout, stderr = proc.communicate()
+        while captures:
+            wait_ms = None
+            if not timed_out:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    # after the kill, read on to EOF as communicate() did
+                    timed_out = True
+                    _kill_group(proc)
+                else:
+                    wait_ms = math.ceil(remaining * 1000)
+            for fd, _event in poller.poll(wait_ms):
+                chunk = os.read(fd, _READ_SIZE)
+                if chunk:
+                    captures[fd].add(chunk)
+                else:
+                    poller.unregister(fd)
+                    del captures[fd]
+        if not timed_out:
+            try:
+                proc.wait(deadline - time.monotonic())
+            except subprocess.TimeoutExpired:  # it closed both pipes but runs on
+                timed_out = True
+                _kill_group(proc)
+        proc.wait()
+    finally:
+        proc.stdout.close()
+        proc.stderr.close()
     duration = time.monotonic() - start
-    return proc.returncode, stdout or "", stderr or "", duration, timed_out
+    return proc.returncode, out.text(), err.text(), duration, timed_out
 
 
 @functools.cache
@@ -366,16 +495,15 @@ def _prlimit_exec_error(rc: int | None, stderr: str, binary: str) -> OSError | N
     return None
 
 
-def compile_job(job: CompileJob) -> CompileResult:
+def compile_job(job: CompileJob, launcher: JobLauncher | None = None) -> CompileResult:
     """Invoke the compiler in an isolated working directory."""
     executable = Path(job.argv[0])
     if not executable.exists():
         raise ToolNotFound(f"compiler executable not found: {executable}")
     job.workdir.mkdir(parents=True, exist_ok=True)
+    env = (launcher or JobLauncher()).environ(job.env)
     try:
-        rc, _stdout, stderr, duration, timed_out = _execute(
-            job.argv, job.workdir, job.env, job.timeout
-        )
+        rc, _stdout, stderr, duration, timed_out = _execute(job.argv, job.workdir, env, job.timeout)
     except OSError as exc:  # e.g. a "#!" interpreter that is missing
         raise ToolNotFound(f"{job.compiler_id}: cannot start {executable}: {exc}") from exc
     if timed_out:
@@ -396,7 +524,9 @@ def compile_job(job: CompileJob) -> CompileResult:
     )
 
 
-def run_job(job: RunJob, limits: RunLimits | None = None) -> RunResult:
+def run_job(
+    job: RunJob, limits: RunLimits | None = None, launcher: JobLauncher | None = None
+) -> RunResult:
     """Execute one binary under one device configuration."""
     binary = Path(job.binary_path)
 
@@ -405,9 +535,10 @@ def run_job(job: RunJob, limits: RunLimits | None = None) -> RunResult:
 
     if not binary.exists() or not os.access(binary, os.X_OK):
         return launch_error(f"binary missing or not executable: {binary}")
+    launcher = launcher or JobLauncher()
     argv: tuple[str, ...] = (str(binary),)
     if limits is not None:
-        if _exec_format_error(argv[0], binary.parent):
+        if launcher.exec_format_error(argv[0], binary.parent):
             return launch_error(str(OSError(errno.ENOEXEC, os.strerror(errno.ENOEXEC), argv[0])))
         argv = (
             prlimit_path(),
@@ -416,10 +547,9 @@ def run_job(job: RunJob, limits: RunLimits | None = None) -> RunResult:
             "--",
             *argv,
         )
+    env = launcher.environ(job.env)
     try:
-        rc, stdout, stderr, duration, timed_out = _execute(
-            argv, binary.parent, job.env, job.timeout
-        )
+        rc, stdout, stderr, duration, timed_out = _execute(argv, binary.parent, env, job.timeout)
     except OSError as exc:
         return launch_error(str(exc))
     exec_error = _prlimit_exec_error(rc, stderr, argv[-1]) if limits is not None else None

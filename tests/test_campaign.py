@@ -540,6 +540,46 @@ def test_missing_prlimit_stops_the_campaign_before_any_job(tmp_path, monkeypatch
     assert CostLedger(runner.store.ledger_path).entries() == []
 
 
+def test_each_stage_starts_its_jobs_in_the_environment_it_began_with(tmp_path, monkeypatch):
+    import subprocess
+
+    from ragfuzz.toolchain import prlimit_path
+
+    started = []
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, args, *rest, **kwargs):
+            started.append((args[0], kwargs["env"]))
+            super().__init__(args, *rest, **kwargs)
+
+    config = load_config_file(materialize_scenario(build_tiny(), tmp_path / "work"))
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    monkeypatch.setenv("RAGFUZZ_DEVICE", "harness")
+    monkeypatch.setenv("RAGFUZZ_TEST_STAGE", "gate")
+    CampaignRunner(config, tmp_path / "campaign").run(halt_after="repair_mutants")
+    gate = started[:]
+    monkeypatch.setenv("RAGFUZZ_TEST_STAGE", "matrix")
+    resume(tmp_path / "campaign")
+    matrix = started[len(gate):]
+    assert gate and matrix
+
+    def encoded(env):
+        return {os.fsencode(k): os.fsencode(v) for k, v in env.items()}
+
+    table = encoded(config.toolchains[0].env)
+    assert all(env == {**os.environb, b"RAGFUZZ_TEST_STAGE": b"gate", **table} for _, env in gate)
+    runs = [env for program, env in matrix if program == prlimit_path()]
+    compiles = [env for program, env in matrix if program != prlimit_path()]
+    assert all(env == {**os.environb, **table} for env in compiles)
+    assert compiles[0][b"RAGFUZZ_DEVICE"] == b"harness"
+    devices = [{**os.environb, **encoded(device.env)} for device in config.devices]
+    assert devices[0] != devices[1]
+    assert runs and all(env in devices for env in runs)
+    assert runs.count(devices[0]) == runs.count(devices[1])
+    # one environment per distinct job env: both compilers share theirs
+    assert len({id(env) for _, env in matrix}) == 3
+
+
 def test_no_secret_material_in_artifacts(tmp_path):
     secret = "s3cr3t-T0KEN-9f8e7d"
     os.environ["RAGFUZZ_TEST_SECRET"] = secret

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import errno
+import hashlib
 import json
 import os
 import random
@@ -9,6 +10,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -32,9 +34,11 @@ from ragfuzz.mocktool import (
     write_mock_table,
 )
 from ragfuzz.toolchain import (
+    OUTPUT_CAP,
     CellKey,
     CompileStatus,
     DeviceConfig,
+    JobLauncher,
     RunJob,
     RunLimits,
     RunStatus,
@@ -434,6 +438,189 @@ def test_run_with_limits_needs_prlimit_on_the_harness_path(tmp_path, monkeypatch
             _run_file(tmp_path / "ok.bin", b"#!/bin/sh\necho ok\n", RunLimits())
     finally:
         toolchain.prlimit_path.cache_clear()
+
+
+# --- how a job starts: output capture, deadline, environment, launch check ---
+
+
+def test_flood_on_both_streams_is_capped_drained_and_hashed(tmp_path):
+    # one child writes 3 MB to each stream, alternating 64 KB blocks; the
+    # two floods share their first OUTPUT_CAP bytes and differ in the last
+    size, block = 3 * 1024 * 1024, 65536
+
+    def flooder(last: bytes) -> bytes:
+        return (
+            f"#!{sys.executable} -IS\n"
+            "import os\n"
+            f"for start in range(0, {size}, {block}):\n"
+            "    for fd, fill in ((1, b'o'), (2, b'e')):\n"
+            f"        data = fill * {block}\n"
+            f"        if start + {block} == {size}:\n"
+            f"            data = data[:-1] + {last!r}\n"
+            "        view = memoryview(data)\n"
+            "        while view:\n"
+            "            view = view[os.write(fd, view):]\n"
+        ).encode()
+
+    results = [
+        _run_file(tmp_path / f"flood{tag}.bin", flooder(tag.encode()), None) for tag in "AB"
+    ]
+    for tag, rr in zip("AB", results):
+        assert (rr.status, rr.exit_code) == (RunStatus.OK, 0)
+        for name, fill, text in (("stdout", b"o", rr.stdout), ("stderr", b"e", rr.stderr)):
+            whole = fill * (size - 1) + tag.encode()
+            assert text == (
+                fill.decode() * OUTPUT_CAP
+                + f"\n[harness] {name} truncated: kept the first {OUTPUT_CAP} of {size} "
+                f"bytes, sha256 {hashlib.sha256(whole).hexdigest()}\n"
+            )
+    assert results[0].stdout != results[1].stdout
+    assert results[0].stderr != results[1].stderr
+
+
+def test_output_up_to_the_cap_is_kept_whole(tmp_path):
+    script = f"#!/bin/sh\nexec head -c {OUTPUT_CAP} /dev/zero\n".encode()
+    rr = _run_file(tmp_path / "at_cap.bin", script, None)
+    assert rr.status == RunStatus.OK
+    assert rr.stdout == "\0" * OUTPUT_CAP
+
+
+def test_program_that_writes_without_pause_still_times_out(tmp_path, monkeypatch):
+    import select
+
+    make_poll, started = select.poll, time.monotonic()
+
+    class NeverSilent:
+        """A poll that waits on through silence, as if the program never
+        paused: the deadline must be checked at wakeups that bring data."""
+
+        def __init__(self):
+            self._poll = make_poll()
+            self.register, self.unregister = self._poll.register, self._poll.unregister
+
+        def poll(self, timeout_ms=None):
+            assert time.monotonic() - started < 10, "the deadline went unchecked"
+            while not (events := self._poll.poll(timeout_ms)):
+                pass
+            return events
+
+    monkeypatch.setattr(select, "poll", NeverSilent)
+    chatter = b"#!/bin/sh\nwhile :; do echo x; done\n"
+    for limits in (RunLimits(), None):
+        rr = _run_file(tmp_path / "chatter.bin", chatter, limits, timeout=0.5)
+        assert rr.status == RunStatus.TIMEOUT, rr.status
+        assert rr.exit_code == -signal.SIGKILL
+        assert 0.5 <= rr.duration < 5
+        assert rr.stdout.startswith("x\nx\n")
+
+
+def test_interleaved_streams_past_a_pipe_buffer_come_back_byte_exact(tmp_path):
+    lines = 25000  # ~240 KB a stream, near four times a pipe's 64 KB
+    writer = (
+        "#!/bin/sh\ni=0\n"
+        f"while [ $i -lt {lines} ]; do\n"
+        "  echo \"out $i\"\n  echo \"err $i\" >&2\n  i=$((i + 1))\n"
+        "done\nprintf 'a\\r\\nb\\rc'\n"
+    ).encode()
+    rr = _run_file(tmp_path / "interleaved.bin", writer, None)
+    assert rr.status == RunStatus.OK
+    assert rr.stdout == "".join(f"out {i}\n" for i in range(lines)) + "a\nb\nc"
+    assert rr.stderr == "".join(f"err {i}\n" for i in range(lines))
+    assert len(rr.stderr) > 200_000
+
+
+def _env_binary(tmp_path) -> Path:
+    """A run binary that prints, in hex, the environment it was started with."""
+    binary = tmp_path / "env.bin"
+    binary.write_text(
+        f"#!{sys.executable} -IS\n"
+        "with open('/proc/self/environ', 'rb') as fh:\n"
+        "    print(fh.read().hex())\n"
+    )
+    binary.chmod(0o755)
+    return binary
+
+
+def _printed_env(rr) -> dict[bytes, bytes]:
+    assert rr.status == RunStatus.OK, rr
+    entries = bytes.fromhex(rr.stdout).split(b"\0")[:-1]
+    return dict(entry.split(b"=", 1) for entry in entries)
+
+
+def test_job_sees_the_harness_environment_overlaid_with_its_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("RAGFUZZ_TEST_HARNESS", "harness")
+    monkeypatch.setenv(DEVICE_ENV, "from the harness")
+    binary, launcher = _env_binary(tmp_path), JobLauncher()
+    cell = CellKey("cc", "t", "-O0", "devA")
+    seen = {}
+    for device in ("devA", "devB"):
+        env = {DEVICE_ENV: device, "RAGFUZZ_TEST_JOB": device}
+        rr = run_job(RunJob("c", cell, str(binary), env=env), RunLimits(), launcher)
+        seen[device] = _printed_env(rr)
+        assert seen[device] == {**os.environb, **{k.encode(): v.encode() for k, v in env.items()}}
+        assert seen[device][b"RAGFUZZ_TEST_HARNESS"] == b"harness"
+    assert seen["devA"][DEVICE_ENV.encode()] == b"devA"
+    assert seen["devB"][DEVICE_ENV.encode()] == b"devB"
+    # one encoding per distinct job env
+    env = {DEVICE_ENV: "devA"}
+    assert launcher.environ(env) is launcher.environ(dict(env))
+    assert launcher.environ(env) != launcher.environ({DEVICE_ENV: "devB"})
+    assert launcher.environ(env)[DEVICE_ENV.encode()] == b"devA"
+
+
+def test_launcher_reads_the_harness_environment_when_it_is_made(tmp_path, monkeypatch):
+    binary = _env_binary(tmp_path)
+    job = RunJob("c", CellKey("cc", "t", "-O0", "d"), str(binary))
+    monkeypatch.setenv("RAGFUZZ_TEST_STAGE", "before")
+    launcher = JobLauncher()
+    monkeypatch.setenv("RAGFUZZ_TEST_STAGE", "after")
+    assert _printed_env(run_job(job, None, launcher))[b"RAGFUZZ_TEST_STAGE"] == b"before"
+    assert _printed_env(run_job(job, None, JobLauncher()))[b"RAGFUZZ_TEST_STAGE"] == b"after"
+
+
+def test_direct_calls_see_os_environ_as_it_is_at_the_call(tmp_path, monkeypatch):
+    binary = _env_binary(tmp_path)
+    job = RunJob("c", CellKey("cc", "t", "-O0", "d"), str(binary))
+    cc = tmp_path / "cc"
+    cc.write_text('#!/bin/sh\necho "$RAGFUZZ_TEST_CALL" >&2\nexit 1\n')
+    cc.chmod(0o755)
+    tc = ToolchainConfig("cc", str(cc), (), (TargetSpec("t"),), ("-O0",))
+    cjob = build_matrix("c", tmp_path / "s.cpp", [tc], tmp_path / "out")[0]
+    for value in ("first", "second"):
+        monkeypatch.setenv("RAGFUZZ_TEST_CALL", value)
+        assert _printed_env(run_job(job))[b"RAGFUZZ_TEST_CALL"] == value.encode()
+        assert compile_job(cjob).stderr == f"{value}\n"
+
+
+def test_binary_rewritten_in_place_is_checked_again(tmp_path, monkeypatch):
+    import ragfuzz.toolchain as toolchain
+
+    checks = []
+    check = toolchain._exec_format_error
+
+    def counting(path, cwd, depth=0):
+        if depth == 0:
+            checks.append(path)
+        return check(path, cwd, depth)
+
+    monkeypatch.setattr(toolchain, "_exec_format_error", counting)
+    path = tmp_path / "rewritten.bin"
+    job = RunJob("c", CellKey("cc", "t", "-O0", "d"), str(path))
+    launcher = JobLauncher()
+    path.write_bytes(b"#!/bin/sh\necho ok\n")
+    path.chmod(0o755)
+    inode = path.stat().st_ino
+    for _ in range(3):
+        rr = run_job(job, RunLimits(), launcher)
+        assert (rr.status, rr.stdout) == (RunStatus.OK, "ok\n")
+    assert checks == [str(path)]  # once per file, not once per run
+    elf32 = _HOST_ELF_HEADER[:4] + b"\x01" + _HOST_ELF_HEADER[5:] + b"\necho pwned\n"
+    path.write_bytes(elf32)
+    assert path.stat().st_ino == inode
+    rr = run_job(job, RunLimits(), launcher)
+    assert rr.status == RunStatus.LAUNCH_ERROR, rr
+    assert rr.stderr == str(OSError(errno.ENOEXEC, os.strerror(errno.ENOEXEC), str(path)))
+    assert checks == [str(path)] * 2
 
 
 def _compile_and_run(source, toolchain, out_dir, env):
