@@ -233,9 +233,15 @@ def load_config(data: dict, base_dir: Path) -> CampaignConfig:
             raise ConfigError(f"{key}[{ids.index('')}].{id_field}", "must be non-empty")
         if len(set(ids)) != len(ids):
             raise ConfigError(key, f"{id_field} values must be unique")
+    # a pass's slug names its directory and begins its case directories'
+    # names, so two passes may not share one slug
+    slugs: dict[str, str] = {}
     for i, p in enumerate(config.passes):
         if not p.sources:
             raise ConfigError(f"passes[{i}].sources", "must list at least one glob")
+        first = slugs.setdefault(_slug(p.pass_name), p.pass_name)
+        if first != p.pass_name:
+            raise ConfigError("passes", f"passes {first!r} and {p.pass_name!r} share one directory")
     for i, t in enumerate(config.toolchains):
         if not t.targets:
             raise ConfigError(f"toolchains[{i}].targets", "must list at least one target")
@@ -432,8 +438,14 @@ class CampaignStore:
     def functions_path(self, pass_name: str) -> Path:
         return self.pass_dir(pass_name) / "functions.json"
 
-    def characteristics_path(self, pass_name: str, function_key: str) -> Path:
-        return self.pass_dir(pass_name) / "characteristics" / f"{_slug(function_key)}.json"
+    def characteristics_paths(self, pass_name: str, functions: list[PassFunction]) -> list[Path]:
+        """One file per function, named by its slug; a function whose slug
+        an earlier one of the pass took (an overload, say) adds its index."""
+        names: list[str] = []
+        for i, fn in enumerate(functions):
+            name = _slug(fn.qualified_name)
+            names.append(f"{name}.f{i}" if name in names else name)
+        return [self.pass_dir(pass_name) / "characteristics" / f"{name}.json" for name in names]
 
     def case_dir(self, case_id: str) -> Path:
         return self.root / "cases" / _slug(case_id)
@@ -736,17 +748,17 @@ class CampaignRunner:
 
     def _stage_characteristics(self) -> None:
         for spec in self.config.passes:
-            for fn in self._load_functions(spec.pass_name):
-                path = self.store.characteristics_path(spec.pass_name, fn.qualified_name)
-                if path.exists():
-                    self.pipeline.seed_characteristics_cache(fn, _read_json(Characteristics, path))
-                    continue
-                _write_json(path, to_record(self.pipeline.generate_characteristics(fn)))
+            functions = self._load_functions(spec.pass_name)
+            paths = self.store.characteristics_paths(spec.pass_name, functions)
+            for fn, path in zip(functions, paths):
+                if not path.exists():
+                    _write_json(path, to_record(self.pipeline.generate_characteristics(fn)))
 
     def _stage_generate(self) -> None:
         for spec in self.config.passes:
-            for fn_idx, fn in enumerate(self._load_functions(spec.pass_name)):
-                ch_path = self.store.characteristics_path(spec.pass_name, fn.qualified_name)
+            functions = self._load_functions(spec.pass_name)
+            ch_paths = self.store.characteristics_paths(spec.pass_name, functions)
+            for fn_idx, (fn, ch_path) in enumerate(zip(functions, ch_paths)):
                 ch = _read_json(Characteristics, ch_path)
                 for k in range(self.config.generation.seeds_per_function):
                     case_id = seed_case_id(spec.pass_name, fn_idx, k)
@@ -961,18 +973,14 @@ class CampaignRunner:
                     discrepancies.append(from_record(Discrepancy, json.loads(line)))
         findings = to_record(summarize(discrepancies))
 
-        entries = self.ledger.entries()
-        input_tokens = sum(e.input_tokens for e in entries)
-        output_tokens = sum(e.output_tokens for e in entries)
+        input_tokens, output_tokens = self.ledger.total_tokens()
         by_stage = {}
         for stage in LEDGER_STAGES:
-            stage_entries = [e for e in entries if e.stage == stage]
-            by_stage[stage] = {
-                "input_tokens": sum(e.input_tokens for e in stage_entries),
-                "output_tokens": sum(e.output_tokens for e in stage_entries),
-            }
+            stage_input, stage_output = self.ledger.total_tokens({stage})
+            by_stage[stage] = {"input_tokens": stage_input, "output_tokens": stage_output}
         try:
-            total_dollars = str(estimate_cost(entries, self.pricing or default_pricing()))
+            pricing = self.pricing or default_pricing()
+            total_dollars = str(estimate_cost(self.ledger.entries(), pricing))
         except RagfuzzError:
             total_dollars = "unpriced"
         cost = {

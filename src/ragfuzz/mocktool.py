@@ -1,11 +1,12 @@
 """Scripted mock toolchain: real executables honoring a fixture table.
 
 The table is JSON keyed by the sha256 hex digest of the source file bytes,
-one record per source hash, with an optional ``"*"`` fallback:
+one record per source hash, with an optional ``"*"`` fallback for a digest
+with no record or a null one:
 
     {
       "<sha256 of source>": {
-        "compile": {"exit": 0, "stdout": "", "stderr": ""},
+        "compile": {"exit": 0, "stdout": "", "stderr": "", "sleep": 0},
         "runs": [
           {"compiler": "cc1", "target": "*", "opt": "-O2", "device": "devB",
            "stdout": "...", "stderr": "", "exit": 0, "signal": null, "sleep": 0}
@@ -13,70 +14,62 @@ one record per source hash, with an optional ``"*"`` fallback:
       }
     }
 
-Every gate and matrix compile is one start of the mock compiler, so it is a
-POSIX ``#!/bin/sh`` script, and the table is translated to sh once, when it
-is written: ``write_mock_table`` writes ``table.json`` and then, beside it,
-its sh form ``table.json.sh`` (``translate_mock_table`` writes the sh form
-of a ``table.json`` written some other way). The sh form defines one
-function, ``mock_compile``, holding a ``case`` with one arm per record,
-keyed by the quoted digest or a literal ``'*'``. A compile hashes the source
-with ``sha256sum``, sources the sh form and calls ``mock_compile`` with the
-digest and then with ``*``, so the lookup stays ``table.get(digest) or
-table.get("*")``: a falsy digest record gets no arm, nor does a null
-``"*"``. A compile thus starts no Python. The compiler names ``sha256sum``,
-``chmod`` and ``sleep`` by the absolute paths ``write_mock_compiler`` found
-on its ``PATH``, and exits 91 when the sh form is missing or older than
-``table.json``.
+A table is decoded into ``MockRecord`` values when it is written
+(``decode_mock_table``). A malformed entry raises a ``RecordError`` naming
+its field path, such as ``<digest>.runs[1].signal``: a key that is neither
+a digest nor ``"*"``, a field of the wrong type, an ``exit`` outside
+0..255, a ``sleep`` that is NaN, negative or overflows, a ``signal`` that
+is no ``signal.Signals`` name, a stdout with a surrogate no byte decodes
+to, or a coordinate or device name no argument or environment variable can
+hold. Numbers are coerced with ``int()`` and ``float()``, so ``"3"`` and
+3.7 exit 3.
 
-Each arm does what the Python compiler that read the JSON at every compile
-did with the record (``tests/fixtures/python_mock_compiler.tmpl`` keeps it):
-sleep, write the compile's stdout and stderr, exit with its code; where
-Python raised on the record, the arm writes the error in one line and exits
-1. On exit 0 with ``-o`` it writes the output binary and makes it
-executable, so the full subprocess path (including signals and timeouts)
-is exercised without any real compiler.
+Every gate and matrix compile is one start of the mock compiler, so it is a
+POSIX ``#!/bin/sh`` script that starts no Python, and the table is
+translated to sh once, when it is written: ``write_mock_table`` writes
+``table.json`` and then its sh form ``table.json.sh`` beside it
+(``translate_mock_table`` writes the sh form of a ``table.json`` written
+some other way). The sh form defines ``mock_compile``, a ``case`` with one
+arm per record keyed by the quoted digest or a literal ``'*'``; a compile
+hashes the source with ``sha256sum``, sources the sh form and calls
+``mock_compile`` with the digest, then with ``*``. It names ``sha256sum``,
+``chmod`` and ``sleep`` by the absolute paths ``write_mock_compiler``
+found on its ``PATH``, and exits 91 when the sh form is missing or older
+than ``table.json``. Each arm does what the Python compiler
+(``tests/fixtures/python_mock_compiler.tmpl``) did with the record: sleep,
+write the compile's stdout and stderr, and exit with its code, writing the
+output binary first on exit 0 with ``-o``.
 
 A binary is a POSIX ``#!/bin/sh`` script whose run entries are fixed at
-compile time, so editing the table afterwards does not change binaries
-already built. The compiler knows the binary's compiler, target and opt
-level, so it picks the entry for each device the record's ``runs`` name,
-and for any other device, most specific first: ``"*"`` (or an omitted
-field) matches anything, and when nothing matches the binary prints ``mock
-run ok``. Each pick becomes one arm of ``case "${RAGFUZZ_DEVICE-}"``, built
-from shell builtins and ``sleep``: ``printf`` with every byte but safe
-printable ASCII as an octal escape (stdout encoded as UTF-8 with surrogate
-escapes, stderr with backslash escapes), ``kill -N $$`` and ``exit N``. The
-sh form holds, for each such arm, the arm texts of the entries the pick may
-choose, in its order (score descending, then list order), each guarded by
-``[ "$compiler" = '...' ]`` tests on its compiler, target and opt fields,
-so the compiler writes the same bytes the Python compiler wrote.
-
-The arms keep what the Python binaries that sh binaries replaced did: exit
-codes go through ``int()`` and keep their low byte (-1 exits 255, 256 exits
-0, ``"3"`` and 3.7 exit 3, beyond a C long 255); a signal name resolves
-through ``_signal`` when the table is translated (``"SIG_IGN"`` is signal
-1); SIGPIPE and SIGXFSZ, which CPython ignores, and signal 0 send nothing,
-so the run exits with the entry's code; and an entry Python failed on (an
-unknown signal name, an ``exit`` of null, a negative ``sleep``, text that
-is no string) writes what Python wrote before the error, then the error in
-one line, and exits 1. ``sleep`` is no sh builtin, so the binary names it
-by the absolute path ``write_mock_compiler`` found; bash ignores SIGQUIT,
-so under bash a SIGQUIT arm execs the ``kill`` found the same way. Binaries
-that older campaigns left behind, Python scripts, keep running: a run job
-starts any executable.
+compile time, so editing the table does not change binaries already built.
+The compiler knows the binary's compiler, target and opt level, so it picks
+the entry for each device the record's ``runs`` name, and for any other
+device, most specific first (``"*"``, or an omitted field, matches
+anything; with no match the binary prints ``mock run ok``). Each pick is
+one arm of ``case "${RAGFUZZ_DEVICE-}"``: ``printf`` with every byte but
+safe printable ASCII as an octal escape (stdout encoded as UTF-8 with
+surrogate escapes, stderr with backslash escapes), ``sleep`` by its
+absolute path, ``kill -N $$`` (none for SIGPIPE and SIGXFSZ, which the
+Python binaries ignored; under bash, which ignores SIGQUIT, a SIGQUIT arm
+execs ``kill``) and ``exit N``. The sh form holds, for each arm, the arm
+texts of the entries the pick may choose, in its order (score descending,
+then list order), each guarded by ``[ "$compiler" = '...' ]`` tests on its
+compiler, target and opt fields, so the compiler writes the bytes the
+Python compiler wrote. Binaries that older campaigns left behind, Python
+scripts, keep running: a run job starts any executable.
 """
 from __future__ import annotations
 
-import _signal  # signal itself maps the constants to enums
 import hashlib
-import io
 import json
 import os
 import shutil
-import time
+from dataclasses import dataclass
 from pathlib import Path
+from signal import Signals
 
-from .errors import ToolNotFound
+from .errors import RecordError, ToolNotFound
+from .records import from_record
 
 TABLE_ENV = "RAGFUZZ_MOCK_TABLE"
 DEVICE_ENV = "RAGFUZZ_DEVICE"
@@ -100,8 +93,7 @@ while [ "$#" -gt 0 ]; do
     case $1 in
     -o | --mock-id | --mock-target)
         if [ "$#" -lt 2 ]; then
-            # as the Python compiler failed on a flag without its value
-            printf 'IndexError: list index out of range\n' >&2
+            printf 'mockcc: %s needs a value\n' "$1" >&2
             exit 1
         fi
         case $1 in
@@ -147,6 +139,66 @@ _FIELDS = ("compiler", "target", "opt", "device")
 # words: no text a binary holds has a NUL
 _SLEEP, _KILL = "\0S", "\0K"
 _HEX = frozenset("0123456789abcdef")
+# time.sleep overflows near 9.2e9 s
+_MAX_SLEEP = 9e9
+
+
+def _encoded(name: str, text: str) -> bytes:
+    try:
+        return text.encode("utf-8", "surrogateescape")
+    except UnicodeEncodeError:
+        raise RecordError(name, f"holds a surrogate no byte decodes to: {text!r}") from None
+
+
+@dataclass(frozen=True)
+class MockCompile:
+    exit: int = 0
+    stdout: str = ""
+    stderr: str = ""
+    sleep: float = 0.0
+
+    def __post_init__(self):
+        if not 0 <= self.exit <= 255:
+            raise RecordError("exit", f"must be in 0..255, got {self.exit}")
+        if not 0 <= self.sleep < _MAX_SLEEP:  # NaN fails too
+            raise RecordError("sleep", f"must be in [0, {_MAX_SLEEP:g}) s, got {self.sleep!r}")
+        _encoded("stdout", self.stdout)
+
+
+@dataclass(frozen=True)
+class MockRun(MockCompile):
+    compiler: str = "*"
+    target: str = "*"
+    opt: str = "*"
+    device: str = "*"
+    signal: str | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.signal is not None and self.signal not in Signals.__members__:
+            raise RecordError("signal", f"is not a signal name: {self.signal!r}")
+        for name in _FIELDS:
+            if b"\0" in _encoded(name, getattr(self, name)):
+                raise RecordError(name, "no argument or environment variable holds a NUL")
+
+
+@dataclass(frozen=True)
+class MockRecord:
+    compile: MockCompile = MockCompile()
+    runs: tuple[MockRun, ...] = ()
+
+
+_NO_MATCH = MockRun(stdout="mock run ok\n")
+
+
+def decode_mock_table(table) -> dict[str, MockRecord | None]:
+    """The records of a fixture table; a malformed entry raises a
+    ``RecordError`` naming its field path."""
+    records = from_record(dict[str, MockRecord | None], table)
+    for key in records:
+        if key != "*" and not (isinstance(key, str) and len(key) == 64 and _HEX.issuperset(key)):
+            raise RecordError(str(key), "is neither a sha256 hex digest nor '*'")
+    return records
 
 
 def source_digest(source_text: str) -> str:
@@ -182,33 +234,34 @@ def write_mock_compiler(path: Path) -> Path:
 
 
 def write_mock_table(path: Path, table: dict) -> Path:
-    """Write the fixture table as JSON, then its sh form beside it."""
+    """Write the fixture table as JSON, then its sh form beside it; a
+    malformed entry is refused before anything is written."""
+    records = decode_mock_table(table)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(table, indent=2, sort_keys=True))
-    return translate_mock_table(path)
+    _write_sh(path, dict(sorted(records.items())))  # in the JSON's order
+    return path
 
 
 def translate_mock_table(path: Path) -> Path:
     """Write ``<path>.sh``, the sh form of the JSON fixture table at
-    ``path``, from the table as ``json.loads`` reads it; returns ``path``."""
+    ``path``; returns ``path``."""
     path = Path(path)
-    table = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(table, dict):
-        raise ValueError(f"{path}: a mock fixture table is a JSON object")
+    _write_sh(path, decode_mock_table(json.loads(path.read_text(encoding="utf-8"))))
+    return path
+
+
+def _write_sh(path: Path, records: dict[str, MockRecord | None]) -> None:
     lines = ["# Mock fixture table: the JSON table beside this file, as sh.",
              "mock_compile() {", "case $1 in"]
-    for key, record in table.items():
-        # only a digest or "*" is ever looked up; a falsy digest record falls
-        # to "*", and any "*" record but null is the entry
-        if key == "*" and record is not None or record and _HEX.issuperset(key) and len(key) == 64:
+    for key, record in records.items():
+        if record is not None:  # null falls back to "*"
             lines += [_word(key) + ")", *_record(record), ";;"]
     lines += ["esac", "}", ""]
-    sh_path = path.with_name(path.name + ".sh")
     tmp = path.with_name(f"{path.name}.sh.{os.getpid()}.tmp")
     tmp.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
-    os.replace(tmp, sh_path)
-    return path
+    os.replace(tmp, path.with_name(path.name + ".sh"))
 
 
 def table_entry(
@@ -217,73 +270,41 @@ def table_entry(
     compile_stdout: str = "",
     runs: list[dict] | None = None,
 ) -> dict:
-    return {
-        "compile": {
-            "exit": compile_exit,
-            "stderr": compile_stderr,
-            "stdout": compile_stdout,
-        },
-        "runs": runs or [],
-    }
+    step = {"exit": compile_exit, "stderr": compile_stderr, "stdout": compile_stdout}
+    return {"compile": step, "runs": runs or []}
 
 
-# --- the translation: sh lines doing what the Python compiler did ----------
-
-
-def _record(record) -> list[str]:
+def _record(record: MockRecord) -> list[str]:
     """sh lines doing what the Python compiler did with one table record:
-    sleep, write stdout and stderr, and on exit 0 with -o write the binary;
-    where Python raised, the error in one line and exit 1."""
-    lines = []
-    try:
-        comp = record.get("compile", {})
-        if comp.get("sleep"):
-            secs = float(comp["sleep"])
-            if not 0 <= secs < 1e10:
-                time.sleep(secs)  # raises on NaN, < 0 and overflow, as in the Python compiler
-            lines.append('"$SLEEP" %.9f' % secs)
-        # the bytes sys.stdout and sys.stderr wrote under the C locale, and
-        # the error they raise on what they cannot write
-        for name, errors, redirect in (
-            ("stdout", "surrogateescape", ""), ("stderr", "backslashreplace", " >&2")
-        ):
-            stream = io.TextIOWrapper(io.BytesIO(), "utf-8", errors, write_through=True)
-            stream.write(comp.get(name, ""))
-            lines += _printf(stream.buffer.getvalue(), redirect)
-        code = int(comp.get("exit", 0))
-    except Exception as exc:
-        return lines + _raised(exc)
-    if code == 0:
+    sleep, write stdout and stderr, and on exit 0 with -o write the binary."""
+    comp, lines = record.compile, []
+    if comp.sleep:
+        lines.append('"$SLEEP" %.9f' % comp.sleep)
+    # the bytes sys.stdout and sys.stderr wrote under the C locale
+    lines += _printf(comp.stdout.encode("utf-8", "surrogateescape"))
+    lines += _printf(comp.stderr.encode("utf-8", "backslashreplace"), " >&2")
+    if comp.exit == 0:
         lines += [
             'if [ -n "$out" ]; then',
             "{",
-            *_binary(record.get("runs", [])),
+            *_binary(record.runs),
             '} > "$out" && "$CHMOD" 755 "$out" || exit 1',
             "fi",
         ]
-    return lines + [_exit(code)]
+    return lines + ["exit %d" % comp.exit]
 
 
-def _binary(runs) -> list[str]:
+def _binary(runs: tuple[MockRun, ...]) -> list[str]:
     """sh lines writing to stdout the binary the Python compiler wrote for
     ``runs`` at the coordinates in $compiler, $target and $opt: one case arm
     per device the entries name, "*)" for any other device."""
-    devices = {}
-    for r in runs if isinstance(runs, list) else ():
-        device = r.get("device") if isinstance(r, dict) else None
-        if device != "*" and _in_environ(device):
-            devices[device] = None
-    try:
-        entries = [(r, [r.get(field, "*") for field in _FIELDS]) for r in runs]
-        raised = None
-    except Exception as exc:  # so pick() raised, whatever the coordinates
-        entries, raised = [], _raised(exc)
+    devices = dict.fromkeys(r.device for r in runs if r.device != "*")
     text = ["#!/bin/sh", "# Mock binary: run entries fixed at compile time, one arm per device.",
             'case "${%s-}" in' % DEVICE_ENV]
     lines = []
     for device in [*devices, None]:
         text.append("*)" if device is None else _word(device) + ")")
-        branches = [([], raised)] if raised else _branches(entries, device)
+        branches = _branches(runs, device)
         if len(branches) == 1:
             text += branches[0][1]
         else:
@@ -299,82 +320,42 @@ def _binary(runs) -> list[str]:
     return lines + _writes([*text, "esac"])
 
 
-def _branches(entries, device) -> list[tuple[list[str], list[str]]]:
+def _branches(runs: tuple[MockRun, ...], device: str | None) -> list[tuple[list[str], list[str]]]:
     """(tests, arm) for each entry pick() may choose on ``device`` (None: a
     device no entry names), in its order: score descending, then list order.
     Each holds the tests the compile's coordinates must pass; the last has
     none, and is "no match" unless an entry matches any coordinates."""
     picks = []
-    for i, (r, (*coords, want_device)) in enumerate(entries):
-        if want_device != "*" and (device is None or want_device != device):
+    for i, r in enumerate(runs):
+        if r.device != "*" and r.device != device:
             continue
-        tests = []
-        for var, want in zip(("compiler", "target", "opt"), coords):
-            if want == "*":
-                continue
-            if not _in_environ(want):
-                break  # no argument holds it: the entry never matches
-            tests.append('[ "$%s" = %s ]' % (var, _word(want)))
-        else:
-            picks.append((-len(tests) - (want_device != "*"), i, tests, r))
+        tests = ['[ "$%s" = %s ]' % (var, _word(getattr(r, var)))
+                 for var in _FIELDS[:3] if getattr(r, var) != "*"]
+        picks.append((-len(tests) - (r.device != "*"), i, tests, r))
     branches = []
     for _, _, tests, r in sorted(picks, key=lambda p: p[:2]):
         branches.append((tests, _arm(r)))
         if not tests:
             return branches
-    return branches + [([], _arm(None))]
+    return branches + [([], _arm(_NO_MATCH))]
 
 
-def _arm(r) -> list[str]:
-    """sh lines doing what the Python binary did with the entry it picked
-    (None: no entry matched): write stdout, then stderr, sleep, raise the
-    signal, exit; where Python raised, the error in one line and exit 1."""
-    lines = []
-    try:
-        if r is None:
-            r = {"stdout": "mock run ok\n"}
-        # encoded as Python's streams did under the C locale
-        lines += _printf(r.get("stdout", "").encode("utf-8", "surrogateescape"))
-        lines += _printf(r.get("stderr", "").encode("utf-8", "backslashreplace"), " >&2")
-        if r.get("sleep"):
-            secs = float(r["sleep"])
-            if not 0 <= secs < 9e9:  # time.sleep refuses NaN, < 0 and overflow
-                raise ValueError("invalid sleep length: %r" % secs)
-            lines.append("%s %.9f" % (_SLEEP, secs))
-        sig = r.get("signal")
-        if sig:
-            num = getattr(_signal, sig)
-            if type(num) is not int or not 0 <= num < _signal.NSIG:
-                raise ValueError("not a signal: %r" % sig)
-            # 0 sends nothing, and CPython ignores SIGPIPE and SIGXFSZ
-            if num not in (0, _signal.SIGPIPE, _signal.SIGXFSZ):
-                lines.append("kill -%d $$" % num)
-                if num == _signal.SIGQUIT:
-                    # bash ignores SIGQUIT; its exec restores what it inherited
-                    lines.append('[ -z "${BASH_VERSION-}" ] || exec %s -%d $$' % (_KILL, num))
-        lines.append(_exit(int(r.get("exit", 0))))
-    except Exception as exc:
-        lines += _raised(exc)
-    return lines
-
-
-def _exit(code: int) -> str:
-    # sys.exit keeps the low byte of a C long, and exits 255 beyond one
-    return "exit %d" % (code & 255 if -(1 << 63) <= code < 1 << 63 else 255)
-
-
-def _raised(exc: Exception) -> list[str]:
-    error = "%s: %s\n" % (type(exc).__name__, exc)
-    return _printf(error.encode("utf-8", "backslashreplace"), " >&2") + ["exit 1"]
-
-
-def _in_environ(value) -> bool:
-    """Whether an argument or environment variable can hold ``value``: no
-    NUL, and no surrogate that no byte decodes to."""
-    try:
-        return isinstance(value, str) and b"\0" not in value.encode("utf-8", "surrogateescape")
-    except UnicodeEncodeError:
-        return False
+def _arm(r: MockRun) -> list[str]:
+    """sh lines doing what the Python binary did with the entry it picked:
+    write stdout, then stderr, sleep, raise the signal, exit."""
+    # encoded as Python's streams did under the C locale
+    lines = _printf(r.stdout.encode("utf-8", "surrogateescape"))
+    lines += _printf(r.stderr.encode("utf-8", "backslashreplace"), " >&2")
+    if r.sleep:
+        lines.append("%s %.9f" % (_SLEEP, r.sleep))
+    num = r.signal and Signals[r.signal]
+    # CPython ignores SIGPIPE and SIGXFSZ
+    if num and num not in (Signals.SIGPIPE, Signals.SIGXFSZ):
+        lines.append("kill -%d $$" % num)
+        if num == Signals.SIGQUIT:
+            # bash ignores SIGQUIT; its exec restores what it inherited
+            lines.append('[ -z "${BASH_VERSION-}" ] || exec %s -%d $$' % (_KILL, num))
+    return lines + ["exit %d" % r.exit]
 
 
 def _word(text: str) -> str:

@@ -228,7 +228,6 @@ class GenerationPipeline:
         self.embedder = embedder
         self.retrieval_threshold = retrieval_threshold
         self.retrieval_k = retrieval_k
-        self._characteristics_cache: dict[str, Characteristics] = {}
 
     def _context(self, prompt) -> list[RetrievedChunk]:
         if self.index is None or self.embedder is None or len(self.index) == 0:
@@ -238,25 +237,15 @@ class GenerationPipeline:
         )
 
     def generate_characteristics(self, fn: PassFunction) -> Characteristics:
-        """Stage 1; generated once per function per campaign (cached)."""
-        cache_key = f"{fn.pass_name}|{fn.qualified_name}|{derive_seed(fn.body)}"
-        cached = self._characteristics_cache.get(cache_key)
-        if cached is not None:
-            return cached
+        """Stage 1; the campaign calls it once per function, for a function
+        with no characteristics file."""
         prompt = self.prompts.characteristics_prompt(fn.pass_name, fn.body)
         completion = self.llm.llm_complete(prompt, self._context(prompt), "characteristics")
         if not completion.text.strip():
             raise EmptyResponse(f"blank characteristics for {fn.qualified_name}")
-        result = Characteristics(
+        return Characteristics(
             pass_name=fn.pass_name, function_key=fn.qualified_name, text=completion.text
         )
-        self._characteristics_cache[cache_key] = result
-        return result
-
-    def seed_characteristics_cache(self, fn: PassFunction, ch: Characteristics) -> None:
-        """Used on resume so persisted results suppress provider calls."""
-        cache_key = f"{fn.pass_name}|{fn.qualified_name}|{derive_seed(fn.body)}"
-        self._characteristics_cache[cache_key] = ch
 
     def generate_testcase(
         self, ch: Characteristics, selection: FeatureSelection, case_id: str

@@ -108,7 +108,7 @@ def _at(key: str, decode: typing.Callable, value):
     except RecordError as exc:
         path = exc.field_path if exc.field_path[:1] in ("", "[") else "." + exc.field_path
         raise RecordError(key + path, exc.reason) from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise RecordError(key, f"cannot read {value!r}: {exc}") from exc
 
 
@@ -123,16 +123,19 @@ def _hint(annotation: str, module: str):
 
 
 def _dataclass_decoder(cls: type) -> typing.Callable:
-    fields = [
-        (f.name,
-         _decoder(_field_hint(cls, f)),
-         f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
-        for f in dataclasses.fields(cls)
-        if f.init
-    ]
+    fields = None  # built at the first decode, so a type no record holds costs nothing
 
     def decode(data):
+        nonlocal fields
         _mapping(data)
+        if fields is None:
+            fields = [
+                (f.name,
+                 _decoder(_field_hint(cls, f)),
+                 f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+                for f in dataclasses.fields(cls)
+                if f.init
+            ]
         kwargs = {}
         for name, decode_field, required in fields:
             if name in data:

@@ -16,8 +16,14 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import OpenWorldKey, UnknownScenario
-from .mocktool import source_digest, table_entry, write_mock_compiler, write_mock_table
+from .errors import OpenWorldKey, RecordError, UnknownScenario
+from .mocktool import (
+    decode_mock_table,
+    source_digest,
+    table_entry,
+    write_mock_compiler,
+    write_mock_table,
+)
 from .pipeline import (
     default_catalog,
     derive_seed,
@@ -54,15 +60,10 @@ class Scenario:
                     f"scenario {self.scenario_id}: entry #{i} has unknown template "
                     f"{entry.template_id!r}"
                 )
-        for digest, record in self.tool_table.items():
-            if digest != "*" and len(digest) != 64:
-                raise OpenWorldKey(
-                    f"scenario {self.scenario_id}: tool table key {digest!r} is not a sha256"
-                )
-            if "compile" not in record:
-                raise OpenWorldKey(
-                    f"scenario {self.scenario_id}: tool entry {digest[:12]} lacks 'compile'"
-                )
+        try:
+            decode_mock_table(self.tool_table)
+        except RecordError as exc:
+            raise OpenWorldKey(f"scenario {self.scenario_id}: tool table: {exc}") from None
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

@@ -260,6 +260,9 @@ def expand_run_jobs(
 # bytes kept of each stream a job writes; the rest is drained, counted and hashed
 OUTPUT_CAP = 1024 * 1024
 _READ_SIZE = 65536  # a Linux pipe's default capacity
+# how long a timed-out job's pipes are read after its group is killed: a
+# child that left the group may hold them open for as long as it runs
+_DRAIN_GRACE_S = 0.25
 
 
 class JobLauncher:
@@ -370,16 +373,16 @@ def _execute(
     timed_out = False
     try:
         while captures:
-            wait_ms = None
-            if not timed_out:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    # after the kill, read on to EOF as communicate() did
-                    timed_out = True
-                    _kill_group(proc)
-                else:
-                    wait_ms = math.ceil(remaining * 1000)
-            for fd, _event in poller.poll(wait_ms):
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                if timed_out:
+                    break  # a child that left the group holds the pipes open
+                timed_out = True
+                _kill_group(proc)
+                # read on to EOF, for what the group wrote before the kill
+                deadline = time.monotonic() + _DRAIN_GRACE_S
+                continue
+            for fd, _event in poller.poll(math.ceil(remaining * 1000)):
                 chunk = os.read(fd, _READ_SIZE)
                 if chunk:
                     captures[fd].add(chunk)

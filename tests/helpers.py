@@ -1,8 +1,9 @@
 """Shared test helpers: synthetic results matrices for classifier checks, a
-provider backend that fails on cue, and the Python mock compiler and mock
-binary that the sh ones replaced."""
+provider backend that fails on cue, the Python mock compiler and mock
+binary that the sh ones replaced, and the check that a table is refused."""
 from __future__ import annotations
 
+import json
 import os
 import random
 import shutil
@@ -10,9 +11,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ragfuzz.difftest import ResultsMatrix
-from ragfuzz.errors import TransportError
-from ragfuzz.mocktool import DEVICE_ENV, TABLE_ENV
+from ragfuzz.errors import RecordError, TransportError
+from ragfuzz.mocktool import DEVICE_ENV, TABLE_ENV, translate_mock_table, write_mock_table
 from ragfuzz.providers import Completion, approx_tokens
 from ragfuzz.toolchain import CellKey, RunJob, RunLimits, RunResult, RunStatus, run_job
 
@@ -162,28 +165,29 @@ def compile_outcome(argv, env: dict, cwd: Path, out: Path) -> tuple:
 
 def assert_same_compile(got, want, context) -> None:
     """Compile outcomes (exit, stdout, stderr, binary bytes or None) of the
-    sh compiler and of the Python one match; where Python raised, stderr is
-    what it wrote before its traceback, then the traceback's last line."""
-    assert (got[0], got[1], got[3]) == (want[0], want[1], want[3]), context
-    written, traceback, _ = want[2].partition(b"Traceback (most recent call last):\n")
-    if traceback:
-        assert got[2] == written + want[2].splitlines(keepends=True)[-1], context
-    else:
-        assert got[2] == want[2], context
+    sh compiler and of the Python one match."""
+    assert got == want, context
+
+
+def assert_refused(table: dict, field_path: str, workdir: Path) -> None:
+    """write_mock_table, and translate_mock_table on the JSON of ``table``,
+    refuse it with a RecordError naming ``field_path``, and write no sh form."""
+    written, translated = workdir / "written.json", workdir / "translated.json"
+    with pytest.raises(RecordError) as info:
+        write_mock_table(written, table)
+    assert info.value.field_path == field_path
+    assert not written.exists() and not written.with_name("written.json.sh").exists()
+    translated.write_text(json.dumps(table))
+    with pytest.raises(RecordError) as info:
+        translate_mock_table(translated)
+    assert info.value.field_path == field_path
+    assert not translated.with_name("translated.json.sh").exists()
 
 
 def mock_devices(runs) -> list[str | None]:
-    """Every device name an environment can hold that ``runs`` names, one it
-    does not name, and None for the device variable unset."""
-    named = []
-    for r in runs if isinstance(runs, list) else ():
-        device = r.get("device") if isinstance(r, dict) else None
-        if isinstance(device, str) and device != "*" and "\0" not in device:
-            try:
-                os.fsencode(device)
-            except UnicodeEncodeError:
-                continue
-            named.append(device)
+    """Every device name ``runs`` names, one it does not name, and None for
+    the device variable unset."""
+    named = [r["device"] for r in runs if r.get("device", "*") != "*"]
     return [*dict.fromkeys(named), "devZ", None]
 
 

@@ -24,8 +24,8 @@ from ragfuzz.errors import ConfigError, ConfigMismatch, CorruptManifest
 from ragfuzz.ledger import CostLedger
 from ragfuzz.pipeline import CaseStatus
 from ragfuzz.prompts import RenderedPrompt
-from ragfuzz.providers import Completion
-from ragfuzz.scenarios import build_tiny, materialize_scenario
+from ragfuzz.providers import Completion, ScriptEntry, binding_digest
+from ragfuzz.scenarios import build_tiny, materialize_scenario, scenario_to_dict
 
 GEN_STAGES = {"characteristics", "codegen", "repair", "mutation"}
 
@@ -93,6 +93,17 @@ def test_matrix_cells_sharing_a_label_are_rejected(tmp_path, toolchain, other):
         for t in data["toolchains"] for g in t["targets"] for o in t["opt_levels"]
     ]
     assert str(cells[0]) in str(exc.value) and str(cells[1]) in str(exc.value)
+
+
+def test_passes_sharing_a_directory_are_rejected(tmp_path):
+    data = minimal_config_dict()
+    first = data["passes"][0]
+    data["passes"] = [{**first, "pass_name": "Device Globals"},
+                      {**first, "pass_name": "Device_Globals"}]
+    with pytest.raises(ConfigError) as exc:
+        load_config(data, tmp_path)
+    assert exc.value.field_path == "passes"
+    assert "'Device Globals' and 'Device_Globals'" in str(exc.value)
 
 
 def test_repair_attempts_capped(tmp_path):
@@ -224,6 +235,36 @@ def test_resumed_repair_numbers_its_attempts_after_the_earlier_ones(tmp_path):
     run_campaign(config, campaign_dir, halt_after="repair")
     assert (earlier / "source.cpp").read_text() == "// an attempt from before the kill\n"
     assert (earlier.parent / "attempt_02" / "source.cpp").read_text() == case.source
+
+
+def test_functions_whose_names_slug_alike_keep_their_own_characteristics(tmp_path):
+    scenario = build_tiny()
+    overload = "void lowerDeviceGlobalVars(Module &M, bool Force) {\n  rewriteAll(M, Force);\n}"
+    scenario.input_files["inputs/device_globals_pass.cpp"] += f"\n{overload}\n"
+    function_code = f"sha256:{binding_digest(overload)}"
+    scenario.llm_entries.append(ScriptEntry(
+        "characteristics", {"pass_name": "DeviceGlobals", "function_code": function_code},
+        ["The overload's characteristics."],
+    ))
+    work = tmp_path / "work"
+    work.mkdir()
+    scenario.config["providers"]["scenario"] = str(work / "overloads.json")
+    (work / "overloads.json").write_text(json.dumps(scenario_to_dict(scenario)))
+    campaign_dir = tmp_path / "campaign"
+    run_campaign(load_config_file(materialize_scenario(scenario, work)), campaign_dir,
+                 halt_after="characteristics")
+    ch_dir = campaign_dir / "passes" / "DeviceGlobals" / "characteristics"
+    keys = {p.name: json.loads(p.read_text())["function_key"] for p in ch_dir.glob("*.json")}
+    assert keys == {
+        "collectDeviceGlobalProperties.json": "collectDeviceGlobalProperties",
+        "lowerDeviceGlobalVars.json": "lowerDeviceGlobalVars",
+        "lowerDeviceGlobalVars.f2.json": "lowerDeviceGlobalVars",
+    }
+    assert json.loads((ch_dir / "lowerDeviceGlobalVars.f2.json").read_text())["text"] == (
+        "The overload's characteristics."
+    )
+    ledger = CostLedger(campaign_dir / "ledger.jsonl")
+    assert [e.stage for e in ledger.entries()].count("characteristics") == 3
 
 
 def test_resumed_index_holds_the_corpus_once(tmp_path):

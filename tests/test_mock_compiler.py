@@ -1,21 +1,27 @@
 """The mock compiler is a POSIX sh script that sources the table's sh form.
 Each compile below is checked against the Python compiler it replaced
 (``tests/fixtures/python_mock_compiler.tmpl``) on the same table: the exit
-code, stdout, stderr (where Python raised, what it wrote before its error
-line, then that line) and the binary's bytes. The sh compiler runs under
+code, stdout, stderr and the binary's bytes. The sh compiler runs under
 every installed POSIX shell, with an empty ``PATH``.
 """
 from __future__ import annotations
 
 import os
+import re
 import shutil
 from pathlib import Path
 
 import pytest
-from helpers import MOCK_COORDS, assert_same_compile, compile_outcome, write_python_compiler
-from test_mock_binary import CASES, TEXT
+from helpers import (
+    MOCK_COORDS,
+    assert_refused,
+    assert_same_compile,
+    compile_outcome,
+    write_python_compiler,
+)
+from test_mock_binary import CASES, REFUSED, TEXT
 
-from ragfuzz.errors import ToolNotFound
+from ragfuzz.errors import OpenWorldKey, ToolNotFound
 from ragfuzz.mocktool import (
     TABLE_ENV,
     source_digest,
@@ -24,6 +30,7 @@ from ragfuzz.mocktool import (
     write_mock_compiler,
     write_mock_table,
 )
+from ragfuzz.scenarios import Scenario
 
 SHELLS = [
     [shutil.which(argv[0]), *argv[1:]]
@@ -46,26 +53,36 @@ COMPILE_CASES = {
     "leading_dash": {"compile": {"stdout": "-n", "stderr": "--"}},
     "non_ascii": {"compile": {"stdout": "grüße ☃\n", "stderr": "é\n"}},
     "lone_surrogate": {"compile": {"stdout": "a\udc80b", "stderr": "c\ud800\n"}},
-    "unencodable_stdout": {"compile": {"stdout": "a\ud800b", "stderr": "never written\n"}},
     "error_exit": {"compile": {"exit": 1, "stderr": "error: use of undeclared identifier\n"}},
     **{f"exit_{value!r}": {"compile": {"exit": value}, "runs": [{"stdout": "built\n"}]}
-       for value in (-1, 3, 256, "0", 0.5, None, "x", True, 2**63)},
+       for value in (3, 255, "0", 0.5, True)},
     "no_compile": {"runs": [{"device": "devA", "stdout": "no compile step\n"}]},
-    "stdout_not_text": {"compile": {"stdout": 5}},
-    "stderr_not_text": {"compile": {"stdout": "out\n", "stderr": ["err"]}},
-    "compile_not_object": {"compile": [1]},
-    "compile_null": {"compile": None},
-    "record_not_object": [1],
-    "record_text": "abc",
     "short_sleep": {"compile": {"stdout": "slept\n", "sleep": "0.05"}},
-    "sleep_text": {"compile": {"stdout": "never written\n", "sleep": "soon"}},
-    "negative_sleep": {"compile": {"sleep": -1}},
-    "nan_sleep": {"compile": {"sleep": float("nan")}},
-    "overflowing_sleep": {"compile": {"sleep": 1e300}},
 }
 RECORDS = {
     **{f"runs_{name}": {"compile": {"exit": 0}, "runs": runs} for name, runs in CASES.items()},
     **COMPILE_CASES,
+}
+# records the Python compiler failed on, and the field path under the
+# digest each is refused at
+REFUSED_RECORDS = {
+    **{f"runs_{name}": ({"compile": {"exit": 0}, "runs": runs}, field_path)
+       for name, (runs, field_path) in REFUSED.items()},
+    "unencodable_stdout": ({"compile": {"stdout": "a\ud800b", "stderr": "never written\n"}},
+                           "compile.stdout"),
+    **{f"exit_{value!r}": ({"compile": {"exit": value}, "runs": [{"stdout": "built\n"}]},
+                           "compile.exit")
+       for value in (-1, 256, None, "x", 2**63)},
+    "stdout_not_text": ({"compile": {"stdout": 5}}, "compile.stdout"),
+    "stderr_not_text": ({"compile": {"stdout": "out\n", "stderr": ["err"]}}, "compile.stderr"),
+    "compile_not_object": ({"compile": [1]}, "compile"),
+    "compile_null": ({"compile": None}, "compile"),
+    "record_not_object": ([1], ""),
+    "record_text": ("abc", ""),
+    "sleep_text": ({"compile": {"stdout": "never written\n", "sleep": "soon"}}, "compile.sleep"),
+    "negative_sleep": ({"compile": {"sleep": -1}}, "compile.sleep"),
+    "nan_sleep": ({"compile": {"sleep": float("nan")}}, "compile.sleep"),
+    "overflowing_sleep": ({"compile": {"sleep": 1e300}}, "compile.sleep"),
 }
 
 
@@ -103,8 +120,11 @@ def _parity(compilers, args, table_env=True, shells=SHELLS):
     return want
 
 
-@pytest.mark.parametrize("name", list(RECORDS))
-def test_sh_compiler_compiles_as_the_python_compiler_did(compilers, name):
+@pytest.mark.parametrize("name", [*RECORDS, *REFUSED_RECORDS])
+def test_sh_compiler_compiles_as_the_python_compiler_did(compilers, tmp_path, name):
+    if name in REFUSED_RECORDS:  # nothing is compiled from it
+        assert_refused(*MALFORMED[name], tmp_path)
+        return
     if not SHELLS:
         pytest.skip("no POSIX shell installed")
     coords = COORDS if name == "runs_most_specific" else [MOCK_COORDS]
@@ -119,14 +139,24 @@ def test_sh_compiler_compiles_as_the_python_compiler_did(compilers, name):
     ["runs_empty_entry.cpp"],  # no -o: exit 0, no binary
     ["runs_empty_entry.cpp", "-o", ""],
     ["runs_empty_entry.cpp", "-O", "-", "--other", "text.cpp", "-o", "a.out"],  # last source wins
-    ["runs_empty_entry.cpp", "--mock-id"],  # a flag without its value
-    ["runs_empty_entry.cpp", "-o"],
     ["stranger.cpp", "-o", "a.out"],  # no record: exit 90
 ], ids=lambda args: " ".join(args) or "none")
 def test_sh_compiler_reads_arguments_as_the_python_compiler_did(compilers, args):
     tmp = compilers[0]
     (tmp / "stranger.cpp").write_text("int stranger;\n")
     _parity(compilers, args)
+
+
+@pytest.mark.parametrize("flag", ["-o", "--mock-id", "--mock-target"])
+def test_flag_without_its_value_exits_one(compilers, flag):
+    tmp, cc, python_cc, table_path = compilers
+    env = {TABLE_ENV: str(table_path), "PATH": str(tmp / "empty_bin")}
+    for shell in SHELLS:
+        got = _compile([*shell, str(cc), "runs_empty_entry.cpp", flag], env, tmp)
+        assert got == (1, b"", f"mockcc: {flag} needs a value\n".encode(), None), shell
+    # the Python compiler raised an IndexError
+    code, stdout, _, binary = _compile([str(python_cc), "runs_empty_entry.cpp", flag], env, tmp)
+    assert (code, stdout, binary) == (1, b"", None)
 
 
 def test_sh_compiler_needs_the_table_variable(compilers):
@@ -141,10 +171,10 @@ def test_star_record_is_the_fallback_unless_null(tmp_path):
     digest = source_digest(_source("a"))
     tables = {
         "star": {"*": star},
-        "falsy_record": {digest: {}, "*": star},
+        "null_record": {digest: None, "*": star},
+        "empty_record": {digest: {}, "*": star},
         "empty_star": {"*": {}},
         "null_star": {digest: None, "*": None},
-        "falsy_star": {"*": 0},
     }
     outcomes = {}
     for label, table in tables.items():
@@ -155,11 +185,47 @@ def test_star_record_is_the_fallback_unless_null(tmp_path):
         outcomes[label] = want[:2]
     assert outcomes == {
         "star": (0, b"star\n"),
-        "falsy_record": (0, b"star\n"),
+        "null_record": (0, b"star\n"),
+        "empty_record": (0, b""),
         "empty_star": (0, b""),
         "null_star": (90, b""),
-        "falsy_star": (1, b""),
     }
+
+
+D = source_digest(_source("malformed"))
+
+
+def _runs(*runs) -> dict:
+    return {D: {"runs": list(runs)}}
+
+
+# every table refused where it is written, and the field path it is refused at
+MALFORMED = {
+    **{name: ({D: record}, f"{D}.{field_path}" if field_path else D)
+       for name, (record, field_path) in REFUSED_RECORDS.items()},
+    "key_not_hex": ({"nothex": {}}, "nothex"),
+    "key_upper_hex": ({D.upper(): {}}, D.upper()),
+    "key_short": ({D[:63]: {}}, D[:63]),
+    "record_false": ({"*": 0}, "*"),
+    "compile_exit_inf": ({D: {"compile": {"exit": float("inf")}}}, f"{D}.compile.exit"),
+    "compile_sleep_null": ({D: {"compile": {"sleep": None}}}, f"{D}.compile.sleep"),
+    "run_sleep_overflow": (_runs({"sleep": 1e300}), f"{D}.runs[0].sleep"),
+    "run_unencodable_stdout_later": (_runs({}, {"stdout": "a\ud800b"}), f"{D}.runs[1].stdout"),
+    # no argument or environment variable can hold these, so they never matched
+    **{f"run_device_{value!r}": (_runs({"device": value}), f"{D}.runs[0].device")
+       for value in ("a\x00b", "\ud800", None, 1)},
+    "run_compiler_nul": (_runs({"compiler": "cc\x001"}), f"{D}.runs[0].compiler"),
+    "run_target_surrogate": (_runs({"target": "\udfff"}), f"{D}.runs[0].target"),
+    "run_opt_not_text": (_runs({"opt": 2}), f"{D}.runs[0].opt"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_entry_is_refused_with_its_field_path(tmp_path, name):
+    table, field_path = MALFORMED[name]
+    assert_refused(table, field_path, tmp_path)
+    with pytest.raises(OpenWorldKey, match=re.escape(f"tool table: {field_path}: ")):
+        Scenario("bad", tool_table=table).validate()
 
 
 def test_unreadable_source_exits_one(compilers):

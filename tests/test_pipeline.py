@@ -177,18 +177,6 @@ def test_characteristics_mock_passthrough(device_globals_fn):
     assert ch.function_key == "collectDeviceGlobalProperties"
 
 
-def test_characteristics_cached_second_call_records_no_tokens(device_globals_fn):
-    pipeline, ledger = make_pipeline(
-        [ScriptEntry("characteristics", {"pass_name": "*"}, ["REQ-A"])]
-    )
-    pipeline.generate_characteristics(device_globals_fn)
-    tokens_before = ledger.total_tokens()
-    again = pipeline.generate_characteristics(device_globals_fn)
-    assert again.text == "REQ-A"
-    assert ledger.total_tokens() == tokens_before
-    assert len(ledger) == 1
-
-
 def test_generate_testcase_structurally_matches_expected_shape(
     device_globals_fn, characteristics_text, generated_testcase_source
 ):

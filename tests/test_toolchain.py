@@ -23,7 +23,7 @@ from helpers import (
     write_python_compiler,
 )
 
-from ragfuzz.errors import ToolNotFound
+from ragfuzz.errors import RecordError, ToolNotFound
 from ragfuzz.mocktool import (
     DEVICE_ENV,
     TABLE_ENV,
@@ -372,6 +372,17 @@ def test_timeout_under_limits_kills_the_binary_and_its_children(tmp_path):
     assert rr.exit_code == -signal.SIGKILL
     assert rr.stdout == "partial\n"
     assert 0.5 <= rr.duration < 10
+
+
+@pytest.mark.parametrize("limits", [RunLimits(), None], ids=["limits", "no_limits"])
+def test_timeout_stops_reading_a_child_that_left_the_group(tmp_path, limits):
+    # setsid: the background sleep escapes the group kill and holds the pipes open
+    escaped = b"#!/bin/sh\necho started\nsetsid sleep 3 &\nexec sleep 30\n"
+    start = time.monotonic()
+    rr = _run_file(tmp_path / "escaped.bin", escaped, limits, timeout=0.5)
+    assert rr.status == RunStatus.TIMEOUT
+    assert rr.stdout == "started\n"
+    assert time.monotonic() - start < 2
 
 
 def test_exit_127_of_the_binary_itself_stays_nonzero_exit(tmp_path):
@@ -795,7 +806,6 @@ def _tricky_tables() -> dict[str, str]:
             "compile": {"stdout": "pair \U0001F600\n", "stderr": "\U0001F600\n"},
             "runs": [{"device": "devA", "\U0001F600 key": "\U0001F600", "stdout": "\U0001F600"}],
         },
-        "\U0001F600": {"compile": {"exit": 7}},
         d["lone"]: {
             "compile": {"stderr": "lone \ud800 \udfff\n"},
             "runs": [{"stdout": "\udc80", "stderr": "\ud83d"}],
@@ -822,8 +832,8 @@ def _tricky_tables() -> dict[str, str]:
         tables[label] = _splice_duplicate(
             text, d["dup"], {"compile": {"stdout": "last one wins\n"}, "runs": [{"stdout": "2"}]}
         )
-    # the last duplicate is falsy: json.loads keeps {} and falls to "*"
-    tables["dup_falsy"] = _splice_duplicate(tables["star"], d["dup"], {})
+    # the last duplicate is {}: json.loads keeps it, and it is the record
+    tables["dup_empty"] = _splice_duplicate(tables["star"], d["dup"], {})
     tables["compact"] = json.dumps(json.loads(tables["star"]))
     return tables
 
@@ -850,7 +860,9 @@ def test_compiler_decodes_tables_exactly_as_json_loads(mock_env, tmp_path):
         table_path = _table_file(tmp_path / label, text)
         for name, source_text in _TRICKY_SOURCES.items():
             digest = source_digest(source_text)
-            expected = table.get(digest) or table.get("*")
+            expected = table.get(digest)
+            if expected is None:
+                expected = table.get("*")
             got = _drive(cc, table_path, source_text, tmp_path / label / name)
             want = _drive(python_cc, table_path, source_text, tmp_path / label / f"{name}_ref")
             assert got == want, (label, name)
@@ -897,11 +909,14 @@ def _decoded(decode, text: str) -> str:
 
 
 def test_compiler_decode_matches_json_loads_on_fuzzed_tables(mock_env, tmp_path):
+    """Each table is no JSON (refused as json.loads refuses it), malformed
+    (refused with a field path, and no sh form), or compiles as the Python
+    compiler does."""
     _, _, _, _, toolchain = mock_env
     python_cc = write_python_compiler(tmp_path / "python_mockcc")
     rng = random.Random(20260417)
     digests = [source_digest(str(i)) for i in range(5)]
-    compiled = 0
+    objects = refused = compiled = 0
     for n in range(300):
         table = {}
         for key in rng.sample(digests + ["*"], rng.randrange(1, 6)):
@@ -926,25 +941,39 @@ def test_compiler_decode_matches_json_loads_on_fuzzed_tables(mock_env, tmp_path)
         workdir.mkdir()
         table_path = workdir / "table.json"
         table_path.write_text(text)
+        sh_form = workdir / "table.json.sh"
         decoded = _decoded(json.loads, text)
-        if not decoded.startswith("{"):
-            # refused where it is written: with json.loads's error, or as no object
-            with pytest.raises(ValueError) as info:
+        if decoded.startswith("JSONDecodeError"):
+            with pytest.raises(json.JSONDecodeError) as info:
                 translate_mock_table(table_path)
-            if isinstance(info.value, json.JSONDecodeError):
-                assert decoded == f"JSONDecodeError: {info.value}", text
-            else:
-                assert str(info.value) == f"{table_path}: a mock fixture table is a JSON object"
-            assert not table_path.with_name("table.json.sh").exists()
+            assert decoded == f"JSONDecodeError: {info.value}", text
+            assert not sh_form.exists()
             continue
-        translate_mock_table(table_path)
-        if compiled < 40:  # each compile starts a process: compare a sample
+        loaded = json.loads(text)
+        # the first 40 object tables draw their source where this seed always
+        # drew it, so the 300 tables stay the same
+        if isinstance(loaded, dict) and objects < 40:
             source_text = str(rng.randrange(5))
-            got = _drive(toolchain.executable, table_path, source_text, workdir / "sh")
-            want = _drive(python_cc, table_path, source_text, workdir / "python")
-            assert_same_compile(got, want, text)
-            compiled += 1
-    assert compiled == 40
+        else:
+            source_text = str(n % 5)
+        objects += isinstance(loaded, dict)
+        try:
+            translate_mock_table(table_path)
+        except RecordError as exc:
+            if isinstance(loaded, dict):
+                path = exc.field_path
+                assert any(path == k or path.startswith((k + ".", k + "[")) for k in loaded), text
+            else:
+                assert (exc.field_path, exc.reason) == ("", f"expected a mapping, got "
+                                                        f"{type(loaded).__name__}")
+            assert not sh_form.exists()
+            refused += 1
+            continue
+        got = _drive(toolchain.executable, table_path, source_text, workdir / "sh")
+        want = _drive(python_cc, table_path, source_text, workdir / "python")
+        assert_same_compile(got, want, text)
+        compiled += 1
+    assert refused and compiled, (refused, compiled)
 
 
 def test_cut_short_table_fails_as_with_json_loads(mock_env, tmp_path):
