@@ -3,10 +3,16 @@
 The campaign directory is the source of truth. Every stage persists each unit
 of work as it finishes, one file per unit or, for the ledger, the embedding
 cache and the matrix, one line per unit in an append-only log, and skips units
-already persisted. So an interrupted campaign resumes exactly where it stopped
-and never re-bills the provider for finished generation work. The canonical
-report contains no wall-clock data; timings live in a sidecar so repeated mock
-runs emit byte-identical reports.
+already persisted; a repair also checkpoints case.json after each attempt. A
+file that commits another is written last: source.cpp before case.json, the
+config snapshot before manifest.json. So an interrupted campaign resumes
+exactly where it stopped and re-bills the provider at most for the call a kill
+cut short. The canonical report contains no wall-clock data; timings live in a
+sidecar so repeated mock runs emit byte-identical reports.
+
+Every stage that makes or changes cases runs through one driver, `_drive`. A
+RagfuzzError abandons that case with its reason; ToolNotFound, no case's
+fault, and any other exception end the campaign and leave the case to resume.
 
 Annotations here are evaluated at import, not postponed: the record codec
 reads each config field's type as an object instead of compiling its string
@@ -16,11 +22,12 @@ import glob as globlib
 import hashlib
 import json
 import os
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable
 
@@ -29,7 +36,6 @@ from .errors import (
     ConfigError,
     ConfigMismatch,
     CorruptManifest,
-    InsufficientCells,
     RagfuzzError,
     RecordError,
     ToolNotFound,
@@ -59,7 +65,14 @@ from .providers import (
 )
 from .rag import ChunkPolicy, VectorIndex, chunk_document
 from .records import from_record, to_record
-from .scenarios import Scenario, load_scenario, seed_case_id, selection_seed
+from .scenarios import (
+    Scenario,
+    load_scenario,
+    mutant_case_id,
+    mutation_seed,
+    seed_case_id,
+    selection_seed,
+)
 from .toolchain import (
     CellKey,
     CompileResult,
@@ -475,8 +488,14 @@ class CampaignStore:
         )
 
     def save_case(self, case: TestCase) -> None:
-        _write_json(self.case_path(case.case_id), to_record(case))
+        # case.json commits the case, so it is written last
         _write_text(self.source_path(case.case_id), case.source)
+        _write_json(self.case_path(case.case_id), to_record(case))
+
+    def save_attempt(self, case: TestCase) -> None:
+        """Checkpoint a case mid-repair in case.json, which holds its source;
+        source.cpp, which only the matrix reads, follows with save_case."""
+        _write_json(self.case_path(case.case_id), to_record(case))
 
     def all_cases(self) -> list[TestCase]:
         cases = [
@@ -557,6 +576,25 @@ def render_markdown(report: CampaignReport) -> str:
 # Campaign runner
 # --------------------------------------------------------------------------
 
+def seed_stub(
+    ch: Characteristics, case_id: str, catalog: FeatureCatalog, campaign_seed: int
+) -> TestCase:
+    """A seed case as the campaign decides it, before the model writes its source."""
+    selection = sample_features(catalog, selection_seed(campaign_seed, case_id))
+    return TestCase(
+        case_id, ch.pass_name, "", characteristics_key=ch.function_key, selection=selection
+    )
+
+
+def mutant_stub(parent: TestCase, j: int, catalog: FeatureCatalog, campaign_seed: int) -> TestCase:
+    """The j-th mutant of a compiling case, before the model writes its source."""
+    selection = sample_features(catalog, mutation_seed(campaign_seed, parent.case_id, j))
+    return TestCase(
+        mutant_case_id(parent.case_id, j), parent.pass_name, "", selection=selection,
+        characteristics_key=parent.characteristics_key, parent_id=parent.case_id,
+    )
+
+
 def _pmap(fn, items, workers: int):
     items = list(items)
     if workers <= 1 or len(items) <= 1:
@@ -622,11 +660,12 @@ class CampaignRunner:
                 )
             return
         # the fields of both records are JSON values already: vars() is their
-        # record, without a to_record walk over the whole config
-        _write_json(manifest_path, vars(Manifest(self.config.config_hash)))
-        # unindented, so json's C encoder writes it; resume reads either layout
+        # record, without a to_record walk over the whole config. The snapshot
+        # is unindented, so json's C encoder writes it; resume reads either
+        # layout. The manifest commits the directory, so it is written last.
         snapshot = ConfigSnapshot(str(self.config.base_dir), self.config.raw)
         _write_text(self.store.snapshot_path, json.dumps(vars(snapshot), sort_keys=True) + "\n")
+        _write_json(manifest_path, vars(Manifest(self.config.config_hash)))
 
     def _build_providers(self, scenario: Scenario | None) -> tuple[LLMService, EmbeddingService]:
         spec = self.config.providers
@@ -695,6 +734,25 @@ class CampaignRunner:
                 return report
         return report
 
+    def _drive(
+        self, units: list[tuple[TestCase, Callable[[], TestCase]]], workers: int, fault: str
+    ) -> None:
+        """Run each pending (stub, work) unit over workers and save the case
+        work() returns; on a RagfuzzError, save the stub abandoned with the
+        reason "<fault>: <error>". Any other exception propagates."""
+
+        def run(unit) -> None:
+            stub, work = unit
+            try:
+                case = work()
+            except ToolNotFound:
+                raise
+            except RagfuzzError as exc:
+                case = replace(stub, status=CaseStatus.ABANDONED, abandon_reason=f"{fault}: {exc}")
+            self.store.save_case(case)
+
+        _pmap(run, units, workers)
+
     # -- stages ---------------------------------------------------------
 
     def _stage_extract(self) -> None:
@@ -755,33 +813,19 @@ class CampaignRunner:
                     _write_json(path, to_record(self.pipeline.generate_characteristics(fn)))
 
     def _stage_generate(self) -> None:
+        units, catalog = [], self.catalog or default_catalog()
         for spec in self.config.passes:
             functions = self._load_functions(spec.pass_name)
             ch_paths = self.store.characteristics_paths(spec.pass_name, functions)
-            for fn_idx, (fn, ch_path) in enumerate(zip(functions, ch_paths)):
+            for fn_idx, ch_path in enumerate(ch_paths):
                 ch = _read_json(Characteristics, ch_path)
                 for k in range(self.config.generation.seeds_per_function):
                     case_id = seed_case_id(spec.pass_name, fn_idx, k)
                     if self.store.case_path(case_id).exists():
                         continue
-                    selection = sample_features(
-                        self.catalog or default_catalog(),
-                        selection_seed(self.config.campaign.seed, case_id),
-                    )
-                    try:
-                        case = self.pipeline.generate_testcase(ch, selection, case_id)
-                    except RagfuzzError as exc:
-                        # one case's failure never aborts the campaign
-                        case = TestCase(
-                            case_id=case_id,
-                            pass_name=spec.pass_name,
-                            source="",
-                            status=CaseStatus.ABANDONED,
-                            characteristics_key=fn.qualified_name,
-                            selection=selection,
-                            abandon_reason=f"generation_failed: {exc}",
-                        )
-                    self.store.save_case(case)
+                    stub = seed_stub(ch, case_id, catalog, self.config.campaign.seed)
+                    units.append((stub, partial(self.pipeline.generate_testcase, ch, stub)))
+        self._drive(units, 1, "generation_failed")
 
     def _gate_compile(self, case_id: str, launcher: JobLauncher):
         gate = self.config.gate
@@ -810,58 +854,34 @@ class CampaignRunner:
         return compile_source
 
     def _repair_cases(self, parent_filter) -> None:
-        drafts = [
-            case
+        launcher = JobLauncher()
+
+        def repair(case: TestCase) -> TestCase:
+            gate = self._gate_compile(case.case_id, launcher)
+            max_attempts = self.config.generation.max_repair_attempts
+            return self.pipeline.repair_loop(case, gate, max_attempts, self.store.save_attempt).case
+
+        units = [
+            (case, partial(repair, case))
             for case in self.store.all_cases()
             if case.status == CaseStatus.DRAFT and parent_filter(case)
         ]
-        launcher = JobLauncher()
-
-        def repair_one(case: TestCase) -> None:
-            try:
-                self.pipeline.repair_loop(
-                    case,
-                    self._gate_compile(case.case_id, launcher),
-                    max_attempts=self.config.generation.max_repair_attempts,
-                )
-            except ToolNotFound:
-                raise  # no fault of the case: it stays a draft for the resume
-            except RagfuzzError as exc:
-                case.status = CaseStatus.ABANDONED
-                case.abandon_reason = f"repair_failed: {exc}"
-            self.store.save_case(case)
-
-        _pmap(repair_one, drafts, self.config.campaign.workers_llm)
+        self._drive(units, self.config.campaign.workers_llm, "repair_failed")
 
     def _stage_repair(self) -> None:
         self._repair_cases(lambda case: case.parent_id is None)
 
     def _stage_mutate(self) -> None:
-        seeds = [
-            case
-            for case in self.store.all_cases()
-            if case.parent_id is None and case.status == CaseStatus.COMPILES
-        ]
-        for case in seeds:
+        units, catalog = [], self.catalog or default_catalog()
+        for parent in self.store.all_cases():
+            if parent.parent_id is not None or parent.status != CaseStatus.COMPILES:
+                continue
             for j in range(self.config.generation.mutations_per_seed):
-                child_id = f"{case.case_id}.m{j}"
-                if self.store.case_path(child_id).exists():
+                if self.store.case_path(mutant_case_id(parent.case_id, j)).exists():
                     continue
-                try:
-                    child = self.pipeline.mutate_one(
-                        case, j, self.catalog or default_catalog(), self.config.campaign.seed
-                    )
-                except RagfuzzError as exc:
-                    child = TestCase(
-                        case_id=child_id,
-                        pass_name=case.pass_name,
-                        source="",
-                        status=CaseStatus.ABANDONED,
-                        characteristics_key=case.characteristics_key,
-                        parent_id=case.case_id,
-                        abandon_reason=f"generation_failed: {exc}",
-                    )
-                self.store.save_case(child)
+                stub = mutant_stub(parent, j, catalog, self.config.campaign.seed)
+                units.append((stub, partial(self.pipeline.mutate_one, parent, stub)))
+        self._drive(units, 1, "generation_failed")
 
     def _stage_repair_mutants(self) -> None:
         self._repair_cases(lambda case: case.parent_id is not None)
@@ -908,9 +928,7 @@ class CampaignRunner:
     def _stage_classify(self) -> None:
         if self.store.findings_path.exists():
             return
-        import re as _re
-
-        suppress = [_re.compile(p) for p in self.policy.suppress_source_patterns]
+        suppress = [re.compile(p) for p in self.policy.suppress_source_patterns]
         lines = []
         for case in self.store.all_cases():
             if case.status != CaseStatus.COMPILES:
@@ -921,10 +939,7 @@ class CampaignRunner:
             matrix = ResultsMatrix(case_id=case.case_id, cells={r.cell: r for r in runs})
             if len(matrix.cells) < 2:
                 continue
-            try:
-                findings = classify(matrix, self.policy)
-            except InsufficientCells:
-                continue
+            findings = classify(matrix, self.policy)
             lines += [json.dumps(to_record(d), sort_keys=True) + "\n" for d in findings]
         _write_text(self.store.findings_path, "".join(lines))
 
@@ -944,26 +959,15 @@ class CampaignRunner:
             ch_dir = self.store.pass_dir(spec.pass_name) / "characteristics"
             ch_count = len(list(ch_dir.glob("*.json"))) if ch_dir.exists() else 0
             cases = [c for c in all_cases if c.pass_name == spec.pass_name]
-            compiled = sum(1 for c in cases if c.status == CaseStatus.COMPILES)
-            failed = sum(
-                1
-                for c in cases
-                if c.status == CaseStatus.ABANDONED
-                and c.abandon_reason.startswith("compile_failed")
-            )
-            abandoned = sum(
-                1
-                for c in cases
-                if c.status == CaseStatus.ABANDONED
-                and not c.abandon_reason.startswith("compile_failed")
-            )
+            abandoned = [c for c in cases if c.status == CaseStatus.ABANDONED]
+            failed = sum(c.abandon_reason.startswith("compile_failed") for c in abandoned)
             per_pass[spec.pass_name] = {
                 "functions": len(functions),
                 "characteristics": ch_count,
                 "generated": len(cases),
-                "compiled": compiled,
+                "compiled": sum(c.status == CaseStatus.COMPILES for c in cases),
                 "failed": failed,
-                "abandoned": abandoned,
+                "abandoned": len(abandoned) - failed,
             }
 
         discrepancies = []

@@ -4,7 +4,8 @@ Stage 1 asks the model to describe what source-level characteristics trigger
 the pass function; stage 2 turns those characteristics plus a random feature
 selection into a compilable program. Compile failures feed a repair prompt at
 most ``max_attempts`` times; compiling cases are then mutated X times with
-freshly sampled features.
+freshly sampled features. The campaign decides each case's id and features
+and hands them in as a stub case, whose source generation and mutation fill in.
 
 Annotations here are evaluated at import, not postponed: the record codec
 reads the catalog's field types as objects when a campaign sets up.
@@ -13,13 +14,13 @@ import hashlib
 import json
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cache
 from importlib.resources import files
 from typing import Callable
 
-from .errors import EmptyCatalog, EmptyResponse, NoCodeBlock, ProviderError
+from .errors import EmptyCatalog, EmptyResponse, NoCodeBlock
 from .extraction import PassFunction
 from .prompts import PromptFactory
 from .providers import LLMService
@@ -247,80 +248,53 @@ class GenerationPipeline:
             pass_name=fn.pass_name, function_key=fn.qualified_name, text=completion.text
         )
 
-    def generate_testcase(
-        self, ch: Characteristics, selection: FeatureSelection, case_id: str
-    ) -> TestCase:
-        """Stage 2: characteristics plus feature requirements -> draft case."""
-        reqs = f"{ch.text}\n\n{render_feature_requirements(selection)}"
-        prompt = self.prompts.codegen_prompt(ch.pass_name, reqs)
-        completion = self.llm.llm_complete(prompt, self._context(prompt), "codegen")
-        source = ensure_sycl_preamble(extract_code_block(completion.text))
-        return TestCase(
-            case_id=case_id,
-            pass_name=ch.pass_name,
-            source=source,
-            status=CaseStatus.DRAFT,
-            characteristics_key=ch.function_key,
-            selection=selection,
-        )
+    def _draft(self, stub: TestCase, prompt, stage: str) -> TestCase:
+        """The stub with the source the model wrote for the prompt."""
+        completion = self.llm.llm_complete(prompt, self._context(prompt), stage)
+        return replace(stub, source=ensure_sycl_preamble(extract_code_block(completion.text)))
+
+    def generate_testcase(self, ch: Characteristics, stub: TestCase) -> TestCase:
+        """Stage 2: characteristics plus the stub's feature requirements -> draft."""
+        reqs = f"{ch.text}\n\n{render_feature_requirements(stub.selection)}"
+        return self._draft(stub, self.prompts.codegen_prompt(ch.pass_name, reqs), "codegen")
 
     def repair_loop(
         self,
         case: TestCase,
         gate_compile: Callable[[str], CompileResult],
         max_attempts: int = 5,
+        on_attempt: Callable[[TestCase], None] = lambda case: None,
     ) -> RepairOutcome:
         """Compile; on failure ask for a fix and retry, at most max_attempts.
 
         The gate is one configured (compiler, target, opt level) triple; the
-        full matrix only sees cases that pass it.
+        full matrix only sees cases that pass it. on_attempt(case) follows
+        each transcript entry, and the attempts a resumed case's transcript
+        holds count against max_attempts.
         """
+        transcript = case.repair_transcript
         result = gate_compile(case.source)
-        if result.ok:
-            case.status = CaseStatus.COMPILES
-            return RepairOutcome(case, 0, True)
-        attempts = 0
-        while attempts < max_attempts:
-            attempts += 1
+        while not result.ok and len(transcript) < max_attempts:
             prompt = self.prompts.repair_prompt(case.source, result.stderr)
-            try:
-                completion = self.llm.llm_complete(prompt, self._context(prompt), "repair")
-            except ProviderError as exc:
-                case.status = CaseStatus.ABANDONED
-                case.abandon_reason = f"provider_error: {exc}"
-                return RepairOutcome(case, attempts, False)
+            completion = self.llm.llm_complete(prompt, self._context(prompt), "repair")
             try:
                 fixed = ensure_sycl_preamble(extract_code_block(completion.text))
             except NoCodeBlock:
-                case.repair_transcript.append(RepairAttempt(result.stderr, ""))
-                continue  # burn the attempt; the old source recompiles below
-            case.repair_transcript.append(RepairAttempt(result.stderr, fixed))
+                transcript.append(RepairAttempt(result.stderr, ""))
+                on_attempt(case)
+                continue  # burn the attempt; the old error is asked about again
+            transcript.append(RepairAttempt(result.stderr, fixed))
             case.source = fixed
+            on_attempt(case)
             result = gate_compile(case.source)
-            if result.ok:
-                case.status = CaseStatus.COMPILES
-                return RepairOutcome(case, attempts, True)
-        case.status = CaseStatus.ABANDONED
-        case.abandon_reason = "compile_failed"
-        return RepairOutcome(case, attempts, False)
+        if result.ok:
+            case.status = CaseStatus.COMPILES
+        else:
+            case.status = CaseStatus.ABANDONED
+            case.abandon_reason = "compile_failed"
+        return RepairOutcome(case, len(transcript), result.ok)
 
-    def mutate_one(
-        self, case: TestCase, index: int, catalog: FeatureCatalog, base_seed: int
-    ) -> TestCase:
-        """The index-th mutation draft of a compiling case."""
-        child_seed = derive_seed(base_seed, case.case_id, index)
-        selection = sample_features(catalog, child_seed)
-        prompt = self.prompts.mutation_prompt(
-            case.source, render_feature_requirements(selection)
-        )
-        completion = self.llm.llm_complete(prompt, self._context(prompt), "mutation")
-        source = ensure_sycl_preamble(extract_code_block(completion.text))
-        return TestCase(
-            case_id=f"{case.case_id}.m{index}",
-            pass_name=case.pass_name,
-            source=source,
-            status=CaseStatus.DRAFT,
-            characteristics_key=case.characteristics_key,
-            selection=selection,
-            parent_id=case.case_id,
-        )
+    def mutate_one(self, parent: TestCase, stub: TestCase) -> TestCase:
+        """A mutation draft of a compiling case, with the stub's features."""
+        reqs = render_feature_requirements(stub.selection)
+        return self._draft(stub, self.prompts.mutation_prompt(parent.source, reqs), "mutation")

@@ -42,6 +42,14 @@ def selection_seed(campaign_seed: int, case_id: str) -> int:
     return derive_seed(campaign_seed, "select", case_id)
 
 
+def mutant_case_id(parent_id: str, j: int) -> str:
+    return f"{parent_id}.m{j}"
+
+
+def mutation_seed(campaign_seed: int, parent_id: str, j: int) -> int:
+    return derive_seed(campaign_seed, parent_id, j)
+
+
 @dataclass
 class Scenario:
     scenario_id: str
@@ -266,8 +274,8 @@ def build_tiny() -> Scenario:
     reqs_a = f"{ch_a}\n\n{render_feature_requirements(sel_a)}"
     reqs_b = f"{ch_b}\n\n{render_feature_requirements(sel_b)}"
 
-    sel_am = sample_features(catalog, derive_seed(campaign_seed, a_id, 0))
-    sel_bm = sample_features(catalog, derive_seed(campaign_seed, b_id, 0))
+    sel_am = sample_features(catalog, mutation_seed(campaign_seed, a_id, 0))
+    sel_bm = sample_features(catalog, mutation_seed(campaign_seed, b_id, 0))
     mreqs_am = render_feature_requirements(sel_am)
     mreqs_bm = render_feature_requirements(sel_bm)
 

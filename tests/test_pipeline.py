@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from ragfuzz.errors import EmptyCatalog, NoCodeBlock
+from ragfuzz.campaign import mutant_stub, seed_stub
+from ragfuzz.errors import EmptyCatalog, NoCodeBlock, ProviderError
 from ragfuzz.extraction import PassSource, extract_functions
 from ragfuzz.ledger import CostLedger
 from ragfuzz.pipeline import (
@@ -26,6 +27,7 @@ from ragfuzz.pipeline import (
 from ragfuzz.prompts import PromptFactory
 from ragfuzz.providers import LLMService, ScriptEntry, ScriptedLLM, binding_digest
 from ragfuzz.records import from_record, to_record
+from ragfuzz.scenarios import selection_seed
 from ragfuzz.toolchain import CompileResult, CompileStatus
 
 
@@ -191,13 +193,16 @@ def test_generate_testcase_structurally_matches_expected_shape(
         ]
     )
     ch = pipeline.generate_characteristics(device_globals_fn)
-    fs = sample_features(default_catalog(), 7)
-    case = pipeline.generate_testcase(ch, fs, case_id="DeviceGlobals.f0.s7")
+    stub = seed_stub(ch, "DeviceGlobals.f0.s7", default_catalog(), 7)
+    case = pipeline.generate_testcase(ch, stub)
+    assert case.case_id == "DeviceGlobals.f0.s7"
     assert case.status == CaseStatus.DRAFT
     assert "device_global<int> myGlobalVar;" in case.source
     assert "single_task<MyKernel>" in case.source
     assert "int main()" in case.source
-    assert case.selection == fs
+    assert case.selection == sample_features(
+        default_catalog(), selection_seed(7, "DeviceGlobals.f0.s7")
+    )
     assert case.characteristics_key == "collectDeviceGlobalProperties"
 
 
@@ -210,7 +215,7 @@ def test_generate_testcase_fenced_passthrough(device_globals_fn):
         ]
     )
     ch = pipeline.generate_characteristics(device_globals_fn)
-    case = pipeline.generate_testcase(ch, sample_features(default_catalog(), 1), "c1")
+    case = pipeline.generate_testcase(ch, seed_stub(ch, "c1", default_catalog(), 1))
     assert case.source == block
 
 
@@ -278,17 +283,36 @@ def test_repair_loop_two_failures_then_success():
     assert outcome.case.source == fixed
 
 
-def test_repair_loop_provider_error_abandons():
+def test_repair_loop_raises_provider_error():
+    # the campaign's case driver abandons the case; the loop only reports the error
     pipeline, _ = make_pipeline([])  # no repair script -> OpenWorldKey is not ProviderError
     from helpers import FlakyBackend
 
     service = LLMService(FlakyBackend(failures=99), CostLedger(), max_retries=1, sleep=lambda s: None)
     pipeline.llm = service
-    outcome = pipeline.repair_loop(draft(), lambda src: failed_compile(), max_attempts=5)
-    assert not outcome.succeeded
-    assert outcome.case.status == CaseStatus.ABANDONED
-    assert outcome.case.abandon_reason.startswith("provider_error")
-    assert outcome.attempts == 1
+    case = draft()
+    with pytest.raises(ProviderError):
+        pipeline.repair_loop(case, lambda src: failed_compile(), max_attempts=5)
+    assert case.status == CaseStatus.DRAFT
+    assert case.repair_transcript == []
+
+
+def test_repair_loop_saves_each_attempt_and_counts_a_resumed_transcript():
+    pipeline, _ = make_pipeline(
+        [ScriptEntry("repair", {"code": "*"}, ["```\nint main() { still bad }\n```"])]
+    )
+    saved = []
+
+    def on_attempt(case):
+        saved.append((len(case.repair_transcript), case.source))
+
+    case = draft()
+    case.repair_transcript = [RepairAttempt("error: earlier\n", "int main() {}\n")] * 3
+    outcome = pipeline.repair_loop(case, lambda src: failed_compile(), 5, on_attempt)
+    assert outcome.attempts == 5
+    assert outcome.case.abandon_reason == "compile_failed"
+    fixed = ensure_sycl_preamble("int main() { still bad }\n")
+    assert saved == [(4, fixed), (5, fixed)]
 
 
 def test_mutate_three_children_with_lineage_and_distinct_seeds():
@@ -297,7 +321,9 @@ def test_mutate_three_children_with_lineage_and_distinct_seeds():
     )
     case = draft()
     case.status = CaseStatus.COMPILES
-    children = [pipeline.mutate_one(case, j, default_catalog(), base_seed=5) for j in range(3)]
+    children = [
+        pipeline.mutate_one(case, mutant_stub(case, j, default_catalog(), 5)) for j in range(3)
+    ]
     assert len(children) == 3
     assert [c.parent_id for c in children] == [case.case_id] * 3
     assert [c.case_id for c in children] == ["c0.m0", "c0.m1", "c0.m2"]
@@ -317,7 +343,7 @@ def test_mutation_selections_follow_sampling_distribution():
         case.case_id = f"seed{i}"
         case.status = CaseStatus.COMPILES
         for j in range(4):
-            child = pipeline.mutate_one(case, j, catalog, base_seed=77)
+            child = pipeline.mutate_one(case, mutant_stub(case, j, catalog, 77))
             counts[child.selection.memory_access] += 1
     total = sum(counts.values())
     assert total == 1000
