@@ -3,8 +3,8 @@
 The campaign directory is the source of truth. Every stage persists each unit
 of work as it finishes, one file per unit or, for the ledger, the embedding
 cache and the matrix, one line per unit in an append-only log, and skips units
-already persisted; a repair also checkpoints case.json after each attempt. A
-file that commits another is written last: source.cpp before case.json, the
+already persisted; a repair also saves its case after each attempt. A file
+that commits another is written last: source.cpp before case.json, the
 config snapshot before manifest.json. So an interrupted campaign resumes
 exactly where it stopped and re-bills the provider at most for the call a kill
 cut short. The canonical report contains no wall-clock data; timings live in a
@@ -492,11 +492,6 @@ class CampaignStore:
         _write_text(self.source_path(case.case_id), case.source)
         _write_json(self.case_path(case.case_id), to_record(case))
 
-    def save_attempt(self, case: TestCase) -> None:
-        """Checkpoint a case mid-repair in case.json, which holds its source;
-        source.cpp, which only the matrix reads, follows with save_case."""
-        _write_json(self.case_path(case.case_id), to_record(case))
-
     def all_cases(self) -> list[TestCase]:
         cases = [
             _read_json(TestCase, path)
@@ -859,7 +854,7 @@ class CampaignRunner:
         def repair(case: TestCase) -> TestCase:
             gate = self._gate_compile(case.case_id, launcher)
             max_attempts = self.config.generation.max_repair_attempts
-            return self.pipeline.repair_loop(case, gate, max_attempts, self.store.save_attempt).case
+            return self.pipeline.repair_loop(case, gate, max_attempts, self.store.save_case).case
 
         units = [
             (case, partial(repair, case))

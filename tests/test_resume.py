@@ -23,7 +23,7 @@ from ragfuzz.providers import LLMService
 from ragfuzz.scenarios import build_tiny, materialize_scenario, scenario_to_dict
 
 # artifact writes (campaign._write_text calls) of one uninterrupted tiny run
-TINY_WRITES = 40
+TINY_WRITES = 46
 
 
 class Killed(BaseException):
