@@ -2,17 +2,19 @@
 
 The campaign directory is the source of truth. Every stage persists each unit
 of work as it finishes, one file per unit or, for the ledger, the embedding
-cache and the matrix, one line per unit in an append-only log, and skips units
-already persisted; a repair also saves its case after each attempt. A file
-that commits another is written last: source.cpp before case.json, the
-config snapshot before manifest.json. So an interrupted campaign resumes
-exactly where it stopped and re-bills the provider at most for the call a kill
-cut short. The canonical report contains no wall-clock data; timings live in a
-sidecar so repeated mock runs emit byte-identical reports.
+cache, the matrix and each repair's attempts, one line per unit in an
+append-only log, and skips units already persisted. A resumed repair replays
+its case's repair.jsonl and goes on from there. A file that commits another is
+written last: source.cpp before case.json, the config snapshot before
+manifest.json. So an interrupted campaign resumes exactly where it stopped and
+re-bills the provider at most for the call a kill cut short. The canonical
+report contains no wall-clock data; timings live in a sidecar so repeated mock
+runs emit byte-identical reports.
 
 Every stage that makes or changes cases runs through one driver, `_drive`. A
 RagfuzzError abandons that case with its reason; ToolNotFound, no case's
-fault, and any other exception end the campaign and leave the case to resume.
+fault, and any other exception end the campaign and leave the case to resume,
+and the stage starts no further unit.
 
 Annotations here are evaluated at import, not postponed: the record codec
 reads each config field's type as an object instead of compiling its string
@@ -48,6 +50,7 @@ from .pipeline import (
     Characteristics,
     FeatureCatalog,
     GenerationPipeline,
+    RepairAttempt,
     TestCase,
     default_catalog,
     sample_features,
@@ -361,6 +364,13 @@ def _write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _append_attempt(log, attempt: RepairAttempt) -> None:
+    """One repair attempt as a whole line of an open repair.jsonl, flushed,
+    so a kill loses at most the line being written."""
+    log.write(json.dumps(to_record(attempt), sort_keys=True) + "\n")
+    log.flush()
+
+
 def _write_json(path: Path, payload) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -472,6 +482,9 @@ class CampaignStore:
     def results_path(self, case_id: str) -> Path:
         return self.case_dir(case_id) / "results.jsonl"
 
+    def repair_log_path(self, case_id: str) -> Path:
+        return self.case_dir(case_id) / "repair.jsonl"
+
     @property
     def findings_path(self) -> Path:
         return self.root / "findings.jsonl"
@@ -485,6 +498,13 @@ class CampaignStore:
         """The case's results log in job order, a torn last line cut."""
         return read_jsonl(
             self.results_path(case_id), lambda line: from_record(ResultLine, json.loads(line))
+        )
+
+    def repair_log(self, case_id: str) -> list[RepairAttempt]:
+        """The case's repair attempts in order, a torn last line cut."""
+        return read_jsonl(
+            self.repair_log_path(case_id),
+            lambda line: from_record(RepairAttempt, json.loads(line)),
         )
 
     def save_case(self, case: TestCase) -> None:
@@ -590,12 +610,32 @@ def mutant_stub(parent: TestCase, j: int, catalog: FeatureCatalog, campaign_seed
     )
 
 
-def _pmap(fn, items, workers: int):
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _pmap(fn, items, workers: int) -> None:
+    """fn(item) for each item, over workers threads. Once a unit raises, no
+    further unit starts: the queued ones are cancelled, those in flight
+    finish, and the earliest failed item's exception propagates."""
+    if workers <= 1:
+        for item in items:
+            fn(item)
+        return
+    failed = threading.Event()
+
+    def unit(item) -> None:
+        # set in the failing thread, before its worker can take another item
+        if failed.is_set():
+            return
+        try:
+            fn(item)
+        except BaseException:
+            failed.set()
+            raise
+
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        for _ in pool.map(unit, items):
+            pass
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 class CampaignRunner:
@@ -822,28 +862,29 @@ class CampaignRunner:
                     units.append((stub, partial(self.pipeline.generate_testcase, ch, stub)))
         self._drive(units, 1, "generation_failed")
 
-    def _gate_compile(self, case_id: str, launcher: JobLauncher):
+    def _gate_compile(self, case: TestCase, launcher: JobLauncher):
+        """The gate compiler for repair_loop. Each compile's input is a new
+        file gate/attempt_NN.cpp, NN the case's transcript length + 1, since
+        the compiler takes a path; every compile of the case shares one
+        workdir, gate/<cell label>/."""
         gate = self.config.gate
         toolchain = next(
             t for t in self.config.toolchains if t.compiler_id == gate.compiler_id
         )
         target = next(t for t in toolchain.targets if t.name == gate.target)
         gate_toolchain = replace(toolchain, targets=(target,), opt_levels=(gate.opt_level,))
-        gate_dir = self.store.case_dir(case_id) / "gate"
-        # a resumed repair numbers its attempts after those already on disk
-        earlier = (p.name.removeprefix("attempt_") for p in gate_dir.glob("attempt_*"))
-        counter = {"n": max((int(n) for n in earlier if n.isdigit()), default=0)}
+        gate_dir = self.store.case_dir(case.case_id) / "gate"
+        gate_dir.mkdir(parents=True, exist_ok=True)
 
         def compile_source(source_text: str) -> CompileResult:
-            counter["n"] += 1
-            attempt_dir = gate_dir / f"attempt_{counter['n']:02d}"
-            attempt_dir.mkdir(parents=True, exist_ok=True)
-            source_path = attempt_dir / "source.cpp"
+            source_path = gate_dir / f"attempt_{len(case.repair_transcript) + 1:02d}.cpp"
             source_path.write_text(source_text)
             job = build_matrix(
-                case_id, source_path, [gate_toolchain], attempt_dir,
+                case.case_id, source_path, [gate_toolchain], gate_dir,
                 timeout=self.config.limits.compile_timeout,
             )[0]
+            # an earlier compile's binary would pass for this one's output
+            job.output_path.unlink(missing_ok=True)
             return compile_job(job, launcher)
 
         return compile_source
@@ -852,9 +893,20 @@ class CampaignRunner:
         launcher = JobLauncher()
 
         def repair(case: TestCase) -> TestCase:
-            gate = self._gate_compile(case.case_id, launcher)
+            # a resumed repair replays its log: the transcript goes on with
+            # the logged attempts, and the source is the last fix among them.
+            # A draft's case.json holds no attempts, unless an older layout
+            # saved them there.
+            case.repair_transcript += self.store.repair_log(case.case_id)
+            case.source = next(
+                (a.fix_source for a in reversed(case.repair_transcript) if a.fix_source),
+                case.source,
+            )
+            gate = self._gate_compile(case, launcher)
             max_attempts = self.config.generation.max_repair_attempts
-            return self.pipeline.repair_loop(case, gate, max_attempts, self.store.save_case).case
+            with open(self.store.repair_log_path(case.case_id), "a", encoding="utf-8") as log:
+                on_attempt = partial(_append_attempt, log)
+                return self.pipeline.repair_loop(case, gate, max_attempts, on_attempt).case
 
         units = [
             (case, partial(repair, case))

@@ -263,14 +263,15 @@ class GenerationPipeline:
         case: TestCase,
         gate_compile: Callable[[str], CompileResult],
         max_attempts: int = 5,
-        on_attempt: Callable[[TestCase], None] = lambda case: None,
+        on_attempt: Callable[[RepairAttempt], None] = lambda attempt: None,
     ) -> RepairOutcome:
         """Compile; on failure ask for a fix and retry, at most max_attempts.
 
         The gate is one configured (compiler, target, opt level) triple; the
-        full matrix only sees cases that pass it. on_attempt(case) follows
-        each transcript entry, and the attempts a resumed case's transcript
-        holds count against max_attempts.
+        full matrix only sees cases that pass it. on_attempt(attempt) follows
+        each transcript entry (the campaign appends it to the case's repair
+        log), and the attempts a resumed case's transcript holds count
+        against max_attempts.
         """
         transcript = case.repair_transcript
         result = gate_compile(case.source)
@@ -281,11 +282,11 @@ class GenerationPipeline:
                 fixed = ensure_sycl_preamble(extract_code_block(completion.text))
             except NoCodeBlock:
                 transcript.append(RepairAttempt(result.stderr, ""))
-                on_attempt(case)
+                on_attempt(transcript[-1])
                 continue  # burn the attempt; the old error is asked about again
             transcript.append(RepairAttempt(result.stderr, fixed))
             case.source = fixed
-            on_attempt(case)
+            on_attempt(transcript[-1])
             result = gate_compile(case.source)
         if result.ok:
             case.status = CaseStatus.COMPILES

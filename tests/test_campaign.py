@@ -4,11 +4,15 @@ import json
 import os
 import threading
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from oracles import validate_partition
 
+import ragfuzz.campaign as campaign
 from ragfuzz.campaign import (
     CampaignReport,
     CampaignRunner,
@@ -22,10 +26,11 @@ from ragfuzz.campaign import (
 )
 from ragfuzz.errors import ConfigError, ConfigMismatch, CorruptManifest
 from ragfuzz.ledger import CostLedger
-from ragfuzz.pipeline import CaseStatus
+from ragfuzz.pipeline import CaseStatus, RepairAttempt, TestCase
 from ragfuzz.prompts import RenderedPrompt
 from ragfuzz.providers import Completion, ScriptEntry, binding_digest
 from ragfuzz.scenarios import build_tiny, materialize_scenario, scenario_to_dict
+from ragfuzz.toolchain import CompileStatus, JobLauncher
 
 GEN_STAGES = {"characteristics", "codegen", "repair", "mutation"}
 
@@ -224,17 +229,104 @@ def test_relative_executable_keeps_its_symlink(tmp_path):
         assert toolchain.env["CLANG"] == toolchain.env["ABSOLUTE"] == str(bin_dir / "clang++")
 
 
-def test_resumed_repair_numbers_its_attempts_after_the_earlier_ones(tmp_path):
+def test_a_resumed_repair_numbers_its_gate_inputs_by_the_log_length(tiny_campaign, tmp_path):
+    # a kill after the first repair attempt's log line: the resume replays it
+    done = CampaignStore(tiny_campaign.campaign_dir)
+    case = next(c for c in done.all_cases() if c.parent_id is None and c.repair_transcript)
+    assert len(case.repair_transcript) == 1
     config = load_config_file(materialize_scenario(build_tiny(), tmp_path / "work"))
     campaign_dir = tmp_path / "campaign"
     run_campaign(config, campaign_dir, halt_after="generate")
-    case = next(c for c in CampaignStore(campaign_dir).all_cases() if c.status == CaseStatus.DRAFT)
-    earlier = campaign_dir / "cases" / case.case_id / "gate" / "attempt_01"
-    earlier.mkdir(parents=True)
-    (earlier / "source.cpp").write_text("// an attempt from before the kill\n")
+    store = CampaignStore(campaign_dir)
+    log = done.repair_log_path(case.case_id).read_bytes()
+    store.repair_log_path(case.case_id).write_bytes(log)
     run_campaign(config, campaign_dir, halt_after="repair")
-    assert (earlier / "source.cpp").read_text() == "// an attempt from before the kill\n"
-    assert (earlier.parent / "attempt_02" / "source.cpp").read_text() == case.source
+    gate_dir = store.case_dir(case.case_id) / "gate"
+    assert [p.name for p in gate_dir.glob("attempt_*")] == ["attempt_02.cpp"]
+    assert (gate_dir / "attempt_02.cpp").read_text() == case.source
+    assert store.case_path(case.case_id).read_bytes() == done.case_path(case.case_id).read_bytes()
+    assert store.repair_log_path(case.case_id).read_bytes() == log
+    assert "repair" not in {e.stage for e in CostLedger(store.ledger_path).entries()}
+
+
+def test_a_draft_saved_with_its_attempts_by_an_older_layout_resumes_from_them(
+    tiny_campaign, tmp_path
+):
+    # the older layout saved case.json after each attempt and kept no log
+    done = CampaignStore(tiny_campaign.campaign_dir)
+    case = next(c for c in done.all_cases() if c.parent_id is None and c.repair_transcript)
+    config = load_config_file(materialize_scenario(build_tiny(), tmp_path / "work"))
+    campaign_dir = tmp_path / "campaign"
+    run_campaign(config, campaign_dir, halt_after="generate")
+    store = CampaignStore(campaign_dir)
+    store.save_case(replace(case, status=CaseStatus.DRAFT))
+    run_campaign(config, campaign_dir, halt_after="repair")
+    assert store.case_path(case.case_id).read_bytes() == done.case_path(case.case_id).read_bytes()
+    assert store.repair_log_path(case.case_id).read_bytes() == b""
+    assert "repair" not in {e.stage for e in CostLedger(store.ledger_path).entries()}
+
+
+@pytest.mark.parametrize("max_attempts", [1, 3, 5])
+def test_a_repair_writes_its_case_twice_and_logs_each_attempt_once(
+    max_attempts, tmp_path, monkeypatch
+):
+    config = load_config_file(
+        materialize_scenario(build_tiny(), tmp_path / "work"),
+        overrides={"generation.max_repair_attempts": max_attempts},
+    )
+    write, append = campaign._write_text, campaign._append_attempt
+    repair_cases = CampaignRunner._repair_cases
+    writes, appends, repairing = Counter(), Counter(), threading.Event()
+
+    def counting_write(path, text):
+        if repairing.is_set():
+            writes[path.parent.name] += 1
+        write(path, text)
+
+    def counting_append(log, attempt):
+        appends[Path(log.name).parent.name] += 1
+        append(log, attempt)
+
+    def counting_repairs(self, parent_filter):
+        repairing.set()
+        try:
+            repair_cases(self, parent_filter)
+        finally:
+            repairing.clear()
+
+    monkeypatch.setattr(campaign, "_write_text", counting_write)
+    monkeypatch.setattr(campaign, "_append_attempt", counting_append)
+    monkeypatch.setattr(CampaignRunner, "_repair_cases", counting_repairs)
+    run_campaign(config, tmp_path / "campaign")
+    attempts = Counter({
+        c.case_id: len(c.repair_transcript) for c in CampaignStore(tmp_path / "campaign").all_cases()
+    })
+    assert sorted(attempts.values()) == sorted([0, 0, 1, max_attempts])
+    assert writes == Counter(dict.fromkeys(attempts, 2))
+    assert appends == attempts
+
+
+def test_a_gate_compile_that_writes_no_output_after_an_ok_one_reads_error(tmp_path):
+    compiler = tmp_path / "cc"
+    compiler.write_text(
+        "#!/bin/sh\n"
+        "# cc [flags] SOURCE -o OUTPUT writes OUTPUT only for a source that asks\n"
+        "while [ $# -gt 3 ]; do shift; done\n"
+        'if grep -q WRITE "$1"; then : > "$3"; fi\n'
+    )
+    compiler.chmod(0o755)
+    config = load_config_file(materialize_scenario(build_tiny(), tmp_path / "work"))
+    config.toolchains = [replace(t, executable=str(compiler)) for t in config.toolchains]
+    runner = CampaignRunner(config, tmp_path / "campaign")
+    case = TestCase("c0", "DeviceGlobals", "")
+    gate = runner._gate_compile(case, JobLauncher())
+    assert gate("// WRITE\n").ok
+    case.repair_transcript.append(RepairAttempt("error\n", "// no output\n"))
+    result = gate("// no output\n")
+    assert result.status == CompileStatus.ERROR
+    assert "exited 0 without producing output" in result.stderr
+    gate_dir = runner.store.case_dir("c0") / "gate"
+    assert sorted(p.name for p in gate_dir.glob("attempt_*")) == ["attempt_01.cpp", "attempt_02.cpp"]
 
 
 def test_functions_whose_names_slug_alike_keep_their_own_characteristics(tmp_path):

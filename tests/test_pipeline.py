@@ -302,17 +302,14 @@ def test_repair_loop_saves_each_attempt_and_counts_a_resumed_transcript():
         [ScriptEntry("repair", {"code": "*"}, ["```\nint main() { still bad }\n```"])]
     )
     saved = []
-
-    def on_attempt(case):
-        saved.append((len(case.repair_transcript), case.source))
-
     case = draft()
     case.repair_transcript = [RepairAttempt("error: earlier\n", "int main() {}\n")] * 3
-    outcome = pipeline.repair_loop(case, lambda src: failed_compile(), 5, on_attempt)
+    outcome = pipeline.repair_loop(case, lambda src: failed_compile(), 5, saved.append)
     assert outcome.attempts == 5
     assert outcome.case.abandon_reason == "compile_failed"
     fixed = ensure_sycl_preamble("int main() { still bad }\n")
-    assert saved == [(4, fixed), (5, fixed)]
+    assert saved == [RepairAttempt("error: bad code\n", fixed)] * 2
+    assert outcome.case.repair_transcript[3:] == saved
 
 
 def test_mutate_three_children_with_lineage_and_distinct_seeds():
