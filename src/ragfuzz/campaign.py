@@ -1,10 +1,13 @@
 """Campaign orchestration: config, staged execution, persistence, reporting.
 
 The campaign directory is the source of truth. Every stage persists each unit
-of work as it finishes, one file per unit or, for the ledger, the embedding
-cache, the matrix and each repair's attempts, one line per unit in an
-append-only log, and skips units already persisted. A resumed repair replays
-its case's repair.jsonl and goes on from there. A file that commits another is
+of work as it finishes, one file per unit or one line per unit in an
+append-only log, and skips units already persisted. The ledger, the exchange
+log, each case's results.jsonl and each repair's attempts are RecordLogs, which
+share one rule: one sort_keys JSON line per record, flushed as it is written,
+and a torn last line cut when the log is opened; the embedding cache keeps the
+same rule through its own file descriptor. A resumed repair replays its
+case's repair.jsonl and goes on from there. A file that commits another is
 written last: source.cpp before case.json, the config snapshot before
 manifest.json. So an interrupted campaign resumes exactly where it stopped and
 re-bills the provider at most for the call a kill cut short. The canonical
@@ -44,7 +47,7 @@ from .errors import (
 )
 from .extraction import PassFunction, PassSource, extract_functions, filter_candidates
 from .ledger import STAGES as LEDGER_STAGES
-from .ledger import CostLedger, PricingTable, default_pricing, estimate_cost, read_jsonl
+from .ledger import CostLedger, PricingTable, RecordLog, default_pricing, estimate_cost
 from .pipeline import (
     CaseStatus,
     Characteristics,
@@ -364,13 +367,6 @@ def _write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _append_attempt(log, attempt: RepairAttempt) -> None:
-    """One repair attempt as a whole line of an open repair.jsonl, flushed,
-    so a kill loses at most the line being written."""
-    log.write(json.dumps(to_record(attempt), sort_keys=True) + "\n")
-    log.flush()
-
-
 def _write_json(path: Path, payload) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -406,6 +402,18 @@ class ResultLine:
 
 
 @dataclass(frozen=True)
+class Exchange:
+    """One line of exchanges.jsonl: a completed provider call, its prompt by digest."""
+
+    template_id: str
+    prompt_sha256: str
+    response: str
+    input_tokens: int
+    output_tokens: int
+    model_id: str
+
+
+@dataclass(frozen=True)
 class ConfigSnapshot:
     """config.snapshot.json: the raw config a campaign started from, and the
     directory its relative paths resolve against, for ``resume``."""
@@ -432,28 +440,15 @@ class CampaignStore:
     """
 
     def __init__(self, root: Path):
-        self.root = Path(root).resolve()
-
-    # layout
-    @property
-    def manifest_path(self) -> Path:
-        return self.root / "manifest.json"
-
-    @property
-    def snapshot_path(self) -> Path:
-        return self.root / "config.snapshot.json"
-
-    @property
-    def ledger_path(self) -> Path:
-        return self.root / "ledger.jsonl"
-
-    @property
-    def exchanges_path(self) -> Path:
-        return self.root / "exchanges.jsonl"
-
-    @property
-    def index_dir(self) -> Path:
-        return self.root / "index"
+        self.root = root = Path(root).resolve()
+        # layout
+        self.manifest_path = root / "manifest.json"
+        self.snapshot_path = root / "config.snapshot.json"
+        self.ledger_path = root / "ledger.jsonl"
+        self.exchanges_path = root / "exchanges.jsonl"
+        self.index_dir = root / "index"
+        self.findings_path = root / "findings.jsonl"
+        self.timing_path = root / "timing.json"
 
     def pass_dir(self, pass_name: str) -> Path:
         return self.root / "passes" / _slug(pass_name)
@@ -485,28 +480,7 @@ class CampaignStore:
     def repair_log_path(self, case_id: str) -> Path:
         return self.case_dir(case_id) / "repair.jsonl"
 
-    @property
-    def findings_path(self) -> Path:
-        return self.root / "findings.jsonl"
-
-    @property
-    def timing_path(self) -> Path:
-        return self.root / "timing.json"
-
     # persistence helpers
-    def results(self, case_id: str) -> list[ResultLine]:
-        """The case's results log in job order, a torn last line cut."""
-        return read_jsonl(
-            self.results_path(case_id), lambda line: from_record(ResultLine, json.loads(line))
-        )
-
-    def repair_log(self, case_id: str) -> list[RepairAttempt]:
-        """The case's repair attempts in order, a torn last line cut."""
-        return read_jsonl(
-            self.repair_log_path(case_id),
-            lambda line: from_record(RepairAttempt, json.loads(line)),
-        )
-
     def save_case(self, case: TestCase) -> None:
         # case.json commits the case, so it is written last
         _write_text(self.source_path(case.case_id), case.source)
@@ -566,12 +540,10 @@ def render_markdown(report: CampaignReport) -> str:
         )
     lines += ["", "## Findings", ""]
     lines.append(f"Flagged cases (union): **{report.findings['total_flagged']}**")
-    lines += ["", "| axis | flagged cases |", "|---|---|"]
-    for axis, count in sorted(report.findings["per_axis"].items()):
-        lines.append(f"| {axis} | {count} |")
-    lines += ["", "| kind | flagged cases |", "|---|---|"]
-    for kind, count in sorted(report.findings["per_kind"].items()):
-        lines.append(f"| {kind} | {count} |")
+    for column in ("axis", "kind"):
+        counts = sorted(report.findings[f"per_{column}"].items())
+        lines += ["", f"| {column} | flagged cases |", "|---|---|"]
+        lines += [f"| {key} | {count} |" for key, count in counts]
     lines += ["", "## Cost", ""]
     lines.append(f"Total input tokens: {report.cost['input_tokens']}")
     lines.append(f"Total output tokens: {report.cost['output_tokens']}")
@@ -716,27 +688,15 @@ class CampaignRunner:
             if spec.llm.requests_per_minute > 0:
                 rate_limiter = RateLimiter(spec.llm.requests_per_minute)
 
-        exchange_lock = threading.Lock()
+        exchanges = RecordLog(self.store.exchanges_path, Exchange)
+        exchanges.records.clear()  # its torn tail is cut; nothing reads it back
 
         def log_exchange(prompt, completion):
-            line = json.dumps(
-                {
-                    "template_id": prompt.template_id,
-                    "prompt_sha256": hashlib.sha256(
-                        prompt.text.encode("utf-8")
-                    ).hexdigest(),
-                    "response": completion.text,
-                    "input_tokens": completion.input_tokens,
-                    "output_tokens": completion.output_tokens,
-                    "model_id": completion.model_id,
-                },
-                sort_keys=True,
-            )
-            # repair workers log concurrently; one writer at a time keeps
-            # each exchange on one whole line
-            with exchange_lock:
-                with open(self.store.exchanges_path, "a", encoding="utf-8") as fh:
-                    fh.write(line + "\n")
+            exchanges.append(Exchange(
+                prompt.template_id, hashlib.sha256(prompt.text.encode("utf-8")).hexdigest(),
+                completion.text, completion.input_tokens, completion.output_tokens,
+                completion.model_id,
+            ))
 
         llm = LLMService(
             backend,
@@ -897,16 +857,15 @@ class CampaignRunner:
             # the logged attempts, and the source is the last fix among them.
             # A draft's case.json holds no attempts, unless an older layout
             # saved them there.
-            case.repair_transcript += self.store.repair_log(case.case_id)
-            case.source = next(
-                (a.fix_source for a in reversed(case.repair_transcript) if a.fix_source),
-                case.source,
-            )
-            gate = self._gate_compile(case, launcher)
-            max_attempts = self.config.generation.max_repair_attempts
-            with open(self.store.repair_log_path(case.case_id), "a", encoding="utf-8") as log:
-                on_attempt = partial(_append_attempt, log)
-                return self.pipeline.repair_loop(case, gate, max_attempts, on_attempt).case
+            with RecordLog(self.store.repair_log_path(case.case_id), RepairAttempt) as log:
+                case.repair_transcript += log.records
+                case.source = next(
+                    (a.fix_source for a in reversed(case.repair_transcript) if a.fix_source),
+                    case.source,
+                )
+                gate = self._gate_compile(case, launcher)
+                max_attempts = self.config.generation.max_repair_attempts
+                return self.pipeline.repair_loop(case, gate, max_attempts, log.append).case
 
         units = [
             (case, partial(repair, case))
@@ -947,20 +906,17 @@ class CampaignRunner:
                 self.store.case_dir(case.case_id) / "build",
                 timeout=self.config.limits.compile_timeout,
             )
-            # a resume skips every cell the log holds
-            logged = self.store.results(case.case_id)
-            compiles = {line.compile.cell: line.compile for line in logged if line.compile}
-            ran = {line.run.cell for line in logged if line.run}
-            with open(self.store.results_path(case.case_id), "a", encoding="utf-8") as log:
-                def append(tag: str, result) -> None:
-                    log.write(json.dumps({tag: to_record(result)}, sort_keys=True) + "\n")
-                    log.flush()  # a kill loses at most the line being written
-
+            # a resume skips every cell the log holds; a line is appended as
+            # {"compile": ...} or {"run": ...}, the bytes of a ResultLine
+            # without its null field
+            with RecordLog(self.store.results_path(case.case_id), ResultLine) as log:
+                compiles = {line.compile.cell: line.compile for line in log.records if line.compile}
+                ran = {line.run.cell for line in log.records if line.run}
                 for job in jobs:
                     result = compiles.get(CellKey(job.compiler_id, job.target, job.opt_level))
                     if result is None:
                         result = compile_job(job, launcher)
-                        append("compile", result)
+                        log.append({"compile": result})
                     for run in expand_run_jobs(
                         result,
                         self.config.devices,
@@ -968,7 +924,7 @@ class CampaignRunner:
                         timeout=self.config.limits.run_timeout,
                     ):
                         if run.cell not in ran:
-                            append("run", run_job(run, limits, launcher))
+                            log.append({"run": run_job(run, limits, launcher)})
 
         _pmap(process_case, compiled, self.config.campaign.workers_tool)
 
@@ -982,7 +938,8 @@ class CampaignRunner:
                 continue
             if suppress and any(p.search(case.source) for p in suppress):
                 continue  # operator triage valve: known-noise sources
-            runs = [line.run for line in self.store.results(case.case_id) if line.run]
+            logged = RecordLog(self.store.results_path(case.case_id), ResultLine).records
+            runs = [line.run for line in logged if line.run]
             matrix = ResultsMatrix(case_id=case.case_id, cells={r.cell: r for r in runs})
             if len(matrix.cells) < 2:
                 continue

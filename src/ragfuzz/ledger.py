@@ -1,4 +1,5 @@
-"""Token usage accounting and campaign cost estimation.
+"""Token usage accounting, campaign cost estimation, and the append-only
+record log every campaign log is written through.
 
 Costs are computed in exact decimal arithmetic and rounded to cents only at
 presentation time; the ledger itself is an append-only JSONL file so totals
@@ -8,21 +9,21 @@ Annotations here are evaluated at import, not postponed: the record codec
 reads the pricing table's field types as objects when a campaign sets up.
 """
 import json
+import os
 import threading
+import weakref
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable
 
 from .errors import RecordError, UnpricedModel
 from .records import from_record, to_record
 
 STAGES = ("characteristics", "codegen", "repair", "mutation", "embedding")
 
-T = TypeVar("T")
 
-
-def read_jsonl(path: Path, decode: Callable[[bytes], T], with_offsets: bool = False) -> list:
+def read_jsonl(path: Path, decode: Callable[[bytes], object], with_offsets: bool = False) -> list:
     """Decode every line of an append-only JSONL file, mending a torn tail.
 
     A final line that ``decode`` rejects (ValueError, KeyError, TypeError or
@@ -50,13 +51,56 @@ def read_jsonl(path: Path, decode: Callable[[bytes], T], with_offsets: bool = Fa
                     torn = exc
                     continue
             kept += len(line)
-    if torn is not None:
+    if torn is not None or (line and not line.endswith(b"\n")):
         with open(path, "r+b") as fh:
-            fh.truncate(kept)
-    elif line and not line.endswith(b"\n"):
-        with open(path, "ab") as fh:
-            fh.write(b"\n")
+            if torn is not None:
+                fh.truncate(kept)
+            else:
+                fh.seek(0, os.SEEK_END)
+                fh.write(b"\n")
     return records
+
+
+class RecordLog:
+    """An append-only JSONL file of records of type cls, one per line.
+
+    Opening the log reads it through read_jsonl, so a line torn by a kill
+    mid-append is cut and the next append starts a fresh line; records holds
+    what the file held then. Each append writes one sort_keys JSON line of
+    to_record(record) and flushes it, under one lock, so a kill loses at
+    most the line being written and concurrent appends never interleave.
+
+    The file is opened once, by a with block or else at the first append,
+    and closed at the end of the with block or when the log is collected.
+    """
+
+    def __init__(self, path: Path, cls: type):
+        self.path = Path(path)
+        self.records = read_jsonl(self.path, lambda line: from_record(cls, json.loads(line)))
+        self._lock = threading.Lock()
+        self._fh = None
+
+    def _open(self):  # under the lock
+        if self._fh is None:
+            self._fh = open(self.path, "a", encoding="utf-8")
+            weakref.finalize(self, self._fh.close)
+        return self._fh
+
+    def append(self, record) -> None:
+        line = json.dumps(to_record(record), sort_keys=True) + "\n"
+        with self._lock:
+            fh = self._open()
+            fh.write(line)
+            fh.flush()
+
+    def __enter__(self) -> "RecordLog":
+        with self._lock:
+            self._open()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._fh.close()
 
 
 @dataclass(frozen=True)
@@ -105,17 +149,14 @@ def default_pricing() -> PricingTable:
 class CostLedger:
     """Append-only usage log; safe to feed from many worker threads.
 
-    Reopening the log drops a final line torn by a kill mid-append.
+    With a path, entries go to a RecordLog, so reopening the ledger drops a
+    final line torn by a kill mid-append.
     """
 
     def __init__(self, path: Path | None = None):
-        self._entries: list[UsageEntry] = []
+        self._log = RecordLog(path, UsageEntry) if path else None
+        self._entries: list[UsageEntry] = list(self._log.records) if self._log else []
         self._lock = threading.Lock()
-        self._path = Path(path) if path else None
-        if self._path:
-            self._entries = read_jsonl(
-                self._path, lambda line: from_record(UsageEntry, json.loads(line))
-            )
 
     def record(
         self,
@@ -139,9 +180,8 @@ class CostLedger:
                 approximate=approximate,
             )
             self._entries.append(entry)
-            if self._path:
-                with open(self._path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(to_record(entry), sort_keys=True) + "\n")
+            if self._log:
+                self._log.append(entry)
         return entry
 
     def entries(self) -> list[UsageEntry]:

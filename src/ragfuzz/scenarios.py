@@ -30,6 +30,7 @@ from .pipeline import (
     render_feature_requirements,
     sample_features,
 )
+from .prompts import TEMPLATE_PLACEHOLDERS
 from .providers import ScriptEntry, binding_digest
 from .records import from_record, to_record
 
@@ -63,7 +64,7 @@ class Scenario:
         for i, entry in enumerate(self.llm_entries):
             if not entry.responses:
                 raise OpenWorldKey(f"scenario {self.scenario_id}: entry #{i} has no responses")
-            if entry.template_id not in ("characteristics", "codegen", "repair", "mutation"):
+            if entry.template_id not in TEMPLATE_PLACEHOLDERS:
                 raise OpenWorldKey(
                     f"scenario {self.scenario_id}: entry #{i} has unknown template "
                     f"{entry.template_id!r}"

@@ -7,7 +7,6 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from decimal import Decimal
-from pathlib import Path
 
 import pytest
 from oracles import validate_partition
@@ -17,6 +16,8 @@ from ragfuzz.campaign import (
     CampaignReport,
     CampaignRunner,
     CampaignStore,
+    Exchange,
+    ResultLine,
     emit_report,
     load_config,
     load_config_file,
@@ -25,14 +26,20 @@ from ragfuzz.campaign import (
     run_campaign,
 )
 from ragfuzz.errors import ConfigError, ConfigMismatch, CorruptManifest
-from ragfuzz.ledger import CostLedger
+from ragfuzz.ledger import CostLedger, RecordLog
 from ragfuzz.pipeline import CaseStatus, RepairAttempt, TestCase
 from ragfuzz.prompts import RenderedPrompt
 from ragfuzz.providers import Completion, ScriptEntry, binding_digest
+from ragfuzz.records import from_record
 from ragfuzz.scenarios import build_tiny, materialize_scenario, scenario_to_dict
 from ragfuzz.toolchain import CompileStatus, JobLauncher
 
 GEN_STAGES = {"characteristics", "codegen", "repair", "mutation"}
+
+
+def results(store: CampaignStore, case_id: str) -> list[ResultLine]:
+    """The case's results log in job order."""
+    return RecordLog(store.results_path(case_id), ResultLine).records
 
 
 # --- config validation ---
@@ -274,7 +281,7 @@ def test_a_repair_writes_its_case_twice_and_logs_each_attempt_once(
         materialize_scenario(build_tiny(), tmp_path / "work"),
         overrides={"generation.max_repair_attempts": max_attempts},
     )
-    write, append = campaign._write_text, campaign._append_attempt
+    write, append = campaign._write_text, RecordLog.append
     repair_cases = CampaignRunner._repair_cases
     writes, appends, repairing = Counter(), Counter(), threading.Event()
 
@@ -283,9 +290,10 @@ def test_a_repair_writes_its_case_twice_and_logs_each_attempt_once(
             writes[path.parent.name] += 1
         write(path, text)
 
-    def counting_append(log, attempt):
-        appends[Path(log.name).parent.name] += 1
-        append(log, attempt)
+    def counting_append(log, record):
+        if log.path.name == "repair.jsonl":
+            appends[log.path.parent.name] += 1
+        append(log, record)
 
     def counting_repairs(self, parent_filter):
         repairing.set()
@@ -295,7 +303,7 @@ def test_a_repair_writes_its_case_twice_and_logs_each_attempt_once(
             repairing.clear()
 
     monkeypatch.setattr(campaign, "_write_text", counting_write)
-    monkeypatch.setattr(campaign, "_append_attempt", counting_append)
+    monkeypatch.setattr(RecordLog, "append", counting_append)
     monkeypatch.setattr(CampaignRunner, "_repair_cases", counting_repairs)
     run_campaign(config, tmp_path / "campaign")
     attempts = Counter({
@@ -539,7 +547,7 @@ def test_results_log_holds_one_line_per_compile_and_run_cell(tiny_campaign):
     for case in compiled:
         case_dir = store.case_dir(case.case_id)
         assert not (case_dir / "results").exists()
-        lines = store.results(case.case_id)
+        lines = results(store, case.case_id)
         assert all((line.compile is None) != (line.run is None) for line in lines)
         jobs = build_matrix(
             case.case_id, store.source_path(case.case_id), config.toolchains, case_dir / "build"
@@ -602,7 +610,7 @@ def test_results_logs_hold_the_same_lines_at_one_and_four_tool_workers(tiny_camp
         run_campaign(config, tmp_path / f"workers{workers}", halt_after="matrix")
         store = CampaignStore(tmp_path / f"workers{workers}")
         logs.append({
-            case.case_id: [summary(line) for line in store.results(case.case_id)]
+            case.case_id: [summary(line) for line in results(store, case.case_id)]
             for case in store.all_cases()
         })
     assert logs[0] == logs[1]
@@ -836,7 +844,22 @@ def test_concurrent_exchange_log_lines_stay_whole(tmp_path):
         t.join()
     lines = runner.store.exchanges_path.read_text().splitlines()
     assert len(lines) == 80
-    responses = sorted(json.loads(line)["response"] for line in lines)
+    responses = sorted(from_record(Exchange, json.loads(line)).response for line in lines)
     assert responses == sorted(
         f"prompt {n}.{i}" + "x" * 20_000 for n in range(8) for i in range(10)
     )
+
+
+def test_resume_cuts_a_torn_exchange_line(tiny_campaign, tmp_path):
+    config = load_config_file(materialize_scenario(build_tiny(), tmp_path / "work"))
+    campaign_dir = tmp_path / "campaign"
+    run_campaign(config, campaign_dir, halt_after="characteristics")
+    exchanges = campaign_dir / "exchanges.jsonl"
+    whole = exchanges.read_bytes()
+    with open(exchanges, "a", encoding="utf-8") as fh:
+        fh.write('{"input_tokens": 4')  # a kill tore the next exchange's line
+    resume(campaign_dir)
+    lines = exchanges.read_bytes().splitlines(keepends=True)
+    assert all(from_record(Exchange, json.loads(line)) for line in lines)
+    assert b"".join(lines).startswith(whole)
+    assert exchanges.read_bytes() == (tiny_campaign.campaign_dir / "exchanges.jsonl").read_bytes()

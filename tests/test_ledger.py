@@ -1,19 +1,26 @@
 from __future__ import annotations
 
+import ast
+import json
 import threading
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+import ragfuzz
 from ragfuzz.errors import UnpricedModel
 from ragfuzz.ledger import (
     CostLedger,
     ModelRate,
     PricingTable,
+    RecordLog,
+    UsageEntry,
     default_pricing,
     estimate_cost,
     format_dollars,
 )
+from ragfuzz.records import to_record
 
 GPT4 = PricingTable({"gpt-4": ModelRate(Decimal("30"), Decimal("60"))})
 GPT4O_RATES = PricingTable({"gpt-4": ModelRate(Decimal("5"), Decimal("15"))})
@@ -192,3 +199,68 @@ def test_read_jsonl_decodes_line_by_line_without_holding_the_file(tmp_path):
         tracemalloc.stop()
     assert records == [len(line)] * count
     assert peak < size / 8, (peak, size)
+
+
+ENTRY = UsageEntry(0, "codegen", "gpt-4", 1, 2)
+
+
+def test_a_record_log_line_is_in_the_file_when_append_returns(tmp_path):
+    # read through a handle of its own: the line is flushed, not left in a buffer
+    path = tmp_path / "log.jsonl"
+    log = RecordLog(path, UsageEntry)
+    line = (json.dumps(to_record(ENTRY), sort_keys=True) + "\n").encode()
+    for count in (1, 2):
+        log.append(ENTRY)
+        with open(path, "rb") as fh:
+            assert fh.read() == line * count
+
+
+def test_a_record_log_cuts_a_torn_tail_when_opened(tmp_path):
+    path = tmp_path / "log.jsonl"
+    with RecordLog(path, UsageEntry) as log:
+        log.append(ENTRY)
+    whole = path.read_bytes()
+    path.write_bytes(whole + b'{"call_id": 1, "sta')  # a kill tore the next append
+    log = RecordLog(path, UsageEntry)
+    assert log.records == [ENTRY]
+    assert path.read_bytes() == whole
+    log.append(ENTRY)
+    assert RecordLog(path, UsageEntry).records == [ENTRY, ENTRY]
+
+
+def test_a_with_block_opens_its_log_and_a_bare_log_opens_at_its_first_append(tmp_path):
+    RecordLog(tmp_path / "bare.jsonl", UsageEntry)
+    assert not (tmp_path / "bare.jsonl").exists()
+    with RecordLog(tmp_path / "scoped.jsonl", UsageEntry):
+        pass
+    assert (tmp_path / "scoped.jsonl").read_bytes() == b""
+
+
+def _append_mode(call: ast.Call) -> bool:
+    """Whether an open(...) or x.open(...) call passes a literal mode that appends."""
+    name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+    if name != "open":
+        return False
+    modes = [*call.args, *(k.value for k in call.keywords if k.arg == "mode")]
+    return any(
+        isinstance(m, ast.Constant) and isinstance(m.value, str)
+        and set(m.value) <= set("rwaxbt+") and "a" in m.value
+        for m in modes
+    )
+
+
+def test_only_record_log_opens_a_file_for_appending():
+    # every append-only log of the package goes through RecordLog; the
+    # embedding cache appends through os.open flags, which this does not match
+    found = []
+    for path in sorted(Path(ragfuzz.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> the innermost class it lies in
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            owner.update((node, cls.name) for node in ast.walk(cls))
+        found += [
+            (path.name, owner.get(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _append_mode(node)
+        ]
+    assert found == [("ledger.py", "RecordLog")]

@@ -14,10 +14,11 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+from ragfuzz.campaign import Exchange
 from ragfuzz.difftest import Discrepancy
 from ragfuzz.errors import RecordError
 from ragfuzz.extraction import DefinitionKind, PassFunction
-from ragfuzz.ledger import CostLedger, PricingTable
+from ragfuzz.ledger import CostLedger, PricingTable, RecordLog
 from ragfuzz.pipeline import CaseStatus, Characteristics, TestCase
 from ragfuzz.rag import VectorIndex
 from ragfuzz.records import from_record, to_record
@@ -122,6 +123,20 @@ def test_ledger_lines_round_trip_byte_for_byte(records_dir, tmp_path):
         last.stage, last.model_id, last.input_tokens, last.output_tokens, last.approximate
     )
     assert fresh.read_text() == text.splitlines(keepends=True)[-1]
+
+
+def test_exchange_lines_round_trip_byte_for_byte(records_dir, tmp_path):
+    # lines the campaign wrote as plain dicts, before exchanges had a record type
+    text = (records_dir / "exchanges.jsonl").read_text()
+    path = tmp_path / "exchanges.jsonl"
+    path.write_text(text)
+    exchanges = RecordLog(path, Exchange).records
+    assert [e.template_id for e in exchanges] == ["characteristics", "codegen", "repair"]
+    assert path.read_text() == text  # loading rewrote nothing
+    fresh = RecordLog(tmp_path / "fresh.jsonl", Exchange)
+    for exchange in exchanges:
+        fresh.append(exchange)
+    assert fresh.path.read_text() == text
 
 
 def test_chunk_manifest_round_trips_byte_for_byte(records_dir, tmp_path):

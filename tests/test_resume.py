@@ -1,10 +1,12 @@
 """Resume and the case driver's fault paths on the tiny scenario.
 
-A kill is simulated in-process: the campaign's artifact writer, or its
-repair-log appender, raises a BaseException, which no stage catches, at a
-chosen call; an append may first write half its line. The resumed campaign
-must then reach the uninterrupted run's report and findings, and re-bill at
-most the one provider call that was in flight.
+A kill is simulated in-process: the campaign's artifact writer, or the
+append of any of its record logs (the ledger, the exchanges, each case's
+results and repair attempts), raises a BaseException, which no stage
+catches, at a chosen call; an append may first write half its line. The
+resumed campaign must then reach the uninterrupted run's report, findings
+and cases, leave every log line whole, and re-bill at most the one provider
+call that was in flight.
 """
 from __future__ import annotations
 
@@ -17,20 +19,41 @@ from collections import Counter
 import pytest
 
 import ragfuzz.campaign as campaign
-from ragfuzz.campaign import CampaignStore, load_config_file, mutant_stub, resume, run_campaign
+from ragfuzz.campaign import (
+    CampaignStore,
+    Exchange,
+    ResultLine,
+    load_config_file,
+    mutant_stub,
+    resume,
+    run_campaign,
+)
 from ragfuzz.errors import ProviderUnavailable, ToolNotFound
-from ragfuzz.ledger import CostLedger
-from ragfuzz.pipeline import CaseStatus, GenerationPipeline, default_catalog
+from ragfuzz.ledger import CostLedger, RecordLog, UsageEntry
+from ragfuzz.pipeline import CaseStatus, GenerationPipeline, RepairAttempt, default_catalog
 from ragfuzz.providers import LLMService, ScriptEntry
-from ragfuzz.records import to_record
+from ragfuzz.records import from_record, to_record
 from ragfuzz.scenarios import build_tiny, materialize_scenario, scenario_to_dict
 
 # one uninterrupted tiny run: its artifact writes (campaign._write_text calls)
-# and its repair-log appends (campaign._append_attempt calls)
+# and its record-log appends (RecordLog.append calls): 21 to the ledger, 12 to
+# the exchanges, 36 to the results logs of 3 cases and 6 to repair logs
 TINY_WRITES = 34
-TINY_APPENDS = 6
-# a kill before each write or append, and one in the middle of each append
-TINY_KILL_POINTS = TINY_WRITES + 2 * TINY_APPENDS
+TINY_APPENDS = 75
+TINY_LOGS = {"ledger.jsonl": 21, "exchanges.jsonl": 12, "results.jsonl": 36, "repair.jsonl": 6}
+TINY_RESULTS_LOGS = 3
+# a kill before each write or append; one in the middle of each repair
+# append; and one in the middle of the first and the last append of the
+# ledger, the exchanges and each results log
+TINY_TORN = TINY_LOGS["repair.jsonl"] + 2 * (2 + TINY_RESULTS_LOGS)
+TINY_KILL_POINTS = TINY_WRITES + TINY_APPENDS + TINY_TORN
+
+LOG_RECORDS = {
+    "ledger.jsonl": UsageEntry,
+    "exchanges.jsonl": Exchange,
+    "results.jsonl": ResultLine,
+    "repair.jsonl": RepairAttempt,
+}
 
 
 class Killed(BaseException):
@@ -38,6 +61,11 @@ class Killed(BaseException):
 
 
 def outcome(campaign_dir):
+    for name, cls in LOG_RECORDS.items():  # every line of every log is whole
+        for path in [*campaign_dir.glob(name), *campaign_dir.glob(f"cases/*/{name}")]:
+            for line in path.read_bytes().splitlines(keepends=True):
+                assert line.endswith(b"\n"), path
+                from_record(cls, json.loads(line))
     report = json.loads((campaign_dir / "report.json").read_text())
     del report["cost"]  # a kill may re-bill the call in flight
     findings = (campaign_dir / "findings.jsonl").read_text()
@@ -51,13 +79,13 @@ def outcome(campaign_dir):
 
 
 def patch_kill_points(mp, on_call):
-    """Route every _write_text and _append_attempt call through
+    """Route every _write_text and RecordLog.append call through
     on_call(index, kind, go, args), index counting both kinds in run order."""
     calls = itertools.count()
-    write, append = campaign._write_text, campaign._append_attempt
+    write, append = campaign._write_text, RecordLog.append
     mp.setattr(campaign, "_write_text",
                lambda *args: on_call(next(calls), "write", write, args))
-    mp.setattr(campaign, "_append_attempt",
+    mp.setattr(RecordLog, "append",
                lambda *args: on_call(next(calls), "append", append, args))
 
 
@@ -65,31 +93,43 @@ def patch_kill_points(mp, on_call):
 def tiny(tmp_path_factory):
     """The tiny config, and the outcome and kill points of its uninterrupted
     run: (call index, torn) for each write and append, then (call index,
-    True) for each append again."""
+    True) for each torn append, in call order. calls names each call's kind,
+    and for an append the log it goes to."""
     tmp = tmp_path_factory.mktemp("tiny_resume")
+    campaign_dir = tmp / "campaign"
     config = load_config_file(materialize_scenario(build_tiny(), tmp / "work"))
-    kinds = []
+    calls = []
 
     def counting(index, kind, go, args):
-        kinds.append(kind)
+        calls.append((kind, args[0].path.relative_to(campaign_dir) if kind == "append" else None))
         go(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         patch_kill_points(mp, counting)
-        run_campaign(config, tmp / "campaign")
-    points = [(i, False) for i in range(len(kinds))]
-    points += [(i, True) for i, kind in enumerate(kinds) if kind == "append"]
-    return config, outcome(tmp / "campaign"), Counter(kinds), points
+        run_campaign(config, campaign_dir)
+    appends: dict = {}  # log -> the indices of its appends
+    for i, (kind, log) in enumerate(calls):
+        if kind == "append":
+            appends.setdefault(log, []).append(i)
+    torn = {i for log, indices in appends.items() for i in (
+        indices if log.name == "repair.jsonl" else (indices[0], indices[-1])
+    )}
+    points = [(i, False) for i in range(len(calls))] + [(i, True) for i in sorted(torn)]
+    return config, outcome(campaign_dir), calls, points
 
 
 def test_kill_points_cover_every_write(tiny):
-    assert tiny[2] == {"write": TINY_WRITES, "append": TINY_APPENDS}
-    assert len(tiny[3]) == TINY_KILL_POINTS
+    _, _, calls, points = tiny
+    assert Counter(kind for kind, _ in calls) == {"write": TINY_WRITES, "append": TINY_APPENDS}
+    logs = [log for kind, log in calls if kind == "append"]
+    assert Counter(log.name for log in logs) == TINY_LOGS
+    assert len({log for log in logs if log.name == "results.jsonl"}) == TINY_RESULTS_LOGS
+    assert len(points) == TINY_KILL_POINTS
 
 
 @pytest.mark.parametrize("k", range(TINY_KILL_POINTS))
 def test_a_kill_at_any_write_resumes_to_the_uninterrupted_result(k, tiny, tmp_path, monkeypatch):
-    config, (report, findings, ledger, cases), _, points = tiny
+    config, (report, findings, ledger, cases), calls, points = tiny
     at, torn = points[k]
     campaign_dir = tmp_path / "campaign"
 
@@ -97,18 +137,18 @@ def test_a_kill_at_any_write_resumes_to_the_uninterrupted_result(k, tiny, tmp_pa
         if index != at:
             return go(*args)
         if torn:  # half the line reaches the file before the kill
-            log, attempt = args
-            line = json.dumps(to_record(attempt), sort_keys=True) + "\n"
-            log.write(line[: len(line) // 2])
-            log.flush()
+            log, record = args
+            line = json.dumps(to_record(record), sort_keys=True) + "\n"
+            with open(log.path, "a", encoding="utf-8") as fh:
+                fh.write(line[: len(line) // 2])
         raise Killed(kind)
 
     patch_kill_points(monkeypatch, killing)
     with pytest.raises(Killed):
         run_campaign(config, campaign_dir)
     if torn:
-        logs = list(campaign_dir.glob("cases/*/repair.jsonl"))
-        assert any(not log.read_bytes().endswith(b"\n") for log in logs)
+        log = campaign_dir / calls[at][1]
+        assert not log.read_bytes().endswith(b"\n")
     monkeypatch.undo()
     if (campaign_dir / "manifest.json").exists():
         resume(campaign_dir)
