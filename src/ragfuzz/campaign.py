@@ -47,7 +47,7 @@ from .errors import (
 )
 from .extraction import PassFunction, PassSource, extract_functions, filter_candidates
 from .ledger import STAGES as LEDGER_STAGES
-from .ledger import CostLedger, PricingTable, RecordLog, default_pricing, estimate_cost
+from .ledger import CostLedger, PricingTable, RecordLog, default_pricing, estimate_cost, write_text
 from .pipeline import (
     CaseStatus,
     Characteristics,
@@ -360,15 +360,8 @@ def _slug(name: str) -> str:
     return "".join(c if c.isalnum() or c in "-." else "_" for c in name)
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _write_json(path: Path, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _read_json(cls: type, path: Path):
@@ -483,7 +476,7 @@ class CampaignStore:
     # persistence helpers
     def save_case(self, case: TestCase) -> None:
         # case.json commits the case, so it is written last
-        _write_text(self.source_path(case.case_id), case.source)
+        write_text(self.source_path(case.case_id), case.source)
         _write_json(self.case_path(case.case_id), to_record(case))
 
     def all_cases(self) -> list[TestCase]:
@@ -524,7 +517,7 @@ def emit_report(report: CampaignReport, out_dir: Path, fmt: str) -> Path:
         return path
     if fmt == "markdown":
         path = out_dir / "report.md"
-        _write_text(path, render_markdown(report))
+        write_text(path, render_markdown(report))
         return path
     raise ValueError(f"unknown report format {fmt!r}")
 
@@ -671,7 +664,7 @@ class CampaignRunner:
         # is unindented, so json's C encoder writes it; resume reads either
         # layout. The manifest commits the directory, so it is written last.
         snapshot = ConfigSnapshot(str(self.config.base_dir), self.config.raw)
-        _write_text(self.store.snapshot_path, json.dumps(vars(snapshot), sort_keys=True) + "\n")
+        write_text(self.store.snapshot_path, json.dumps(vars(snapshot), sort_keys=True) + "\n")
         _write_json(manifest_path, vars(Manifest(self.config.config_hash)))
 
     def _build_providers(self, scenario: Scenario | None) -> tuple[LLMService, EmbeddingService]:
@@ -786,14 +779,18 @@ class CampaignRunner:
             for spec in self.config.passes:
                 for pattern in spec.docs:
                     doc_paths.extend(sorted(globlib.glob(pattern)))
-            # every document is chunked first, so embedding batches span documents
-            chunks = []
+            # every document is chunked first, so embedding batches span documents.
+            # A chunk's id begins with its file's name, so two files may not share one
+            chunks, names = [], {}
             for doc_path in sorted(set(doc_paths)):
+                name = Path(doc_path).name
+                first = names.setdefault(name, doc_path)
+                if first != doc_path:
+                    raise ConfigError("passes", f"docs {first!r} and {doc_path!r} share one name")
                 content = Path(doc_path).read_text()
                 if content.strip():
-                    chunks.extend(chunk_document(Path(doc_path).name, content, policy))
+                    chunks.extend(chunk_document(name, content, policy))
             index.index_chunks(chunks, self.embedder)
-            index.save(self.store.index_dir)
             self.index = index
         if len(self.index) > 0:
             self.pipeline.index = self.index
@@ -945,7 +942,7 @@ class CampaignRunner:
                 continue
             findings = classify(matrix, self.policy)
             lines += [json.dumps(to_record(d), sort_keys=True) + "\n" for d in findings]
-        _write_text(self.store.findings_path, "".join(lines))
+        write_text(self.store.findings_path, "".join(lines))
 
     def _stage_report(self) -> CampaignReport:
         report = self.build_report()

@@ -1,5 +1,6 @@
-"""Token usage accounting, campaign cost estimation, and the append-only
-record log every campaign log is written through.
+"""Token usage accounting, campaign cost estimation, the append-only
+record log every campaign log is written through, and the write by rename
+that replaces a campaign file whole.
 
 Costs are computed in exact decimal arithmetic and rounded to cents only at
 presentation time; the ledger itself is an append-only JSONL file so totals
@@ -59,6 +60,15 @@ def read_jsonl(path: Path, decode: Callable[[bytes], object], with_offsets: bool
                 fh.seek(0, os.SEEK_END)
                 fh.write(b"\n")
     return records
+
+
+def write_text(path: Path, text: str) -> None:
+    """Write text to path by rename: a kill leaves the old file or the new
+    one, never a truncated one."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
 
 
 class RecordLog:

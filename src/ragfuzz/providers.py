@@ -19,7 +19,7 @@ import tempfile
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -128,7 +128,8 @@ class HttpChatBackend:
             raise AuthFailure(f"environment variable {self.config.api_key_env!r} is unset")
         return key
 
-    def complete(self, text: str) -> Completion:
+    def complete(self, prompt: RenderedPrompt, text: str) -> Completion:
+        """Send text, the wire form of prompt, as one user message."""
         import requests
 
         payload = {
@@ -219,7 +220,7 @@ class ScriptedLLM:
         self._served = [0] * len(entries)  # responses handed out, per entry
         self._lock = threading.Lock()
 
-    def complete_prompt(self, prompt: RenderedPrompt, wire_text: str) -> Completion:
+    def complete(self, prompt: RenderedPrompt, wire_text: str) -> Completion:
         candidates = [
             i
             for i, e in enumerate(self.entries)
@@ -256,7 +257,8 @@ class ScriptedLLM:
 # --------------------------------------------------------------------------
 
 class LLMService:
-    """Retry/ledger wrapper over a completion backend.
+    """Retry/ledger wrapper over a completion backend, whose
+    ``complete(prompt, wire_text)`` returns one Completion.
 
     Transient transport failures are retried with exponential backoff up to
     max_retries; content-level provider responses are never retried.
@@ -294,10 +296,7 @@ class LLMService:
             if self.rate_limiter:
                 self.rate_limiter.acquire()
             try:
-                if hasattr(self.backend, "complete_prompt"):
-                    completion = self.backend.complete_prompt(prompt, wire_text)
-                else:
-                    completion = self.backend.complete(wire_text)
+                completion = self.backend.complete(prompt, wire_text)
                 break
             except TransportError as exc:
                 if attempts >= self.max_retries + 1:
@@ -313,14 +312,7 @@ class LLMService:
             output_tokens=completion.output_tokens,
             approximate=completion.approximate_usage,
         )
-        final = Completion(
-            text=completion.text,
-            input_tokens=completion.input_tokens,
-            output_tokens=completion.output_tokens,
-            model_id=completion.model_id,
-            attempts=attempts,
-            approximate_usage=completion.approximate_usage,
-        )
+        final = replace(completion, attempts=attempts)
         if self._on_exchange is not None:
             self._on_exchange(prompt, final)
         return final

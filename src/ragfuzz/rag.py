@@ -2,8 +2,10 @@
 
 The index is an exhaustive-scan store: campaign corpora are a few thousand
 chunks, where exact scan is both faster and simpler than approximate
-structures. It persists as one chunk manifest (JSONL) plus one embedding
-matrix (.npy) so a campaign directory is self-contained.
+structures. It is built once, from every chunk of the corpus, into one
+embedding matrix (.npy) written as the chunks are embedded, then one chunk
+manifest (JSONL), then a meta file written by rename that commits the index,
+so a campaign directory is self-contained.
 """
 from __future__ import annotations
 
@@ -11,7 +13,6 @@ import io
 import json
 import os
 import re
-import shutil
 import tempfile
 import weakref
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyIndex, InvalidPolicy, ZeroVector
+from .ledger import write_text
 from .records import from_record
 
 
@@ -159,16 +161,16 @@ class _Rows:
     """The rows of an index: float64 in an .npy file, float32 unit rows and
     float64 norms in memory.
 
-    Row i's float64 bytes sit at ``offset + i * dim * 8`` of the file, which
-    is ``path`` or, with no path, an anonymous temporary file. The file is
+    Row i's float64 bytes sit at ``offset + i * dim * 8`` of an .npy file
+    or, with no path, of an anonymous temporary file. The file is
     read and written at explicit offsets only, so threads may read at once,
     and it is closed when the object is dropped. ``rows[r] = vectors`` takes
     each row once: its norm and unit float32 image stay in memory, its bytes
     go to the file.
     """
 
-    def __init__(self, fd: int, offset: int, n: int, dim: int, path: Path | None):
-        self.fd, self.offset, self.dim, self.path = fd, offset, dim, path
+    def __init__(self, fd: int, offset: int, n: int, dim: int):
+        self.fd, self.offset, self.dim = fd, offset, dim
         self.block = max(1, _BLOCK_BYTES // (8 * dim or 1))
         self.screen = np.empty((n, dim), dtype=np.float32)
         self.norms = np.empty(n)
@@ -183,7 +185,7 @@ class _Rows:
         else:
             fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)
         header = _npy_header(n, dim)
-        rows = cls(fd, len(header), n, dim, path)
+        rows = cls(fd, len(header), n, dim)
         _pwrite_all(fd, header, 0)
         return rows
 
@@ -204,7 +206,7 @@ class _Rows:
         except BaseException:
             os.close(fd)
             raise
-        rows = cls(fd, offset, n, dim, path)
+        rows = cls(fd, offset, n, dim)
         if shape != (n, dim) or dtype != np.float64 or fortran:
             raise DimensionMismatch(
                 f"matrix {shape} {dtype} vs {n} chunks of dim {dim} in C-order float64"
@@ -293,17 +295,16 @@ def _pread_into(fd: int, out: np.ndarray, pos: int) -> None:
 class VectorIndex:
     """Flat, exhaustively scanned embedding index with JSON+npy persistence.
 
-    Row i holds the vector of chunk i. Its exact float64 bytes live in an
-    ``.npy`` file: ``directory/embeddings.npy`` when the index was given a
-    directory and its rows came from one ``index_chunks`` call into the empty
-    index (the rows are then written there once, as they are embedded), the
-    loaded file after ``load``, and an anonymous temporary file otherwise.
+    ``index_chunks`` builds the index once: row i holds the vector of chunk
+    i. Its exact float64 bytes live in an ``.npy`` file:
+    ``directory/embeddings.npy`` when the index was given a directory (the
+    rows are written there as they are embedded, then ``chunks.jsonl``, then
+    ``meta.json``, by rename, which commits the index), the loaded file after
+    ``load``, and an anonymous temporary file otherwise.
     Memory holds only each row's float64 norm ``n_x = ||x||`` and the
     float32 image of its unit vector, ``x32 = fl32(x / n_x)``: half the
     bytes of the rows. Unit vectors keep every float32 value within
     [-1, 1], so none overflows and underflow costs only an absolute error.
-    ``save`` writes the manifest and meta and copies the rows only when
-    they live elsewhere.
 
     ``retrieve`` screens every row with ``np.vecdot(x32, fl32(q / n_q))``.
     For any summation order, a float32 dot product of d terms is within
@@ -329,9 +330,7 @@ class VectorIndex:
     ``(distance, doc_id, ordinal)`` order. ``M @ q`` and ``np.matvec`` sum in
     another order, and ``@`` also starts BLAS's thread pool.
 
-    Indexing is idempotent per chunk_id (re-adding overwrites). A put into a
-    non-empty index writes a new row file and never writes into one it
-    read; mutation is not thread-safe, but retrieves may run at once.
+    A built index is read-only, so retrieves may run at once.
     """
 
     MANIFEST = "chunks.jsonl"
@@ -342,71 +341,33 @@ class VectorIndex:
         self.dim = dim
         self.directory = Path(directory) if directory else None
         self._chunks: list[Chunk] = []
-        self._row_by_id: dict[str, int] = {}
         self._rows: _Rows | None = None
 
     def __len__(self) -> int:
         return len(self._chunks)
 
-    def vectors(self, rows) -> np.ndarray:
-        """The exact float64 vectors of the given rows, read from their file."""
-        if self._rows is None:
-            raise EmptyIndex("no rows in an empty index")
-        return self._rows.read(rows)
-
-    def add(self, chunk: Chunk, vector: np.ndarray) -> None:
-        vector = np.asarray(vector, dtype=np.float64)
-        if vector.ndim != 1:
-            raise DimensionMismatch(f"expected 1-d vector, got shape {vector.shape}")
-        rows = self._new_rows(1, len(vector))
-        rows[0] = vector
-        self._put([chunk], rows)
-
     def index_chunks(self, chunks: list[Chunk], embedder) -> None:
-        """Embed every chunk in one ``embed_texts`` call, which writes each
-        row into the chunks' row file as it is embedded."""
-        if chunks:
-            fresh = not self._chunks and len({c.chunk_id for c in chunks}) == len(chunks)
-            rows = self._new_rows(len(chunks), embedder.dim, fresh)
-            embedder.embed_texts([c.text for c in chunks], out=rows)
-            self._put(chunks, rows)
-
-    def _new_rows(self, n: int, dim: int, fresh: bool = False) -> _Rows:
-        """Rows for n vectors of dim: in the directory's matrix file when
-        they will be the whole index, else in a temporary file."""
-        if self.dim is not None and dim != self.dim:
-            raise DimensionMismatch(f"index dim {self.dim}, embedding dim {dim}")
+        """Build the index from every chunk, embedded in one ``embed_texts``
+        call that writes each row into the row file as it is embedded."""
+        if self._rows is not None:
+            raise ValueError("the index is built already")
+        if self.dim is not None and embedder.dim != self.dim:
+            raise DimensionMismatch(f"index dim {self.dim}, embedding dim {embedder.dim}")
+        if len({c.chunk_id for c in chunks}) != len(chunks):
+            raise ValueError("chunk ids repeat")
         path = None
-        if fresh and self.directory is not None:
+        if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
             path = self.directory / self.MATRIX
-        return _Rows.create(n, dim, path)
-
-    def _put(self, chunks: list[Chunk], rows: _Rows) -> None:
-        """Store chunks[i] with row i of rows. A known chunk_id keeps its row
-        and takes the new vector; rows of new chunks only, put into an empty
-        index, become the store as they are."""
-        self.dim = rows.dim
-        old = len(self._chunks)
-        source: dict[int, int] = {}  # store row -> the row of rows it takes; the last wins
-        for i, chunk in enumerate(chunks):
-            row = self._row_by_id.setdefault(chunk.chunk_id, len(self._chunks))
-            if row == len(self._chunks):
-                self._chunks.append(chunk)
-            else:
-                self._chunks[row] = chunk
-            source[row] = i
-        if old == 0 and len(source) == len(chunks):
-            self._rows = rows
-            return
-        store = _Rows.create(len(self._chunks), self.dim)
-        for src, dst, picked in (
-            (self._rows, range(old), range(old)),
-            (rows, list(source), list(source.values())),
-        ):
-            for lo in range(0, len(picked), store.block):
-                store[dst[lo : lo + store.block]] = src.read(picked[lo : lo + store.block])
-        self._rows = store
+        rows = _Rows.create(len(chunks), embedder.dim, path)
+        embedder.embed_texts([c.text for c in chunks], out=rows)
+        self.dim, self._chunks, self._rows = embedder.dim, list(chunks), rows
+        if self.directory is not None:
+            with open(self.directory / self.MANIFEST, "w", encoding="utf-8") as fh:
+                # a Chunk's fields are JSON values already: vars() is its record
+                fh.writelines(json.dumps(vars(c), sort_keys=True) + "\n" for c in chunks)
+            meta = {"count": len(chunks), "dim": self.dim}
+            write_text(self.directory / self.META, json.dumps(meta, sort_keys=True))
 
     def retrieve(self, query_text: str, threshold: float, k: int, embedder) -> list[RetrievedChunk]:
         """Up to k chunks with distance < threshold, closest first.
@@ -438,33 +399,14 @@ class VectorIndex:
         hits.sort(key=lambda r: (r.distance, r.chunk.doc_id, r.chunk.ordinal))
         return hits[:k]
 
-    # --- persistence ---
-
-    def save(self, directory: Path) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        with open(directory / self.MANIFEST, "w", encoding="utf-8") as fh:
-            # a Chunk's fields are JSON values already: vars() is its record
-            fh.writelines(json.dumps(vars(c), sort_keys=True) + "\n" for c in self._chunks)
-        target = directory / self.MATRIX
-        if self._rows is None:
-            _Rows.create(0, self.dim or 0, target)
-        elif self._rows.path is None or os.path.abspath(self._rows.path) != os.path.abspath(target):
-            with open(self._rows.fd, "rb", closefd=False) as src, open(target, "wb") as dst:
-                src.seek(0)
-                shutil.copyfileobj(src, dst)
-        (directory / self.META).write_text(
-            json.dumps({"count": len(self._chunks), "dim": self.dim}, sort_keys=True)
-        )
-
     @classmethod
     def load(cls, directory: Path) -> "VectorIndex":
-        """The saved index; its float64 rows stay in ``embeddings.npy``."""
+        """The index built into directory; its float64 rows stay in
+        ``embeddings.npy``."""
         directory = Path(directory)
         meta = json.loads((directory / cls.META).read_text())
         index = cls(dim=meta["dim"])
         with open(directory / cls.MANIFEST, encoding="utf-8") as fh:
             index._chunks = [from_record(Chunk, json.loads(line)) for line in fh]
         index._rows = _Rows.open(directory / cls.MATRIX, len(index._chunks), index.dim or 0)
-        index._row_by_id = {c.chunk_id: row for row, c in enumerate(index._chunks)}
         return index

@@ -106,7 +106,6 @@ class ToolchainConfig:
 class DeviceConfig:
     device_id: str
     env: dict = field(default_factory=dict)
-    description: str = ""
 
 
 @dataclass(frozen=True, order=True)

@@ -107,7 +107,7 @@ class FlakyBackend:
         self.response = response
         self.calls = 0
 
-    def complete(self, text: str) -> Completion:
+    def complete(self, prompt, text: str) -> Completion:
         self.calls += 1
         if self.calls <= self.failures:
             raise TransportError(f"scripted transport failure #{self.calls}")

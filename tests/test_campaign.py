@@ -281,7 +281,7 @@ def test_a_repair_writes_its_case_twice_and_logs_each_attempt_once(
         materialize_scenario(build_tiny(), tmp_path / "work"),
         overrides={"generation.max_repair_attempts": max_attempts},
     )
-    write, append = campaign._write_text, RecordLog.append
+    write, append = campaign.write_text, RecordLog.append
     repair_cases = CampaignRunner._repair_cases
     writes, appends, repairing = Counter(), Counter(), threading.Event()
 
@@ -302,7 +302,7 @@ def test_a_repair_writes_its_case_twice_and_logs_each_attempt_once(
         finally:
             repairing.clear()
 
-    monkeypatch.setattr(campaign, "_write_text", counting_write)
+    monkeypatch.setattr(campaign, "write_text", counting_write)
     monkeypatch.setattr(RecordLog, "append", counting_append)
     monkeypatch.setattr(CampaignRunner, "_repair_cases", counting_repairs)
     run_campaign(config, tmp_path / "campaign")
@@ -367,6 +367,19 @@ def test_functions_whose_names_slug_alike_keep_their_own_characteristics(tmp_pat
     assert [e.stage for e in ledger.entries()].count("characteristics") == 3
 
 
+def test_two_docs_of_one_file_name_are_refused(tmp_path):
+    scenario = build_tiny()
+    scenario.input_files["inputs/more_docs/device_global.md"] = "Another device_global page.\n"
+    scenario.config["passes"][0]["docs"].append("inputs/more_docs/*.md")
+    config = load_config_file(materialize_scenario(scenario, tmp_path / "work"))
+    with pytest.raises(ConfigError) as exc:
+        run_campaign(config, tmp_path / "campaign", halt_after="index")
+    assert exc.value.field_path == "passes"
+    for docs in ("docs", "more_docs"):
+        assert str(tmp_path / "work" / "inputs" / docs / "device_global.md") in str(exc.value)
+    assert not (tmp_path / "campaign" / "index").exists()
+
+
 def test_resumed_index_holds_the_corpus_once(tmp_path):
     """A campaign shaped like the benchmark's generate workload (1000+
     chunks of ~700 characters at dim 1536), halted after the index stage,
@@ -424,6 +437,39 @@ def test_campaign_is_bit_reproducible(tiny_campaign, tmp_path):
     second = (tmp_path / "again" / "report.json").read_bytes()
     assert original == second
     assert report2.to_canonical_dict() == tiny_campaign.report.to_canonical_dict()
+
+
+def campaign_files(campaign_dir) -> dict:
+    """Every file of a campaign directory by relative path, but timing.json,
+    report.md and the duration fields of the results logs, which time the run."""
+    files = {}
+    for path in campaign_dir.rglob("*"):
+        name = str(path.relative_to(campaign_dir))
+        if path.is_dir() or name in ("timing.json", "report.md"):
+            continue
+        files[name] = path.read_bytes()
+        if path.name == "results.jsonl":
+            files[name] = [json.loads(line) for line in files[name].splitlines()]
+            for line in files[name]:
+                for result in line.values():
+                    del result["duration"]
+    return files
+
+
+def test_a_fresh_campaign_directory_is_reproducible_at_one_worker(tmp_path):
+    config = load_config_file(
+        materialize_scenario(build_tiny(), tmp_path / "work"),
+        overrides={"campaign.workers_llm": 1, "campaign.workers_tool": 1},
+    )
+    campaign_dir = tmp_path / "campaign"
+    run_campaign(config, campaign_dir)
+    campaign_dir.rename(tmp_path / "first")
+    run_campaign(config, campaign_dir)
+    first, second = campaign_files(tmp_path / "first"), campaign_files(campaign_dir)
+    assert sorted(second) == sorted(first)
+    assert {"index/chunks.jsonl", "index/embeddings.npy", "index/meta.json"} <= set(first)
+    for name, data in first.items():
+        assert second[name] == data, name
 
 
 def test_report_is_byte_identical_across_worker_counts(tiny_campaign, tmp_path):
@@ -826,7 +872,7 @@ def test_concurrent_exchange_log_lines_stay_whole(tmp_path):
     runner = CampaignRunner(config, tmp_path / "campaign")
 
     class BigBackend:
-        def complete(self, text):
+        def complete(self, prompt, text):
             # more than one 8 KiB write buffer per exchange
             return Completion(text + "x" * 20_000, 1, 1, "gpt-4")
 

@@ -389,28 +389,28 @@ def test_http_backend_missing_key_is_auth_failure(monkeypatch):
         ProviderConfig(endpoint="https://example.invalid", api_key_env="NO_SUCH_KEY")
     )
     with pytest.raises(AuthFailure):
-        backend.complete("hello")
+        backend.complete(None, "hello")
 
 
 def test_http_backend_401_is_auth_failure(monkeypatch):
     from ragfuzz.errors import AuthFailure
 
     with pytest.raises(AuthFailure):
-        http_backend(monkeypatch, FakeResponse(401)).complete("x")
+        http_backend(monkeypatch, FakeResponse(401)).complete(None, "x")
 
 
 def test_http_backend_5xx_is_transport_error(monkeypatch):
     from ragfuzz.errors import TransportError
 
     with pytest.raises(TransportError):
-        http_backend(monkeypatch, FakeResponse(503)).complete("x")
+        http_backend(monkeypatch, FakeResponse(503)).complete(None, "x")
 
 
 def test_http_backend_4xx_content_error_not_retried(monkeypatch):
     from ragfuzz.errors import ProviderError, TransportError
 
     with pytest.raises(ProviderError) as exc:
-        http_backend(monkeypatch, FakeResponse(422, {"error": "bad"})).complete("x")
+        http_backend(monkeypatch, FakeResponse(422, {"error": "bad"})).complete(None, "x")
     assert not isinstance(exc.value, TransportError)
 
 
@@ -419,7 +419,7 @@ def test_http_backend_parses_usage(monkeypatch):
         "choices": [{"message": {"content": "hi"}}],
         "usage": {"prompt_tokens": 12, "completion_tokens": 3},
     }
-    completion = http_backend(monkeypatch, FakeResponse(200, payload)).complete("x")
+    completion = http_backend(monkeypatch, FakeResponse(200, payload)).complete(None, "x")
     assert completion.text == "hi"
     assert (completion.input_tokens, completion.output_tokens) == (12, 3)
     assert not completion.approximate_usage
@@ -427,7 +427,7 @@ def test_http_backend_parses_usage(monkeypatch):
 
 def test_http_backend_approximates_missing_usage(monkeypatch):
     payload = {"choices": [{"message": {"content": "words here"}}]}
-    completion = http_backend(monkeypatch, FakeResponse(200, payload)).complete("abcdefgh")
+    completion = http_backend(monkeypatch, FakeResponse(200, payload)).complete(None, "abcdefgh")
     assert completion.approximate_usage
     assert completion.input_tokens == 2  # ceil(8 / 4)
 

@@ -161,32 +161,46 @@ def test_index_counts():
     assert idx.dim == 32
 
 
-def test_reindex_is_idempotent():
-    idx = VectorIndex()
+def test_a_second_index_chunks_call_is_refused(tmp_path):
     embedder = HashEmbedder(dim=32)
-    idx.index_chunks(_chunks(5), embedder)
-    idx.index_chunks(_chunks(5), embedder)
-    assert len(idx) == 5
-    assert idx.dim == 32
+    for idx in (VectorIndex(), VectorIndex(directory=tmp_path / "index")):
+        idx.index_chunks(_chunks(5), embedder)
+        with pytest.raises(ValueError, match="built already"):
+            idx.index_chunks(_chunks(5, "other"), embedder)
+        assert len(idx) == 5
+    loaded = VectorIndex.load(tmp_path / "index")
+    with pytest.raises(ValueError, match="built already"):
+        loaded.index_chunks(_chunks(5, "other"), embedder)
+
+
+def test_repeated_chunk_ids_are_refused(tmp_path):
+    chunks = [Chunk("a#0", "a", "first", 0), Chunk("b#0", "b", "other", 0),
+              Chunk("a#0", "a", "second", 0)]
+    idx = VectorIndex(directory=tmp_path / "index")
+    with pytest.raises(ValueError, match="chunk ids repeat"):
+        idx.index_chunks(chunks, HashEmbedder(dim=16))
+    assert len(idx) == 0 and not (tmp_path / "index").exists()
 
 
 def test_dim_mismatch_on_add():
     idx = VectorIndex(dim=8)
     with pytest.raises(DimensionMismatch):
-        idx.add(_chunks(1)[0], np.ones(16))
+        idx.index_chunks(_chunks(1), HashEmbedder(dim=16))
+    assert len(idx) == 0
 
 
 def test_count_conservation_across_docs():
-    embedder = HashEmbedder(dim=32)
-    idx = VectorIndex()
-    total = 0
     rng = random.Random(3)
-    for d in range(27):
-        content = _synthetic_doc(rng, rng.randint(200, 3000))
-        chunks = chunk_document(f"doc{d}", content, ChunkPolicy(400, 50))
-        total += len(chunks)
-        idx.index_chunks(chunks, embedder)
-    assert len(idx) == total
+    chunks = [
+        chunk
+        for d in range(27)
+        for chunk in chunk_document(
+            f"doc{d}", _synthetic_doc(rng, rng.randint(200, 3000)), ChunkPolicy(400, 50)
+        )
+    ]
+    idx = VectorIndex()
+    idx.index_chunks(chunks, HashEmbedder(dim=32))
+    assert len(idx) == len(chunks) > 27
 
 
 def test_self_retrieval_distance_zero():
@@ -258,10 +272,12 @@ def test_retrieve_with_max_threshold_and_full_k_returns_everything():
 
 def test_save_load_round_trip(tmp_path):
     embedder = HashEmbedder(dim=32)
-    idx = VectorIndex()
+    idx = VectorIndex(directory=tmp_path / "index")
     chunks = _chunks(6)
     idx.index_chunks(chunks, embedder)
-    idx.save(tmp_path / "index")
+    assert sorted(p.name for p in (tmp_path / "index").iterdir()) == [
+        VectorIndex.MANIFEST, VectorIndex.MATRIX, VectorIndex.META
+    ]
     loaded = VectorIndex.load(tmp_path / "index")
     assert len(loaded) == 6
     a = idx.retrieve("chunk text number 2", 2.0, 4, embedder)
@@ -276,14 +292,15 @@ def test_save_load_round_trip(tmp_path):
 PAPER_ROWS, PAPER_DIM = 1000, 1536
 
 
-def _paper_index():
-    """1000 chunks at dim 1536; texts repeat every 900 rows, so ties occur."""
+def _paper_index(directory=None):
+    """1000 chunks at dim 1536; texts repeat every 900 rows, so ties occur.
+    The rows go to directory's embeddings.npy, or else to a temporary file."""
     embedder = HashEmbedder(dim=PAPER_DIM, seed=7)
     chunks = [
         Chunk(f"doc{i % 37}#{i // 37}", f"doc{i % 37}", f"paper-scale fragment {i % 900}", i // 37)
         for i in range(PAPER_ROWS)
     ]
-    idx = VectorIndex()
+    idx = VectorIndex(directory=directory)
     idx.index_chunks(chunks, embedder)
     vectors = [embedder.embed_text(c.text) for c in chunks]
     return idx, chunks, vectors, embedder
@@ -301,8 +318,7 @@ def _hits(idx, query, threshold, k, embedder):
 
 
 def test_scan_equals_scalar_cosine_at_paper_scale(tmp_path):
-    idx, chunks, vectors, embedder = _paper_index()
-    idx.save(tmp_path / "index")
+    idx, chunks, vectors, embedder = _paper_index(tmp_path / "index")
     loaded = VectorIndex.load(tmp_path / "index")
     rng = random.Random(1536)
     queries = [
@@ -334,19 +350,11 @@ def test_scan_errors_at_paper_scale():
     idx, _chunks, _vectors, embedder = _paper_index()
     with pytest.raises(DimensionMismatch):
         idx.retrieve("wrong dimension", 2.0, 3, HashEmbedder(dim=64))
-    idx.add(Chunk("zero#0", "zero", "zero row", 0), np.zeros(PAPER_DIM))
+    rows = list(np.random.default_rng(2).standard_normal((PAPER_ROWS, PAPER_DIM)))
+    rows[500] = np.zeros(PAPER_DIM)
+    zero, _, table = _table_index(rows)
     with pytest.raises(ZeroVector):
-        idx.retrieve("paper-scale fragment 1", 2.0, 3, embedder)
-
-
-def test_add_after_retrieve_rebuilds_the_scan():
-    embedder = HashEmbedder(dim=32)
-    idx = VectorIndex()
-    idx.index_chunks(_chunks(5), embedder)
-    idx.retrieve("warm the scan", 2.0, 1, embedder)
-    late = Chunk("late#0", "late", "added after the first retrieve", 0)
-    idx.add(late, embedder.embed_text(late.text))
-    assert _hits(idx, late.text, 2.0, 1, embedder) == [("late#0", 0.0)]
+        zero.retrieve("row 1", 2.0, 3, table)
 
 
 # --- one copy of the corpus vectors ---
@@ -377,11 +385,11 @@ def test_indexing_and_a_retrieve_hold_the_corpus_matrix_once(tmp_path):
         assert peak <= 0.6 * n * dim * 8, cache
 
 
-def test_the_index_scans_the_rows_the_embedding_cache_holds():
+def test_the_index_scans_the_rows_the_embedding_cache_holds(tmp_path):
     ledger = CostLedger()
     service = EmbeddingService(HashEmbedder(dim=64), ledger)
     chunks = _corpus(100)
-    idx = VectorIndex()
+    idx = VectorIndex(directory=tmp_path)
     idx.index_chunks(chunks, service)
     assert not [v for v in vars(service).values() if isinstance(v, np.ndarray)]
     assert all(
@@ -389,11 +397,12 @@ def test_the_index_scans_the_rows_the_embedding_cache_holds():
         for offset, length in service._cache.values()
     )
     entries = len(ledger)
-    assert service.embed_text(chunks[70].text).tobytes() == idx.vectors([70]).tobytes()
+    rows = np.load(tmp_path / VectorIndex.MATRIX)
+    assert service.embed_text(chunks[70].text).tobytes() == rows[70].tobytes()
     assert len(ledger) == entries
 
 
-def test_repeated_texts_and_a_chunk_query_reuse_the_embedded_row():
+def test_repeated_texts_and_a_chunk_query_reuse_the_embedded_row(tmp_path):
     backend = HashEmbedder(dim=32)
     ledger = CostLedger()
     service = EmbeddingService(backend, ledger)
@@ -402,36 +411,12 @@ def test_repeated_texts_and_a_chunk_query_reuse_the_embedded_row():
     assert matrix.shape == (5, 32) and matrix.flags.c_contiguous
     assert [row.tobytes() for row in matrix] == [backend.embed_text(t).tobytes() for t in texts]
     assert len(ledger) == 1
-    idx = VectorIndex()
+    idx = VectorIndex(directory=tmp_path)
     idx.index_chunks([Chunk(f"d#{i}", "d", t, i) for i, t in enumerate(texts)], service)
-    assert idx.vectors(range(5)).tobytes() == matrix.tobytes()
+    assert np.load(tmp_path / VectorIndex.MATRIX).tobytes() == matrix.tobytes()
     assert service.embed_text("gamma").tobytes() == matrix[3].tobytes()
     assert _hits(idx, "gamma", 2.0, 1, service) == [("d#3", 0.0)]
     assert len(ledger) == 1
-
-
-def test_overwriting_a_row_leaves_the_cached_vector_alone():
-    service = EmbeddingService(HashEmbedder(dim=16), CostLedger())
-    chunks = _corpus(3)
-    idx = VectorIndex()
-    idx.index_chunks(chunks, service)
-    before = service.embed_text(chunks[1].text).copy()
-    idx.add(Chunk("doc#1", "doc", "a new text for row 1", 1), np.ones(16))
-    assert np.array_equal(service.embed_text(chunks[1].text), before)
-    assert np.array_equal(idx.vectors([1])[0], np.ones(16)) and len(idx) == 3
-
-
-def test_a_chunk_id_repeated_in_one_call_keeps_its_last_vector():
-    embedder = HashEmbedder(dim=16)
-    chunks = [Chunk("a#0", "a", "first", 0), Chunk("b#0", "b", "other", 0),
-              Chunk("a#0", "a", "second", 0)]
-    for prior in ([], [Chunk("a#0", "a", "before", 0)]):
-        idx = VectorIndex()
-        idx.index_chunks(prior, embedder)
-        idx.index_chunks(chunks, embedder)
-        assert len(idx) == 2
-        assert _hits(idx, "second", 2.0, 1, embedder) == [("a#0", 0.0)]
-        assert _hits(idx, "other", 2.0, 1, embedder) == [("b#0", 0.0)]
 
 
 # --- the float32 screen against the full float64 scan ---
@@ -538,19 +523,6 @@ def test_screen_scores_rows_of_extreme_magnitude_exactly():
     with np.errstate(all="ignore"):  # the overflowing row's norm, and inf / inf
         idx, chunks, embedder = _table_index(rows)
         _against_full_scan(idx, chunks, matrix, embedder, queries, cases)
-
-
-def test_screen_follows_a_row_overwritten_after_a_retrieve():
-    rng = np.random.default_rng(3)
-    rows = list(rng.standard_normal((80, PAPER_DIM)))
-    idx, chunks, embedder = _table_index(rows)
-    q = rows[9] + 0.5 * rng.standard_normal(PAPER_DIM)
-    cases = [(2.0, 1), (2.0, 5), (1.0, 80)]
-    _against_full_scan(idx, chunks, np.array(rows), embedder, {"q": q}, cases)
-    rows[60] = q.copy()  # becomes the closest row, at distance 0.0
-    idx.add(chunks[60], rows[60])
-    _against_full_scan(idx, chunks, np.array(rows), embedder, {"q": q}, cases)
-    assert _hits(idx, "q", 2.0, 1, embedder) == [("c60", 0.0)]
 
 
 def test_concurrent_retrieves_give_the_serial_results(tmp_path):

@@ -20,6 +20,7 @@ from ragfuzz.errors import RecordError
 from ragfuzz.extraction import DefinitionKind, PassFunction
 from ragfuzz.ledger import CostLedger, PricingTable, RecordLog
 from ragfuzz.pipeline import CaseStatus, Characteristics, TestCase
+from ragfuzz.providers import HashEmbedder
 from ragfuzz.rag import VectorIndex
 from ragfuzz.records import from_record, to_record
 from ragfuzz.scenarios import build_tiny, load_scenario
@@ -149,7 +150,7 @@ def test_chunk_manifest_round_trips_byte_for_byte(records_dir, tmp_path):
     np.save(saved / VectorIndex.MATRIX, np.ones((count, 3)))
     index = VectorIndex.load(saved)
     assert index._chunks[0].text.startswith("# Device global variables\n")
-    index.save(tmp_path / "again")
+    VectorIndex(directory=tmp_path / "again").index_chunks(index._chunks, HashEmbedder(dim=3))
     assert (tmp_path / "again" / VectorIndex.MANIFEST).read_text() == text
 
 

@@ -19,6 +19,7 @@ from collections import Counter
 import pytest
 
 import ragfuzz.campaign as campaign
+import ragfuzz.rag as rag
 from ragfuzz.campaign import (
     CampaignStore,
     Exchange,
@@ -35,10 +36,11 @@ from ragfuzz.providers import LLMService, ScriptEntry
 from ragfuzz.records import from_record, to_record
 from ragfuzz.scenarios import build_tiny, materialize_scenario, scenario_to_dict
 
-# one uninterrupted tiny run: its artifact writes (campaign._write_text calls)
-# and its record-log appends (RecordLog.append calls): 21 to the ledger, 12 to
-# the exchanges, 36 to the results logs of 3 cases and 6 to repair logs
-TINY_WRITES = 34
+# one uninterrupted tiny run: its artifact writes (write_text calls of the
+# campaign and of the index, whose one is meta.json) and its record-log
+# appends (RecordLog.append calls): 21 to the ledger, 12 to the exchanges,
+# 36 to the results logs of 3 cases and 6 to repair logs
+TINY_WRITES = 35
 TINY_APPENDS = 75
 TINY_LOGS = {"ledger.jsonl": 21, "exchanges.jsonl": 12, "results.jsonl": 36, "repair.jsonl": 6}
 TINY_RESULTS_LOGS = 3
@@ -79,12 +81,13 @@ def outcome(campaign_dir):
 
 
 def patch_kill_points(mp, on_call):
-    """Route every _write_text and RecordLog.append call through
+    """Route every write_text and RecordLog.append call through
     on_call(index, kind, go, args), index counting both kinds in run order."""
     calls = itertools.count()
-    write, append = campaign._write_text, RecordLog.append
-    mp.setattr(campaign, "_write_text",
-               lambda *args: on_call(next(calls), "write", write, args))
+    write, append = campaign.write_text, RecordLog.append
+    for module in (campaign, rag):
+        mp.setattr(module, "write_text",
+                   lambda *args: on_call(next(calls), "write", write, args))
     mp.setattr(RecordLog, "append",
                lambda *args: on_call(next(calls), "append", append, args))
 
@@ -161,6 +164,31 @@ def test_a_kill_at_any_write_resumes_to_the_uninterrupted_result(k, tiny, tmp_pa
     assert set(got_ledger) == set(ledger)
     for stage, count in ledger.items():
         assert count <= got_ledger[stage] <= count + 1, stage
+
+
+def test_a_kill_between_writing_and_renaming_meta_json_resumes_without_re_embedding(
+    tiny, tmp_path, monkeypatch
+):
+    config, (report, findings, ledger, cases), _, _ = tiny
+    campaign_dir = tmp_path / "campaign"
+    rename = os.replace
+
+    def killing(src, dst):
+        if os.path.basename(dst) == "meta.json":
+            raise Killed("rename")
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "replace", killing)
+    with pytest.raises(Killed):
+        run_campaign(config, campaign_dir)
+    monkeypatch.undo()
+    index_dir = campaign_dir / "index"
+    assert (index_dir / "meta.json.tmp").read_text()
+    assert not (index_dir / "meta.json").exists()
+    resume(campaign_dir)
+    got_report, got_findings, got_ledger, got_cases = outcome(campaign_dir)
+    assert (got_report, got_findings, got_cases) == (report, findings, cases)
+    assert got_ledger == ledger  # no embedding, nor any other call, is billed twice
 
 
 def test_an_unanswerable_mutation_prompt_abandons_only_that_mutant(tmp_path):
