@@ -130,11 +130,21 @@ class PassSpec:
     sources: tuple[str, ...]
     docs: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        if not self.pass_name:
+            raise RecordError("pass_name", "must be non-empty")
+        if not self.sources:
+            raise RecordError("sources", "must list at least one glob")
+
 
 @dataclass(frozen=True)
 class ExtractionConfig:
     min_lines: int = 1
     name_patterns: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.min_lines < 1:
+            raise RecordError("min_lines", "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -145,13 +155,27 @@ class RagConfig:
     k: int = 4
     embedding_dim: int = 64
 
+    def __post_init__(self):
+        if self.max_chars <= self.overlap_chars or self.overlap_chars < 0:
+            raise RecordError("", "require max_chars > overlap_chars >= 0")
+        if not 0.0 < self.threshold <= 2.0:
+            raise RecordError("threshold", "must be in (0, 2]")
+        if self.k < 1:
+            raise RecordError("k", "must be >= 1")
+        if self.embedding_dim < 1:
+            raise RecordError("embedding_dim", "must be >= 1")
+
 
 @dataclass(frozen=True)
 class ProvidersSpec:
     mode: str = "mock"  # mock | http
-    scenario: str = ""
+    scenario: str = ""  # required in mock mode; CampaignConfig checks it
     llm: ProviderConfig = ProviderConfig()
     embedding: ProviderConfig = ProviderConfig()
+
+    def __post_init__(self):
+        if self.mode not in ("mock", "http"):
+            raise RecordError("mode", f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -160,6 +184,13 @@ class GenerationConfig:
     max_repair_attempts: int = 5
     seeds_per_function: int = 1
     catalogs: str = ""
+
+    def __post_init__(self):
+        for name in ("mutations_per_seed", "max_repair_attempts", "seeds_per_function"):
+            if getattr(self, name) < 0:
+                raise RecordError(name, "must be >= 0")
+        if self.max_repair_attempts > REPAIR_HARD_CAP:
+            raise RecordError("max_repair_attempts", f"exceeds hard cap {REPAIR_HARD_CAP}")
 
 
 @dataclass(frozen=True)
@@ -176,6 +207,14 @@ class LimitsConfig:
     address_space_mb: int = 2048
     file_size_mb: int = 64
 
+    def __post_init__(self):
+        for name in ("compile_timeout", "run_timeout"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise RecordError(name, "must be > 0")
+        for name in ("address_space_mb", "file_size_mb"):
+            if getattr(self, name) < 1:
+                raise RecordError(name, "must be >= 1")
+
 
 @dataclass(frozen=True)
 class ReportConfig(ComparisonPolicy):
@@ -185,7 +224,9 @@ class ReportConfig(ComparisonPolicy):
 @dataclass
 class CampaignConfig:
     """A decoded config file: each field but base_dir and raw holds the
-    top-level key of its name, and a missing key takes the field's default."""
+    top-level key of its name, and a missing key takes the field's default.
+    Each record checks its own fields as it is built; this one checks the
+    rules that span entries or sections."""
 
     campaign: RunConfig = RunConfig()
     passes: list[PassSpec] = field(default_factory=list)
@@ -201,6 +242,50 @@ class CampaignConfig:
     report: ReportConfig = ReportConfig()
     base_dir: Path = field(init=False)
     raw: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for key, id_field, noun in (
+            ("passes", "pass_name", "pass"),
+            ("toolchains", "compiler_id", "toolchain"),
+            ("devices", "device_id", "device"),
+        ):
+            ids = [getattr(entry, id_field) for entry in getattr(self, key)]
+            if not ids:
+                raise RecordError(key, f"at least one {noun} is required")
+            if len(set(ids)) != len(ids):
+                raise RecordError(key, f"{id_field} values must be unique")
+        # a pass's slug names its directory and begins its case directories'
+        # names, so two passes may not share one slug
+        slugs: dict[str, str] = {}
+        for p in self.passes:
+            first = slugs.setdefault(_slug(p.pass_name), p.pass_name)
+            if first != p.pass_name:
+                raise RecordError(
+                    "passes", f"passes {first!r} and {p.pass_name!r} share one directory"
+                )
+        # a cell's label names its build directory, so two cells may not share one
+        cells: dict[str, tuple] = {}
+        for t in self.toolchains:
+            for cell in ((t.compiler_id, g.name, o) for g in t.targets for o in t.opt_levels):
+                first = cells.setdefault(CellKey(*cell).label(), cell)
+                if first is not cell:
+                    raise RecordError("toolchains", f"cells {first} and {cell} share one label")
+        if self.providers.mode == "mock" and not self.providers.scenario:
+            raise RecordError("providers.scenario", "mock mode requires a scenario")
+        self.gate_toolchain()  # raises unless the gate names a toolchain's target
+
+    def gate_toolchain(self) -> ToolchainConfig:
+        """The gate's toolchain, narrowed to the gate's one cell."""
+        gate = self.gate
+        if gate is None:
+            raise RecordError("gate", "a repair gate (compiler_id, target, opt_level) is required")
+        toolchain = next((t for t in self.toolchains if t.compiler_id == gate.compiler_id), None)
+        if toolchain is None:
+            raise RecordError("gate.compiler_id", f"unknown compiler {gate.compiler_id!r}")
+        target = next((t for t in toolchain.targets if t.name == gate.target), None)
+        if target is None:
+            raise RecordError("gate.target", f"compiler has no target {gate.target!r}")
+        return replace(toolchain, targets=(target,), opt_levels=(gate.opt_level,))
 
     @cached_property  # raw is set once, by load_config
     def config_hash(self) -> str:
@@ -232,85 +317,14 @@ def _resolve_env(base_dir: Path, env: dict) -> dict:
 
 
 def load_config(data: dict, base_dir: Path) -> CampaignConfig:
-    """Decode and check a raw config dict; every error names its field path."""
+    """Decode a raw config dict, each record checking itself, and resolve
+    its relative paths; every error names its field path."""
     try:
         config = from_record(CampaignConfig, data)
     except RecordError as exc:
         raise ConfigError(exc.field_path or "<root>", exc.reason) from None
     config.base_dir = base_dir = Path(base_dir)
     config.raw = data
-
-    for key, id_field, noun in (
-        ("passes", "pass_name", "pass"),
-        ("toolchains", "compiler_id", "toolchain"),
-        ("devices", "device_id", "device"),
-    ):
-        ids = [getattr(entry, id_field) for entry in getattr(config, key)]
-        if not ids:
-            raise ConfigError(key, f"at least one {noun} is required")
-        if not all(ids):
-            raise ConfigError(f"{key}[{ids.index('')}].{id_field}", "must be non-empty")
-        if len(set(ids)) != len(ids):
-            raise ConfigError(key, f"{id_field} values must be unique")
-    # a pass's slug names its directory and begins its case directories'
-    # names, so two passes may not share one slug
-    slugs: dict[str, str] = {}
-    for i, p in enumerate(config.passes):
-        if not p.sources:
-            raise ConfigError(f"passes[{i}].sources", "must list at least one glob")
-        first = slugs.setdefault(_slug(p.pass_name), p.pass_name)
-        if first != p.pass_name:
-            raise ConfigError("passes", f"passes {first!r} and {p.pass_name!r} share one directory")
-    for i, t in enumerate(config.toolchains):
-        if not t.targets:
-            raise ConfigError(f"toolchains[{i}].targets", "must list at least one target")
-        if len({target.name for target in t.targets}) != len(t.targets):
-            raise ConfigError(f"toolchains[{i}].targets", "name values must be unique")
-        if not t.opt_levels:
-            raise ConfigError(f"toolchains[{i}].opt_levels", "must be non-empty")
-    # a cell's label names its build directory, so two cells may not share one
-    cells: dict[str, tuple] = {}
-    for t in config.toolchains:
-        for cell in ((t.compiler_id, g.name, o) for g in t.targets for o in t.opt_levels):
-            first = cells.setdefault(CellKey(*cell).label(), cell)
-            if first is not cell:
-                raise ConfigError("toolchains", f"cells {first} and {cell} share one label")
-
-    if config.extraction.min_lines < 1:
-        raise ConfigError("extraction.min_lines", "must be >= 1")
-    rag = config.rag
-    if rag.max_chars <= rag.overlap_chars or rag.overlap_chars < 0:
-        raise ConfigError("rag", "require max_chars > overlap_chars >= 0")
-    if not 0.0 < rag.threshold <= 2.0:
-        raise ConfigError("rag.threshold", "must be in (0, 2]")
-    if rag.k < 1:
-        raise ConfigError("rag.k", "must be >= 1")
-
-    providers = config.providers
-    if providers.mode not in ("mock", "http"):
-        raise ConfigError("providers.mode", f"unknown mode {providers.mode!r}")
-    if providers.mode == "mock" and not providers.scenario:
-        raise ConfigError("providers.scenario", "mock mode requires a scenario")
-    if providers.mode == "http":
-        providers.llm.validate("providers.llm")
-        providers.embedding.validate("providers.embedding")
-
-    if config.generation.mutations_per_seed < 0:
-        raise ConfigError("generation.mutations_per_seed", "must be >= 0")
-    if config.generation.max_repair_attempts > REPAIR_HARD_CAP:
-        raise ConfigError(
-            "generation.max_repair_attempts", f"exceeds hard cap {REPAIR_HARD_CAP}"
-        )
-
-    gate = config.gate
-    if gate is None:
-        raise ConfigError("gate", "a repair gate (compiler_id, target, opt_level) is required")
-    gate_tc = next((t for t in config.toolchains if t.compiler_id == gate.compiler_id), None)
-    if gate_tc is None:
-        raise ConfigError("gate.compiler_id", f"unknown compiler {gate.compiler_id!r}")
-    if gate.target not in [t.name for t in gate_tc.targets]:
-        raise ConfigError("gate.target", f"compiler has no target {gate.target!r}")
-
     config.passes = [
         replace(
             p,
@@ -522,31 +536,34 @@ def emit_report(report: CampaignReport, out_dir: Path, fmt: str) -> Path:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
+def _table(header: tuple[str, ...], rows) -> list[str]:
+    """A markdown table's lines: the header, its rule, then one line per row."""
+    lines = ["| " + " | ".join(map(str, cells)) + " |" for cells in (header, *rows)]
+    lines.insert(1, "|" + "---|" * len(header))
+    return lines
+
+
 def render_markdown(report: CampaignReport) -> str:
     lines = ["# Campaign report", "", "## Per-pass counts", ""]
-    lines.append("| pass | functions | characteristics | generated | compiled | failed | abandoned |")
-    lines.append("|---|---|---|---|---|---|---|")
-    for pass_name, c in sorted(report.per_pass.items()):
-        lines.append(
-            f"| {pass_name} | {c['functions']} | {c['characteristics']} | "
-            f"{c['generated']} | {c['compiled']} | {c['failed']} | {c['abandoned']} |"
-        )
+    counts = ("functions", "characteristics", "generated", "compiled", "failed", "abandoned")
+    lines += _table(
+        ("pass", *counts),
+        [(name, *(c[k] for k in counts)) for name, c in sorted(report.per_pass.items())],
+    )
     lines += ["", "## Findings", ""]
     lines.append(f"Flagged cases (union): **{report.findings['total_flagged']}**")
     for column in ("axis", "kind"):
-        counts = sorted(report.findings[f"per_{column}"].items())
-        lines += ["", f"| {column} | flagged cases |", "|---|---|"]
-        lines += [f"| {key} | {count} |" for key, count in counts]
+        flagged = sorted(report.findings[f"per_{column}"].items())
+        lines += ["", *_table((column, "flagged cases"), flagged)]
     lines += ["", "## Cost", ""]
     lines.append(f"Total input tokens: {report.cost['input_tokens']}")
     lines.append(f"Total output tokens: {report.cost['output_tokens']}")
     lines.append(f"Estimated cost: {report.cost['total_dollars']}")
     lines += ["", "## Timing", ""]
     if report.timing:
-        lines.append("| stage | seconds |")
-        lines.append("|---|---|")
-        for stage, seconds in report.timing.items():
-            lines.append(f"| {stage} | {seconds:.2f} |")
+        lines += _table(
+            ("stage", "seconds"), [(stage, f"{s:.2f}") for stage, s in report.timing.items()]
+        )
     else:
         lines.append("(no timing recorded)")
     return "\n".join(lines) + "\n"
@@ -824,12 +841,7 @@ class CampaignRunner:
         file gate/attempt_NN.cpp, NN the case's transcript length + 1, since
         the compiler takes a path; every compile of the case shares one
         workdir, gate/<cell label>/."""
-        gate = self.config.gate
-        toolchain = next(
-            t for t in self.config.toolchains if t.compiler_id == gate.compiler_id
-        )
-        target = next(t for t in toolchain.targets if t.name == gate.target)
-        gate_toolchain = replace(toolchain, targets=(target,), opt_levels=(gate.opt_level,))
+        gate_toolchain = self.config.gate_toolchain()
         gate_dir = self.store.case_dir(case.case_id) / "gate"
         gate_dir.mkdir(parents=True, exist_ok=True)
 

@@ -110,7 +110,8 @@ class OpenWorldKey(RagfuzzError):
 # --- records ---
 
 class RecordError(RagfuzzError):
-    """A record field that is missing or cannot be read as its type."""
+    """A record field that is missing, cannot be read as its type, or breaks
+    a rule of its record."""
 
     def __init__(self, field_path: str, reason: str):
         super().__init__(f"{field_path}: {reason}" if field_path else reason)

@@ -26,11 +26,11 @@ import numpy as np
 
 from .errors import (
     AuthFailure,
-    ConfigError,
     OpenWorldKey,
     ProviderError,
     ProviderTimeout,
     ProviderUnavailable,
+    RecordError,
     TransportError,
 )
 from .ledger import CostLedger, read_jsonl
@@ -64,12 +64,11 @@ class ProviderConfig:
     requests_per_minute: int = 0  # 0 = unlimited
     sampling: dict = field(default_factory=dict)
 
-    def validate(self, path: str = "provider") -> None:
-        """Raise ConfigError naming the first bad field under path."""
-        if self.timeout <= 0:
-            raise ConfigError(f"{path}.timeout", "must be > 0")
+    def __post_init__(self):
+        if not self.timeout > 0:  # NaN fails too
+            raise RecordError("timeout", "must be > 0")
         if self.max_retries < 0:
-            raise ConfigError(f"{path}.max_retries", "must be >= 0")
+            raise RecordError("max_retries", "must be >= 0")
 
 
 def approx_tokens(text: str) -> int:
@@ -118,7 +117,6 @@ class HttpChatBackend:
     are never persisted anywhere in campaign artifacts."""
 
     def __init__(self, config: ProviderConfig):
-        config.validate()
         self.config = config
         self.model_id = config.model_id
 
@@ -322,7 +320,6 @@ class HttpEmbeddingBackend:
     """HTTP embedding endpoint speaking the common embeddings wire format."""
 
     def __init__(self, config: ProviderConfig, dim: int):
-        config.validate()
         self.config = config
         self.model_id = config.model_id
         self.dim = dim

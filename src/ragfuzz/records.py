@@ -9,8 +9,11 @@ are coerced with ``int()``/``float()``. A ``Decimal`` field takes a finite
 number read from ``str(value)``, so a JSON number keeps its written digits.
 A ``str`` field takes only a string, a list or tuple field only a list, and
 a dataclass or ``dict`` field only a mapping. Any error names its field
-path, such as ``targets[0].name``. Hints are resolved once per type, so
-decoding a record costs one pass over its fields.
+path, such as ``targets[0].name``. A record states its own value rules in
+``__post_init__`` by raising ``RecordError(field, reason)``, which gets the
+record's path put in front; any other ``ValueError`` reads as the value
+failing to decode. Hints are resolved once per type, so decoding a record
+costs one pass over its fields.
 """
 from __future__ import annotations
 

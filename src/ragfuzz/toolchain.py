@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .errors import ToolNotFound
+from .errors import RecordError, ToolNotFound
 
 
 class CompileStatus(str, Enum):
@@ -79,6 +79,16 @@ class ToolchainConfig:
     opt_levels: tuple[str, ...] = ("-O0", "-O1", "-O2", "-O3")
     env: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not self.compiler_id:
+            raise RecordError("compiler_id", "must be non-empty")
+        if not self.targets:
+            raise RecordError("targets", "must list at least one target")
+        if len({target.name for target in self.targets}) != len(self.targets):
+            raise RecordError("targets", "name values must be unique")
+        if not self.opt_levels:
+            raise RecordError("opt_levels", "must be non-empty")
+
     def probe(self) -> None:
         """Campaign-start check that the executable exists and can start:
         each interpreter its "#!" chain names, as deep as the kernel follows
@@ -98,14 +108,16 @@ class ToolchainConfig:
                     f"{interpreter!r} that {program} names is missing or not executable"
                 )
             program = interpreter
-        if not self.opt_levels:
-            raise ToolNotFound(f"{self.compiler_id}: no optimization levels configured")
 
 
 @dataclass(frozen=True)
 class DeviceConfig:
     device_id: str
     env: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not self.device_id:
+            raise RecordError("device_id", "must be non-empty")
 
 
 @dataclass(frozen=True, order=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import threading
@@ -13,6 +14,7 @@ from oracles import validate_partition
 
 import ragfuzz.campaign as campaign
 from ragfuzz.campaign import (
+    CampaignConfig,
     CampaignReport,
     CampaignRunner,
     CampaignStore,
@@ -150,6 +152,28 @@ MALFORMED = {
     "providers.llm.timeout": lambda data: data["providers"].update(
         mode="http", llm={"timeout": 0}
     ),
+    "passes[0].pass_name": lambda data: data["passes"][0].update(pass_name=""),
+    "devices": lambda data: data["devices"][1].update(device_id="devA"),
+    "toolchains[0].opt_levels": lambda data: data["toolchains"][0].update(opt_levels=[]),
+    "extraction.min_lines": lambda data: data["extraction"].update(min_lines=0),
+    "rag": lambda data: data["rag"].update(overlap_chars=800),
+    "generation.mutations_per_seed": lambda data: data["generation"].update(
+        mutations_per_seed=-1
+    ),
+    "providers.mode": lambda data: data["providers"].update(mode="grpc"),
+    "gate": lambda data: data.pop("gate"),
+    # each of these once got through and emptied or crashed the campaign
+    "rag.embedding_dim": lambda data: data["rag"].update(embedding_dim=0),
+    "limits.compile_timeout": lambda data: data["limits"].update(compile_timeout=0),
+    "limits.run_timeout": lambda data: data["limits"].update(run_timeout=-1),
+    "limits.address_space_mb": lambda data: data["limits"].update(address_space_mb=0),
+    "limits.file_size_mb": lambda data: data["limits"].update(file_size_mb=0),
+    "generation.seeds_per_function": lambda data: data["generation"].update(
+        seeds_per_function=-1
+    ),
+    "generation.max_repair_attempts": lambda data: data["generation"].update(
+        max_repair_attempts=-2
+    ),
 }
 
 
@@ -160,6 +184,24 @@ def test_malformed_section_names_its_field_path(tmp_path, field_path):
     with pytest.raises(ConfigError) as exc:
         load_config(data, tmp_path)
     assert exc.value.field_path == field_path
+
+
+def _record_defaults(cls: type):
+    """Each field default of cls that is a record instance, and each of theirs."""
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.default):
+            yield f.default
+            yield from _record_defaults(type(f.default))
+
+
+def test_every_config_record_default_passes_its_own_rules():
+    defaults = list(_record_defaults(CampaignConfig))
+    assert {type(d).__name__ for d in defaults} == {
+        "RunConfig", "ExtractionConfig", "RagConfig", "ProvidersSpec", "ProviderConfig",
+        "GenerationConfig", "LimitsConfig", "ReportConfig",
+    }
+    for default in defaults:
+        assert from_record(type(default), {}) == default
 
 
 def test_missing_section_keys_take_dataclass_defaults(tmp_path):
@@ -185,8 +227,9 @@ def test_gate_must_reference_known_compiler(tmp_path):
 def test_mock_mode_requires_scenario(tmp_path):
     data = minimal_config_dict()
     data["providers"] = {"mode": "mock"}
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as exc:
         load_config(data, tmp_path)
+    assert exc.value.field_path == "providers.scenario"
 
 
 def test_config_hash_tracks_content(tmp_path):
