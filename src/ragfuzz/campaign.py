@@ -3,10 +3,10 @@
 The campaign directory is the source of truth. Every stage persists each unit
 of work as it finishes, one file per unit or one line per unit in an
 append-only log, and skips units already persisted. The ledger, the exchange
-log, each case's results.jsonl and each repair's attempts are RecordLogs, which
-share one rule: one sort_keys JSON line per record, flushed as it is written,
-and a torn last line cut when the log is opened; the embedding cache keeps the
-same rule through its own file descriptor. A resumed repair replays its
+log, the embedding cache, the index's batch log, each case's results.jsonl
+and each repair's attempts are RecordLogs, which share one rule: one sort_keys
+JSON line per record, flushed as it is written, and a torn last line cut when
+the log is opened. A resumed repair replays its
 case's repair.jsonl and goes on from there. A file that commits another is
 written last: source.cpp before case.json, the config snapshot before
 manifest.json. So an interrupted campaign resumes exactly where it stopped and
@@ -14,10 +14,10 @@ re-bills the provider at most for the call a kill cut short. The canonical
 report contains no wall-clock data; timings live in a sidecar so repeated mock
 runs emit byte-identical reports.
 
-Every stage that makes or changes cases runs through one driver, `_drive`. A
-RagfuzzError abandons that case with its reason; ToolNotFound, no case's
-fault, and any other exception end the campaign and leave the case to resume,
-and the stage starts no further unit.
+Every stage that makes, changes or tests cases runs through one driver,
+`_drive`. A RagfuzzError or an OSError abandons that case with its reason;
+ToolNotFound, no case's fault, and any other exception end the campaign and
+leave the case to resume, and the stage starts no further unit.
 
 Annotations here are evaluated at import, not postponed: the record codec
 reads each config field's type as an object instead of compiling its string
@@ -740,11 +740,13 @@ class CampaignRunner:
         return report
 
     def _drive(
-        self, units: list[tuple[TestCase, Callable[[], TestCase]]], workers: int, fault: str
+        self, units: list[tuple[TestCase, Callable[[], TestCase | None]]], workers: int,
+        fault: str,
     ) -> None:
         """Run each pending (stub, work) unit over workers and save the case
-        work() returns; on a RagfuzzError, save the stub abandoned with the
-        reason "<fault>: <error>". Any other exception propagates."""
+        work() returns, if any; on a RagfuzzError or an OSError, save the
+        stub abandoned with the reason "<fault>: <error>". Any other
+        exception propagates."""
 
         def run(unit) -> None:
             stub, work = unit
@@ -752,9 +754,10 @@ class CampaignRunner:
                 case = work()
             except ToolNotFound:
                 raise
-            except RagfuzzError as exc:
+            except (RagfuzzError, OSError) as exc:
                 case = replace(stub, status=CaseStatus.ABANDONED, abandon_reason=f"{fault}: {exc}")
-            self.store.save_case(case)
+            if case is not None:
+                self.store.save_case(case)
 
         _pmap(run, units, workers)
 
@@ -902,7 +905,6 @@ class CampaignRunner:
         self._repair_cases(lambda case: case.parent_id is not None)
 
     def _stage_matrix(self) -> None:
-        compiled = [c for c in self.store.all_cases() if c.status == CaseStatus.COMPILES]
         limits = RunLimits(
             address_space_mb=self.config.limits.address_space_mb,
             file_size_mb=self.config.limits.file_size_mb,
@@ -935,7 +937,12 @@ class CampaignRunner:
                         if run.cell not in ran:
                             log.append({"run": run_job(run, limits, launcher)})
 
-        _pmap(process_case, compiled, self.config.campaign.workers_tool)
+        units = [
+            (case, partial(process_case, case))
+            for case in self.store.all_cases()
+            if case.status == CaseStatus.COMPILES
+        ]
+        self._drive(units, self.config.campaign.workers_tool, "matrix_failed")
 
     def _stage_classify(self) -> None:
         if self.store.findings_path.exists():

@@ -24,7 +24,7 @@ from .records import from_record, to_record
 STAGES = ("characteristics", "codegen", "repair", "mutation", "embedding")
 
 
-def read_jsonl(path: Path, decode: Callable[[bytes], object], with_offsets: bool = False) -> list:
+def read_jsonl(path: Path, decode: Callable[[bytes], object]) -> list:
     """Decode every line of an append-only JSONL file, mending a torn tail.
 
     A final line that ``decode`` rejects (ValueError, KeyError, TypeError or
@@ -32,8 +32,7 @@ def read_jsonl(path: Path, decode: Callable[[bytes], object], with_offsets: bool
     append starts a fresh line. A valid final line missing its newline gets
     one. A line that fails anywhere else is corruption and raises.
 
-    Lines are decoded as they are read, so only the records stay in memory;
-    with_offsets pairs each record with the byte offset its line starts at.
+    Lines are decoded as they are read, so only the records stay in memory.
     A missing file holds no lines.
     """
     records: list = []
@@ -46,8 +45,7 @@ def read_jsonl(path: Path, decode: Callable[[bytes], object], with_offsets: bool
                 raise torn
             if line.strip():
                 try:
-                    record = decode(line)
-                    records.append((kept, record) if with_offsets else record)
+                    records.append(decode(line))
                 except (ValueError, KeyError, TypeError, RecordError) as exc:
                     torn = exc
                     continue

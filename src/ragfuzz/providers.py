@@ -12,13 +12,10 @@ reads a scripted scenario's entry types as objects when a campaign sets up.
 
 import base64
 import hashlib
-import json
 import math
 import os
-import tempfile
 import threading
 import time
-import weakref
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -33,14 +30,13 @@ from .errors import (
     RecordError,
     TransportError,
 )
-from .ledger import CostLedger, read_jsonl
+from .ledger import CostLedger, RecordLog
 from .prompts import RenderedPrompt
 from .rag import RetrievedChunk
 
 CONTEXT_HEADER = "=== Retrieved context ==="
 CONTEXT_FOOTER = "=== End of retrieved context ==="
 CONTEXT_SEPARATOR = "\n---\n"
-EMBED_BATCH = 64  # texts per embedding backend call, ledger entry and cache append
 
 
 @dataclass(frozen=True)
@@ -112,6 +108,36 @@ class RateLimiter:
 # LLM backends
 # --------------------------------------------------------------------------
 
+def _post(config: ProviderConfig, payload: dict):
+    """POST payload to the configured endpoint with the bearer key read from
+    the named env var. Returns the 200 response; a timeout, a connection
+    failure, 429 or 5xx raises a retryable TransportError, 401/403
+    AuthFailure, any other status ProviderError."""
+    import requests
+
+    key = os.environ.get(config.api_key_env, "")
+    if not key:
+        raise AuthFailure(f"environment variable {config.api_key_env!r} is unset")
+    try:
+        resp = requests.post(
+            config.endpoint,
+            json=payload,
+            headers={"Authorization": f"Bearer {key}"},
+            timeout=config.timeout,
+        )
+    except requests.Timeout as exc:
+        raise ProviderTimeout(str(exc)) from exc
+    except requests.ConnectionError as exc:
+        raise TransportError(str(exc)) from exc
+    if resp.status_code in (401, 403):
+        raise AuthFailure(f"provider returned {resp.status_code}")
+    if resp.status_code == 429 or resp.status_code >= 500:
+        raise TransportError(f"provider returned {resp.status_code}")
+    if resp.status_code != 200:
+        raise ProviderError(f"provider returned {resp.status_code}: {resp.text[:200]}")
+    return resp
+
+
 class HttpChatBackend:
     """Chat-completion HTTP backend. Secrets come from the named env var and
     are never persisted anywhere in campaign artifacts."""
@@ -120,39 +146,14 @@ class HttpChatBackend:
         self.config = config
         self.model_id = config.model_id
 
-    def _api_key(self) -> str:
-        key = os.environ.get(self.config.api_key_env, "")
-        if not key:
-            raise AuthFailure(f"environment variable {self.config.api_key_env!r} is unset")
-        return key
-
     def complete(self, prompt: RenderedPrompt, text: str) -> Completion:
         """Send text, the wire form of prompt, as one user message."""
-        import requests
-
         payload = {
             "model": self.config.model_id,
             "messages": [{"role": "user", "content": text}],
             **self.config.sampling,
         }
-        try:
-            resp = requests.post(
-                self.config.endpoint,
-                json=payload,
-                headers={"Authorization": f"Bearer {self._api_key()}"},
-                timeout=self.config.timeout,
-            )
-        except requests.Timeout as exc:
-            raise ProviderTimeout(str(exc)) from exc
-        except requests.ConnectionError as exc:
-            raise TransportError(str(exc)) from exc
-        if resp.status_code in (401, 403):
-            raise AuthFailure(f"provider returned {resp.status_code}")
-        if resp.status_code == 429 or resp.status_code >= 500:
-            raise TransportError(f"provider returned {resp.status_code}")
-        if resp.status_code != 200:
-            raise ProviderError(f"provider returned {resp.status_code}: {resp.text[:200]}")
-        data = resp.json()
+        data = _post(self.config, payload).json()
         content = data["choices"][0]["message"]["content"]
         usage = data.get("usage") or {}
         if "prompt_tokens" in usage:
@@ -327,27 +328,7 @@ class HttpEmbeddingBackend:
     def embed_texts(self, texts: list[str]) -> np.ndarray:
         """One POST whose ``input`` is the list; each returned item lands in
         the row of the ``(len(texts), dim)`` matrix its ``index`` names."""
-        import requests
-
-        key = os.environ.get(self.config.api_key_env, "")
-        if not key:
-            raise AuthFailure(f"environment variable {self.config.api_key_env!r} is unset")
-        try:
-            resp = requests.post(
-                self.config.endpoint,
-                json={"model": self.config.model_id, "input": texts},
-                headers={"Authorization": f"Bearer {key}"},
-                timeout=self.config.timeout,
-            )
-        except requests.Timeout as exc:
-            raise ProviderTimeout(str(exc)) from exc
-        except requests.ConnectionError as exc:
-            raise TransportError(str(exc)) from exc
-        if resp.status_code in (401, 403):
-            raise AuthFailure(f"provider returned {resp.status_code}")
-        if resp.status_code != 200:
-            raise ProviderError(f"provider returned {resp.status_code}")
-        items = resp.json()["data"]
+        items = _post(self.config, {"model": self.config.model_id, "input": texts}).json()["data"]
         if len(items) != len(texts):
             raise ProviderError(f"{len(items)} embeddings returned for {len(texts)} inputs")
         matrix = np.empty((len(texts), self.dim))
@@ -387,192 +368,107 @@ class HashEmbedder:
         vec = rng.standard_normal(self.dim)
         return vec / np.linalg.norm(vec)
 
-    def embed_texts(self, texts: list[str], out=None):
-        """``embed_text`` of each text, written into row i of out (a new
-        ``(len(texts), dim)`` matrix by default); returns out."""
-        if out is None:
-            out = np.empty((len(texts), self.dim))
+    def embed_texts(self, texts: list[str]) -> np.ndarray:
+        """The ``(len(texts), dim)`` matrix whose row i is ``embed_text`` of text i."""
+        out = np.empty((len(texts), self.dim))
         for row, text in enumerate(texts):
             out[row] = self.embed_text(text)
         return out
 
 
-def _encode_cache_line(key: str, vector: np.ndarray) -> str:
-    # hex and base64 need no JSON escaping: the bytes json.dumps would write
-    f64 = base64.b64encode(np.asarray(vector, dtype="<f8").tobytes()).decode("ascii")
-    return f'{{"hash": "{key}", "f64": "{f64}"}}\n'
+@dataclass(frozen=True)
+class CachedEmbedding:
+    """One line of the embedding cache: the sha256 of a text, and its vector
+    as the base64 of its little-endian float64 bytes, which round-trips
+    exactly. Lines of an older format hold the vector as a JSON list."""
 
+    hash: str
+    f64: str = ""
+    vector: list[float] | None = None
 
-def _cache_line_key(line: bytes) -> tuple[str, int]:
-    """The key and byte length of a cache line, which must decode."""
-    return _decode_cache_line(line)[0], len(line)
-
-
-def _decode_cache_line(line: bytes) -> tuple[str, np.ndarray]:
-    rec = json.loads(line)
-    if "f64" in rec:
-        raw = base64.b64decode(rec["f64"], validate=True)
-        vector = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    else:  # the JSON-list format of earlier campaign directories
-        vector = np.asarray(rec["vector"], dtype=np.float64)
-    return rec["hash"], vector
+    def decode(self) -> np.ndarray:
+        """The vector, read-only: the cache hands one array to every caller."""
+        if self.vector is not None:
+            vector = np.array(self.vector, dtype=np.float64)
+        else:
+            vector = np.frombuffer(base64.b64decode(self.f64, validate=True), "<f8").astype(float)
+        vector.setflags(write=False)
+        return vector
 
 
 class EmbeddingService:
-    """Content-hash cache plus ledger accounting around an embedding backend.
+    """Ledger accounting around an embedding backend, and a content-hash
+    cache of the texts embedded one at a time.
 
-    ``embed_texts`` writes row i of its ``out`` (by default a new
-    C-contiguous ``(len(texts), dim)`` float64 matrix) with the vector of
-    text i; a caller such as the RAG index may pass any object that takes
-    ``out[rows] = vectors`` instead, and so never holds the whole matrix.
-    The misses of one call are embedded in order of first appearance, in
-    batches of up to EMBED_BATCH texts. Each batch is one backend call, one
-    ledger entry billing the batch's tokens, then one cache append, and
-    writes its vectors straight into their rows of out. A cache hit
-    performs no provider call and records no tokens.
-
-    The cache file holds one JSON line per text, ``{"hash": <sha256 of the
-    text>, "f64": <base64 of the little-endian float64 bytes>}``, which
-    round-trips exactly; lines of the older ``{"hash", "vector": [...]}``
-    format still load. A final line torn by a kill mid-append is dropped
-    from the file. With no cache path the lines go to an anonymous
-    temporary file instead. The cache in memory holds no vectors: it maps
-    each hash to the (offset, length) of its line, and a hit (``embed_text``
-    of a cached text, a repeated text, a key another caller embedded) reads
-    the line back and decodes it, so it returns the exact bytes embedded.
+    ``embed_texts`` makes one backend call and records one ledger entry
+    billing its texts' tokens; it caches nothing, since the index keeps the
+    vectors of its batches itself. ``embed_text`` serves the cache, which
+    is held in memory as vectors; a hit performs no provider call and
+    records no tokens. With a cache path, each miss is appended through a
+    RecordLog as ``{"f64", "hash"}`` (the bytes of a CachedEmbedding without
+    its null field), and the lines of an earlier run, older ones included,
+    are decoded into the cache when the service is made.
 
     The lock is not held across the backend call. Under it a caller claims
-    the keys it will embed; a caller that needs a key another thread has
+    the text it will embed; a caller that needs a text another thread has
     claimed waits for it instead, so concurrent callers embed and bill each
-    text once, and batches of different texts overlap.
+    text once, and different texts embed at once.
     """
 
     def __init__(self, backend, ledger: CostLedger, cache_path: Path | None = None):
         self.backend = backend
         self.ledger = ledger
         self.dim = backend.dim
-        self._cache: dict[str, tuple[int, int]] = {}  # key -> (offset, length) of its line
-        # key -> the Event of the batch embedding it, set once it is cached or given up
+        self._log = RecordLog(cache_path, CachedEmbedding) if cache_path else None
+        self._cache: dict[str, np.ndarray] = {}
+        if self._log is not None:
+            self._cache = {line.hash: line.decode() for line in self._log.records}
+            self._log.records.clear()
+        # key -> the Event of the caller embedding it, set once it is cached or given up
         self._claimed: dict[str, threading.Event] = {}
         self._lock = threading.Lock()
-        self._cache_path = Path(cache_path) if cache_path else None
-        self._fd: int | None = None  # the cache file, opened when it first holds a line
-        if self._cache_path:
-            lines = read_jsonl(self._cache_path, _cache_line_key, with_offsets=True)
-            self._cache = {key: (offset, length) for offset, (key, length) in lines}
-            if self._cache:
-                self._fd = self._open()
-
-    def _open(self) -> int:
-        if self._cache_path:
-            fd = os.open(self._cache_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
-        else:
-            fd, name = tempfile.mkstemp(suffix=".jsonl")
-            os.unlink(name)
-        weakref.finalize(self, os.close, fd)
-        return fd
-
-    def _cached(self, key: str) -> np.ndarray:
-        """The vector of a cached key, read back from its cache line."""
-        offset, length = self._cache[key]
-        found, vector = _decode_cache_line(os.pread(self._fd, length, offset))
-        if found != key:
-            raise ProviderError(f"embedding cache line at byte {offset} holds {found}, not {key}")
-        return vector
 
     def embed_text(self, text: str) -> np.ndarray:
         key = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        if key in self._cache:
-            return self._cached(key)
-        return self.embed_texts([text])[0]
+        while True:
+            with self._lock:
+                if key in self._cache:
+                    return self._cache[key]
+                claim = self._claimed.get(key)
+                if claim is None:
+                    claim = self._claimed[key] = threading.Event()
+                    break
+            claim.wait()
+        try:
+            vector = self.embed_texts([text])[0]
+            vector.setflags(write=False)  # as a decoded line is
+            if self._log is not None:
+                f64 = base64.b64encode(vector.astype("<f8").tobytes()).decode("ascii")
+                self._log.append({"f64": f64, "hash": key})
+            with self._lock:
+                self._cache[key] = vector
+        finally:
+            with self._lock:
+                del self._claimed[key]
+            claim.set()
+        return vector
 
-    def embed_texts(self, texts: list[str], out=None):
+    def embed_texts(self, texts: list[str]) -> np.ndarray:
+        """The ``(len(texts), dim)`` float64 matrix of the texts' vectors,
+        from one backend call billed as one ledger entry."""
         if not all(texts):
             raise ValueError("cannot embed empty text")
-        keys = [hashlib.sha256(t.encode("utf-8")).hexdigest() for t in texts]
-        if out is None:
-            out = np.empty((len(keys), self.dim))
-        first: dict[str, int] = {}  # key -> its first row in out
-        for row, key in enumerate(keys):
-            first.setdefault(key, row)
-        cache = self._cache
-        embedded: set[str] = set()  # keys whose first row a batch of this call wrote
-        # a key whose claimant failed is claimed again on the next pass
-        while missing := {k: texts[row] for k, row in first.items() if k not in cache}:
-            batches, waits = self._claim(missing)
-            try:
-                for batch in batches:
-                    self._embed_batch(batch, out, first)
-                    embedded.update(key for key, _ in batch)
-            finally:
-                self._release(batches)
-            for claim in waits:
-                claim.wait()
-        for row, key in enumerate(keys):
-            if row != first[key] or key not in embedded:
-                out[row] = self._cached(key)
-        return out
-
-    def _claim(self, missing: dict[str, str]):
-        """Claim the keys no other caller has claimed, in batches of up to
-        EMBED_BATCH under one Event each. Returns the batches and the Events
-        of the keys other callers hold."""
-        with self._lock:
-            mine: list[tuple[str, str]] = []
-            waits: set[threading.Event] = set()
-            for key, text in missing.items():
-                claim = self._claimed.get(key)
-                if claim is not None:
-                    waits.add(claim)
-                elif key not in self._cache:
-                    mine.append((key, text))
-            batches = [mine[i : i + EMBED_BATCH] for i in range(0, len(mine), EMBED_BATCH)]
-            for batch in batches:
-                claim = threading.Event()
-                for key, _ in batch:
-                    self._claimed[key] = claim
-        return batches, waits
-
-    def _embed_batch(self, batch: list[tuple[str, str]], out, first: dict[str, int]) -> None:
-        """Embed one batch into its rows of out (``first[key]``) and append
-        its cache lines."""
-        vectors = np.asarray(self.backend.embed_texts([text for _, text in batch]))
-        if vectors.shape != (len(batch), self.dim):
+        vectors = np.asarray(self.backend.embed_texts(texts), dtype=np.float64)
+        if vectors.shape != (len(texts), self.dim):
             raise ProviderError(
-                f"embeddings of shape {vectors.shape} returned for {len(batch)} inputs "
+                f"embeddings of shape {vectors.shape} returned for {len(texts)} inputs "
                 f"of dim {self.dim}"
             )
-        out[[first[key] for key, _ in batch]] = vectors
         self.ledger.record(
             stage="embedding",
             model_id=self.backend.model_id,
-            input_tokens=sum(approx_tokens(text) for _, text in batch),
+            input_tokens=sum(map(approx_tokens, texts)),
             output_tokens=0,
             approximate=True,
         )
-        with self._lock:
-            if self._fd is None:
-                self._fd = self._open()
-            for (key, _), vector in zip(batch, vectors):
-                line = _encode_cache_line(key, vector).encode("ascii")
-                self._cache[key] = (self._append(line), len(line))
-                claim = self._claimed.pop(key)
-        claim.set()
-
-    def _append(self, line: bytes) -> int:
-        """Append line to the cache file; returns the offset it starts at.
-        The file is opened for appending, so the line lands at its end even
-        when another process appended since."""
-        view = memoryview(line)
-        while view:
-            view = view[os.write(self._fd, view):]
-        return os.lseek(self._fd, 0, os.SEEK_CUR) - len(line)
-
-    def _release(self, batches: list[list[tuple[str, str]]]) -> None:
-        """Drop the claims a failed batch left open, waking their waiters."""
-        with self._lock:
-            for batch in batches:
-                for key, _ in batch:
-                    claim = self._claimed.pop(key, None)
-                    if claim is not None:
-                        claim.set()
+        return vectors

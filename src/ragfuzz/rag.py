@@ -3,12 +3,14 @@
 The index is an exhaustive-scan store: campaign corpora are a few thousand
 chunks, where exact scan is both faster and simpler than approximate
 structures. It is built once, from every chunk of the corpus, into one
-embedding matrix (.npy) written as the chunks are embedded, then one chunk
+embedding matrix (.npy) written batch by batch as the chunks are embedded,
+with one log line per batch so a killed build resumes, then one chunk
 manifest (JSONL), then a meta file written by rename that commits the index,
 so a campaign directory is self-contained.
 """
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -21,8 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyIndex, InvalidPolicy, ZeroVector
-from .ledger import write_text
+from .ledger import RecordLog, write_text
 from .records import from_record
+
+EMBED_BATCH = 64  # texts per embedding call, ledger entry and index batch line
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,17 @@ class Chunk:
     doc_id: str
     text: str
     ordinal: int
+
+
+@dataclass(frozen=True)
+class IndexBatch:
+    """One line of an index's batch log: a batch of ``texts`` texts whose
+    rows are in the row file. ``sha256`` covers the index's shape and each
+    text of the batch with the rows that hold it, so a line matches only the
+    batch that would write the same rows."""
+
+    texts: int
+    sha256: str
 
 
 @dataclass(frozen=True)
@@ -178,15 +193,19 @@ class _Rows:
 
     @classmethod
     def create(cls, n: int, dim: int, path: Path | None = None) -> "_Rows":
-        """Empty rows in a new .npy file at path, or in a temporary file."""
+        """Rows of an (n, dim) .npy file at path, or of a temporary file,
+        none of them kept yet. The file is cut to its final size; the bytes
+        it held already stay, so ``reread`` can keep rows a killed build
+        wrote."""
         if path is None:
             fd, name = tempfile.mkstemp(suffix=".npy")
             os.unlink(name)
         else:
-            fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)
+            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
         header = _npy_header(n, dim)
         rows = cls(fd, len(header), n, dim)
         _pwrite_all(fd, header, 0)
+        os.ftruncate(fd, len(header) + n * dim * 8)
         return rows
 
     @classmethod
@@ -211,10 +230,15 @@ class _Rows:
             raise DimensionMismatch(
                 f"matrix {shape} {dtype} vs {n} chunks of dim {dim} in C-order float64"
             )
-        for lo in range(0, n, rows.block):
-            part = np.arange(lo, min(lo + rows.block, n))
-            rows._keep(part, rows.read(part))
+        rows.reread(np.arange(n))
         return rows
+
+    def reread(self, rows) -> None:
+        """Keep rows the file holds already, read one block at a time."""
+        rows = np.asarray(rows, dtype=np.intp)
+        for lo in range(0, len(rows), self.block):
+            part = rows[lo : lo + self.block]
+            self._keep(part, self.read(part))
 
     def _keep(self, rows: np.ndarray, vectors: np.ndarray) -> None:
         norms = np.sqrt(np.vecdot(vectors, vectors))
@@ -298,9 +322,10 @@ class VectorIndex:
     ``index_chunks`` builds the index once: row i holds the vector of chunk
     i. Its exact float64 bytes live in an ``.npy`` file:
     ``directory/embeddings.npy`` when the index was given a directory (the
-    rows are written there as they are embedded, then ``chunks.jsonl``, then
-    ``meta.json``, by rename, which commits the index), the loaded file after
-    ``load``, and an anonymous temporary file otherwise.
+    rows are written there batch by batch, each batch followed by its line
+    in ``batches.jsonl``, then ``chunks.jsonl``, then ``meta.json``, by
+    rename, which commits the index), the loaded file after ``load``, and an
+    anonymous temporary file otherwise.
     Memory holds only each row's float64 norm ``n_x = ||x||`` and the
     float32 image of its unit vector, ``x32 = fl32(x / n_x)``: half the
     bytes of the rows. Unit vectors keep every float32 value within
@@ -336,6 +361,7 @@ class VectorIndex:
     MANIFEST = "chunks.jsonl"
     MATRIX = "embeddings.npy"
     META = "meta.json"
+    BATCHES = "batches.jsonl"
 
     def __init__(self, dim: int | None = None, directory: Path | None = None):
         self.dim = dim
@@ -347,21 +373,56 @@ class VectorIndex:
         return len(self._chunks)
 
     def index_chunks(self, chunks: list[Chunk], embedder) -> None:
-        """Build the index from every chunk, embedded in one ``embed_texts``
-        call that writes each row into the row file as it is embedded."""
+        """Build the index from every chunk.
+
+        The distinct chunk texts are embedded in order of first appearance,
+        EMBED_BATCH per ``embedder.embed_texts`` call, and each vector is
+        written into every row that has its text. With a directory, one
+        ``IndexBatch`` line follows each batch's rows. A build resumed after
+        a kill keeps the rows of the logged batches when every logged line
+        matches the batch it would embed now, and embeds the rest; any other
+        log, such as one of a doc edited since, starts the build over.
+        """
         if self._rows is not None:
             raise ValueError("the index is built already")
         if self.dim is not None and embedder.dim != self.dim:
             raise DimensionMismatch(f"index dim {self.dim}, embedding dim {embedder.dim}")
         if len({c.chunk_id for c in chunks}) != len(chunks):
             raise ValueError("chunk ids repeat")
-        path = None
-        if self.directory is not None:
+        dim, rows_of = embedder.dim, {}  # text -> the rows that hold it
+        for row, chunk in enumerate(chunks):
+            rows_of.setdefault(chunk.text, []).append(row)
+        texts = list(rows_of)
+        batches = [texts[i : i + EMBED_BATCH] for i in range(0, len(texts), EMBED_BATCH)]
+        lines = [
+            IndexBatch(len(batch), hashlib.sha256(json.dumps(
+                [len(chunks), dim, [[text, rows_of[text]] for text in batch]]
+            ).encode("utf-8")).hexdigest())
+            for batch in batches
+        ]
+        log, done = None, 0
+        if self.directory is None:
+            rows = _Rows.create(len(chunks), dim)
+        else:
             self.directory.mkdir(parents=True, exist_ok=True)
-            path = self.directory / self.MATRIX
-        rows = _Rows.create(len(chunks), embedder.dim, path)
-        embedder.embed_texts([c.text for c in chunks], out=rows)
-        self.dim, self._chunks, self._rows = embedder.dim, list(chunks), rows
+            rows = _Rows.create(len(chunks), dim, self.directory / self.MATRIX)
+            log = RecordLog(self.directory / self.BATCHES, IndexBatch)
+            done = len(log.records)
+            if log.records != lines[:done]:
+                log.path.unlink()
+                log, done = RecordLog(log.path, IndexBatch), 0
+            kept = texts[: done * EMBED_BATCH]
+            rows.reread(sorted(row for text in kept for row in rows_of[text]))
+        for batch, line in zip(batches[done:], lines[done:]):
+            vectors = embedder.embed_texts(batch)
+            targets = [rows_of[text] for text in batch]
+            flat = [row for held in targets for row in held]
+            if len(flat) > len(batch):  # a repeated text fills each of its rows
+                vectors = np.repeat(vectors, [len(held) for held in targets], axis=0)
+            rows[flat] = vectors
+            if log is not None:
+                log.append(line)
+        self.dim, self._chunks, self._rows = dim, list(chunks), rows
         if self.directory is not None:
             with open(self.directory / self.MANIFEST, "w", encoding="utf-8") as fh:
                 # a Chunk's fields are JSON values already: vars() is its record

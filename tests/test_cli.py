@@ -141,6 +141,35 @@ def test_internal_fault_exits_two(tmp_path, capsys):
     assert "abandoned=1" in out
 
 
+def test_a_file_planted_at_a_cell_workdir_abandons_only_that_case(
+    workdir, tiny_campaign, capsys
+):
+    from ragfuzz.campaign import CampaignStore
+    from ragfuzz.pipeline import CaseStatus
+
+    config_path, campaign_dir = workdir
+    args = ["--config", str(config_path), "--campaign-dir", str(campaign_dir)]
+    assert main(["gen", *args]) == 0
+    # a program run in a sibling cell's workdir wrote a file at this cell's path
+    case_id = "DeviceGlobals.f0.s0"
+    build = campaign_dir / "cases" / case_id / "build"
+    build.mkdir(parents=True)
+    (build / "cc1_mock-spir_O2").write_text("left by a program under test\n")
+    assert main(["run", *args]) == 2
+    assert "abandoned=1" in capsys.readouterr().out
+    cases = {c.case_id: c for c in CampaignStore(campaign_dir).all_cases()}
+    assert cases[case_id].status == CaseStatus.ABANDONED
+    assert cases[case_id].abandon_reason.startswith("matrix_failed: [Errno 17] File exists")
+    assert [c.status for i, c in cases.items() if i != case_id].count(CaseStatus.COMPILES) == 2
+    # the other cases are tested and classified as in an undisturbed run
+    want = [
+        line for line in (tiny_campaign.campaign_dir / "findings.jsonl").open()
+        if json.loads(line)["case_id"] != case_id
+    ]
+    assert want and (campaign_dir / "findings.jsonl").read_text() == "".join(want)
+    assert (campaign_dir / "report.json").exists()
+
+
 def test_compiler_that_cannot_start_exits_one_and_resumes(workdir, capsys, fixtures_dir):
     from ragfuzz.mocktool import write_mock_compiler
 

@@ -26,7 +26,7 @@ from ragfuzz.providers import (
     binding_digest,
     build_request_text,
 )
-from ragfuzz.rag import Chunk, RetrievedChunk
+from ragfuzz.rag import Chunk, RetrievedChunk, VectorIndex
 from ragfuzz.records import to_record
 
 
@@ -144,9 +144,11 @@ def test_embedding_cache_hits_record_no_tokens():
     service = EmbeddingService(HashEmbedder(dim=32), ledger)
     service.embed_text("alpha")
     before = ledger.total_tokens()
-    service.embed_text("alpha")  # cache hit
+    vector = service.embed_text("alpha")  # cache hit
     assert ledger.total_tokens() == before
     assert len(ledger) == 1
+    with pytest.raises(ValueError):  # every caller gets the cached array
+        vector[0] = 0.0
 
 
 def test_embedding_cache_persists(tmp_path):
@@ -157,7 +159,7 @@ def test_embedding_cache_persists(tmp_path):
     ledger2 = CostLedger()
     s2 = EmbeddingService(HashEmbedder(dim=16), ledger2, cache_path=cache)
     v2 = s2.embed_text("persist me")
-    assert np.allclose(v1, v2)
+    assert np.allclose(v1, v2) and not v2.flags.writeable
     assert len(ledger2) == 0  # served from disk cache
 
 
@@ -285,7 +287,7 @@ def test_concurrent_misses_embed_and_bill_once(tmp_path):
     assert len(cache.read_text().splitlines()) == 1
 
 
-def test_overlapping_concurrent_batches_embed_and_bill_each_text_once(tmp_path):
+def test_overlapping_concurrent_queries_embed_and_bill_each_text_once(tmp_path):
     cache = tmp_path / "emb.jsonl"
     backend = CountingEmbedder(delay=0.02)
     ledger = CostLedger()
@@ -297,7 +299,7 @@ def test_overlapping_concurrent_batches_embed_and_bill_each_text_once(tmp_path):
 
     def worker(n):
         barrier.wait()
-        results[n] = service.embed_texts(lists[n])
+        results[n] = [service.embed_text(text) for text in lists[n]]
 
     threads = [threading.Thread(target=worker, args=(n,)) for n in range(2)]
     for t in threads:
@@ -309,13 +311,28 @@ def test_overlapping_concurrent_batches_embed_and_bill_each_text_once(tmp_path):
     assert sorted(backend.texts) == sorted(distinct)  # each text embedded once
     assert sum(e.input_tokens for e in ledger.entries()) == sum(map(approx_tokens, distinct))
     assert len(cache.read_text().splitlines()) == len(distinct)
-    # the second caller's own texts embed while the first caller's batch runs
+    # the second caller's own texts embed while the first caller's do
     assert backend.max_in_flight == 2
     per_text = EmbeddingService(HashEmbedder(dim=16), CostLedger())
     for texts, vectors in zip(lists, results):
         assert [v.tobytes() for v in vectors] == [
             per_text.embed_text(t).tobytes() for t in texts
         ]
+
+
+def test_embed_texts_is_one_backend_call_and_one_ledger_entry(tmp_path):
+    backend = CountingEmbedder()
+    ledger = CostLedger()
+    cache = tmp_path / "emb.jsonl"
+    service = EmbeddingService(backend, ledger, cache_path=cache)
+    texts = ["alpha", "beta", "alpha"]
+    vectors = service.embed_texts(texts)
+    assert vectors.shape == (3, 16) and vectors.flags.c_contiguous
+    assert [v.tobytes() for v in vectors] == [backend.embed_text(t).tobytes() for t in texts]
+    assert [e.input_tokens for e in ledger.entries()] == [sum(map(approx_tokens, texts))]
+    assert service._cache == {} and not cache.exists()  # nothing is cached
+    with pytest.raises(ValueError):
+        service.embed_texts(["text", ""])
 
 
 def test_rate_limiter_waits_when_window_full():
@@ -460,11 +477,15 @@ def _numbered_items(texts, dim=3):
     return items
 
 
-def test_http_embeddings_post_batches_and_place_vectors_by_index(monkeypatch):
+def test_http_embeddings_post_batches_and_place_vectors_by_index(monkeypatch, tmp_path):
     backend, posts = _embedding_stub(monkeypatch, _numbered_items)
     ledger = CostLedger()
     texts = [f"text {i}" for i in range(130)]
-    vectors = EmbeddingService(backend, ledger).embed_texts(texts)
+    # the index embeds in batches of EMBED_BATCH, one embed_texts call each
+    index = VectorIndex(directory=tmp_path)
+    index.index_chunks([Chunk(f"d#{i}", "d", t, i) for i, t in enumerate(texts)],
+                       EmbeddingService(backend, ledger))
+    vectors = np.load(tmp_path / VectorIndex.MATRIX)
     assert [len(body["input"]) for body in posts] == [64, 64, 2]
     assert all(isinstance(body["input"], list) for body in posts)
     assert [text for body in posts for text in body["input"]] == texts
@@ -487,3 +508,13 @@ def test_http_embeddings_reject_a_malformed_reply(monkeypatch, reply):
     with pytest.raises(ProviderError):
         EmbeddingService(backend, ledger).embed_texts(["text 0", "text 1"])
     assert len(ledger) == 0
+
+
+@pytest.mark.parametrize("status", [429, 500, 503])
+def test_http_embeddings_map_a_busy_or_failing_provider_to_transport_error(monkeypatch, status):
+    from ragfuzz.errors import TransportError
+
+    backend, _ = _embedding_stub(monkeypatch, _numbered_items)
+    monkeypatch.setattr("requests.post", lambda *a, **kw: FakeResponse(status))
+    with pytest.raises(TransportError):
+        backend.embed_texts(["text 0"])

@@ -12,7 +12,7 @@ from oracles import full_scan
 
 from ragfuzz.errors import DimensionMismatch, EmptyIndex, InvalidPolicy, ZeroVector
 from ragfuzz.ledger import CostLedger
-from ragfuzz.providers import EmbeddingService, HashEmbedder
+from ragfuzz.providers import EmbeddingService, HashEmbedder, approx_tokens
 from ragfuzz.rag import Chunk, ChunkPolicy, VectorIndex, chunk_document, cosine_distance
 
 
@@ -276,7 +276,7 @@ def test_save_load_round_trip(tmp_path):
     chunks = _chunks(6)
     idx.index_chunks(chunks, embedder)
     assert sorted(p.name for p in (tmp_path / "index").iterdir()) == [
-        VectorIndex.MANIFEST, VectorIndex.MATRIX, VectorIndex.META
+        VectorIndex.BATCHES, VectorIndex.MANIFEST, VectorIndex.MATRIX, VectorIndex.META
     ]
     loaded = VectorIndex.load(tmp_path / "index")
     assert len(loaded) == 6
@@ -285,6 +285,27 @@ def test_save_load_round_trip(tmp_path):
     assert [(r.chunk.chunk_id, r.distance) for r in a] == [
         (r.chunk.chunk_id, r.distance) for r in b
     ]
+
+
+def test_a_rebuild_over_a_logged_build_embeds_only_what_its_rows_do_not_hold(tmp_path):
+    embedder = HashEmbedder(dim=16)
+    first = [Chunk(f"d#{i}", "d", t, i) for i, t in enumerate(["alpha", "alpha", "beta"])]
+    VectorIndex(directory=tmp_path).index_chunks(first, embedder)
+    matrix = (tmp_path / VectorIndex.MATRIX).read_bytes()
+    # the same chunks again, as after a kill before meta.json: every batch is logged
+    ledger = CostLedger()
+    again = VectorIndex(directory=tmp_path)
+    again.index_chunks(first, EmbeddingService(embedder, ledger))
+    assert len(ledger) == 0 and (tmp_path / VectorIndex.MATRIX).read_bytes() == matrix
+    assert _hits(again, "beta", 2.0, 1, embedder) == [("d#2", 0.0)]
+    # the same texts in other rows match no logged batch: the build starts over
+    moved = [Chunk(f"d#{i}", "d", t, i) for i, t in enumerate(["alpha", "beta", "beta"])]
+    VectorIndex(directory=tmp_path).index_chunks(moved, EmbeddingService(embedder, ledger))
+    assert len(ledger) == 1
+    assert [row.tobytes() for row in np.load(tmp_path / VectorIndex.MATRIX)] == [
+        embedder.embed_text(c.text).tobytes() for c in moved
+    ]
+    assert len((tmp_path / VectorIndex.BATCHES).read_text().splitlines()) == 1
 
 
 # --- exactness of the one-pass scan at paper scale ---
@@ -385,38 +406,36 @@ def test_indexing_and_a_retrieve_hold_the_corpus_matrix_once(tmp_path):
         assert peak <= 0.6 * n * dim * 8, cache
 
 
-def test_the_index_scans_the_rows_the_embedding_cache_holds(tmp_path):
+def test_the_index_keeps_its_rows_out_of_the_embedding_cache(tmp_path):
     ledger = CostLedger()
-    service = EmbeddingService(HashEmbedder(dim=64), ledger)
+    cache = tmp_path / "embeddings.cache.jsonl"
+    service = EmbeddingService(HashEmbedder(dim=64), ledger, cache_path=cache)
     chunks = _corpus(100)
-    idx = VectorIndex(directory=tmp_path)
+    idx = VectorIndex(directory=tmp_path / "index")
     idx.index_chunks(chunks, service)
-    assert not [v for v in vars(service).values() if isinstance(v, np.ndarray)]
-    assert all(
-        isinstance(offset, int) and isinstance(length, int)
-        for offset, length in service._cache.values()
-    )
-    entries = len(ledger)
-    rows = np.load(tmp_path / VectorIndex.MATRIX)
+    assert service._cache == {} and not cache.exists()
+    assert len(ledger) == 2  # one entry per batch, of 64 and 36 texts
+    rows = np.load(tmp_path / "index" / VectorIndex.MATRIX)
+    # a query equal to a chunk's text is embedded and billed like any other
     assert service.embed_text(chunks[70].text).tobytes() == rows[70].tobytes()
-    assert len(ledger) == entries
+    assert len(ledger) == 3 and len(cache.read_text().splitlines()) == 1
 
 
-def test_repeated_texts_and_a_chunk_query_reuse_the_embedded_row(tmp_path):
+def test_repeated_texts_are_embedded_once_into_each_of_their_rows(tmp_path):
     backend = HashEmbedder(dim=32)
     ledger = CostLedger()
     service = EmbeddingService(backend, ledger)
     texts = ["alpha", "beta", "alpha", "gamma", "beta"]
-    matrix = service.embed_texts(texts)
-    assert matrix.shape == (5, 32) and matrix.flags.c_contiguous
-    assert [row.tobytes() for row in matrix] == [backend.embed_text(t).tobytes() for t in texts]
-    assert len(ledger) == 1
     idx = VectorIndex(directory=tmp_path)
     idx.index_chunks([Chunk(f"d#{i}", "d", t, i) for i, t in enumerate(texts)], service)
-    assert np.load(tmp_path / VectorIndex.MATRIX).tobytes() == matrix.tobytes()
-    assert service.embed_text("gamma").tobytes() == matrix[3].tobytes()
+    matrix = np.load(tmp_path / VectorIndex.MATRIX)
+    assert [row.tobytes() for row in matrix] == [backend.embed_text(t).tobytes() for t in texts]
+    # one batch of the three distinct texts
+    assert [e.input_tokens for e in ledger.entries()] == [
+        sum(map(approx_tokens, ("alpha", "beta", "gamma")))
+    ]
     assert _hits(idx, "gamma", 2.0, 1, service) == [("d#3", 0.0)]
-    assert len(ledger) == 1
+    assert len(ledger) == 2  # the query is embedded, not read from its row
 
 
 # --- the float32 screen against the full float64 scan ---
@@ -431,12 +450,8 @@ class TableEmbedder:
     def embed_text(self, text: str) -> np.ndarray:
         return self.table[text]
 
-    def embed_texts(self, texts, out=None):
-        if out is None:
-            out = np.empty((len(texts), self.dim))
-        for row, text in enumerate(texts):
-            out[row] = self.table[text]
-        return out
+    def embed_texts(self, texts):
+        return np.array([self.table[text] for text in texts])
 
 
 def _table_index(rows: list[np.ndarray]):

@@ -1,9 +1,10 @@
 """The record codec against artifacts written by an earlier release.
 
 Every file under fixtures/golden/records was written by code that
-hand-wrote each record type field by field; decoding and re-encoding it
-must give the same bytes, so a campaign directory from that release
-resumes unchanged. scenario.tiny.json is the built-in ``tiny`` scenario as
+hand-wrote each record type field by field, but for the new-format line of
+embeddings.cache.jsonl and batches.jsonl, which pin the bytes of their
+record logs; decoding and re-encoding a file must give the same bytes, so
+a campaign directory from that release resumes unchanged. scenario.tiny.json is the built-in ``tiny`` scenario as
 that release wrote it: an entry without usages has no ``usages`` key.
 """
 from __future__ import annotations
@@ -20,8 +21,8 @@ from ragfuzz.errors import RecordError
 from ragfuzz.extraction import DefinitionKind, PassFunction
 from ragfuzz.ledger import CostLedger, PricingTable, RecordLog
 from ragfuzz.pipeline import CaseStatus, Characteristics, TestCase
-from ragfuzz.providers import HashEmbedder
-from ragfuzz.rag import VectorIndex
+from ragfuzz.providers import EmbeddingService, HashEmbedder
+from ragfuzz.rag import Chunk, IndexBatch, VectorIndex
 from ragfuzz.records import from_record, to_record
 from ragfuzz.scenarios import build_tiny, load_scenario
 from ragfuzz.toolchain import CellKey, CompileResult, RunResult, RunStatus
@@ -152,6 +153,32 @@ def test_chunk_manifest_round_trips_byte_for_byte(records_dir, tmp_path):
     assert index._chunks[0].text.startswith("# Device global variables\n")
     VectorIndex(directory=tmp_path / "again").index_chunks(index._chunks, HashEmbedder(dim=3))
     assert (tmp_path / "again" / VectorIndex.MANIFEST).read_text() == text
+
+
+def test_embedding_cache_lines_of_both_formats_decode_and_a_new_line_keeps_its_bytes(
+    records_dir, tmp_path
+):
+    # a {"hash", "vector"} line of an earlier release, then an {"f64", "hash"} line
+    text = (records_dir / "embeddings.cache.jsonl").read_text()
+    path = tmp_path / "embeddings.cache.jsonl"
+    path.write_text(text)
+    embedder, ledger = HashEmbedder(dim=4), CostLedger()
+    service = EmbeddingService(embedder, ledger, cache_path=path)
+    for query in ("a query of an older campaign", "a query"):
+        assert service.embed_text(query).tobytes() == embedder.embed_text(query).tobytes()
+    assert len(ledger) == 0
+    assert path.read_text() == text  # loading rewrote nothing
+    fresh = tmp_path / "fresh.jsonl"
+    EmbeddingService(embedder, CostLedger(), cache_path=fresh).embed_text("a query")
+    assert fresh.read_text() == text.splitlines(keepends=True)[-1]
+
+
+def test_index_batch_line_round_trips_byte_for_byte(records_dir, tmp_path):
+    text = (records_dir / "batches.jsonl").read_text()
+    chunks = [Chunk("d#0", "d", "alpha", 0), Chunk("d#1", "d", "beta", 1)]
+    VectorIndex(directory=tmp_path).index_chunks(chunks, HashEmbedder(dim=4))
+    assert (tmp_path / VectorIndex.BATCHES).read_text() == text
+    assert [b.texts for b in RecordLog(tmp_path / VectorIndex.BATCHES, IndexBatch).records] == [2]
 
 
 def test_scenario_file_of_an_earlier_release_loads_to_an_equal_scenario(records_dir):

@@ -1,8 +1,9 @@
 """Resume and the case driver's fault paths on the tiny scenario.
 
 A kill is simulated in-process: the campaign's artifact writer, or the
-append of any of its record logs (the ledger, the exchanges, each case's
-results and repair attempts), raises a BaseException, which no stage
+append of any of its record logs (the ledger, the exchanges, the embedding
+cache, the index's batch log, each case's results and repair attempts),
+raises a BaseException, which no stage
 catches, at a chosen call; an append may first write half its line. The
 resumed campaign must then reach the uninterrupted run's report, findings
 and cases, leave every log line whole, and re-bill at most the one provider
@@ -32,27 +33,35 @@ from ragfuzz.campaign import (
 from ragfuzz.errors import ProviderUnavailable, ToolNotFound
 from ragfuzz.ledger import CostLedger, RecordLog, UsageEntry
 from ragfuzz.pipeline import CaseStatus, GenerationPipeline, RepairAttempt, default_catalog
-from ragfuzz.providers import LLMService, ScriptEntry
+from ragfuzz.providers import CachedEmbedding, LLMService, ScriptEntry
+from ragfuzz.rag import IndexBatch
 from ragfuzz.records import from_record, to_record
 from ragfuzz.scenarios import build_tiny, materialize_scenario, scenario_to_dict
 
 # one uninterrupted tiny run: its artifact writes (write_text calls of the
 # campaign and of the index, whose one is meta.json) and its record-log
 # appends (RecordLog.append calls): 21 to the ledger, 12 to the exchanges,
-# 36 to the results logs of 3 cases and 6 to repair logs
+# 8 to the embedding cache (one per query), 1 to the index's batch log (its
+# one batch), 36 to the results logs of 3 cases and 6 to repair logs
 TINY_WRITES = 35
-TINY_APPENDS = 75
-TINY_LOGS = {"ledger.jsonl": 21, "exchanges.jsonl": 12, "results.jsonl": 36, "repair.jsonl": 6}
+TINY_APPENDS = 84
+TINY_LOGS = {
+    "ledger.jsonl": 21, "exchanges.jsonl": 12, "embeddings.cache.jsonl": 8, "batches.jsonl": 1,
+    "results.jsonl": 36, "repair.jsonl": 6,
+}
 TINY_RESULTS_LOGS = 3
 # a kill before each write or append; one in the middle of each repair
 # append; and one in the middle of the first and the last append of the
-# ledger, the exchanges and each results log
-TINY_TORN = TINY_LOGS["repair.jsonl"] + 2 * (2 + TINY_RESULTS_LOGS)
+# ledger, the exchanges, the embedding cache and each results log, and of
+# the batch log's one append
+TINY_TORN = TINY_LOGS["repair.jsonl"] + 2 * (3 + TINY_RESULTS_LOGS) + 1
 TINY_KILL_POINTS = TINY_WRITES + TINY_APPENDS + TINY_TORN
 
 LOG_RECORDS = {
     "ledger.jsonl": UsageEntry,
     "exchanges.jsonl": Exchange,
+    "embeddings.cache.jsonl": CachedEmbedding,
+    "batches.jsonl": IndexBatch,
     "results.jsonl": ResultLine,
     "repair.jsonl": RepairAttempt,
 }
@@ -64,7 +73,7 @@ class Killed(BaseException):
 
 def outcome(campaign_dir):
     for name, cls in LOG_RECORDS.items():  # every line of every log is whole
-        for path in [*campaign_dir.glob(name), *campaign_dir.glob(f"cases/*/{name}")]:
+        for path in campaign_dir.rglob(name):
             for line in path.read_bytes().splitlines(keepends=True):
                 assert line.endswith(b"\n"), path
                 from_record(cls, json.loads(line))
