@@ -14,10 +14,14 @@ re-bills the provider at most for the call a kill cut short. The canonical
 report contains no wall-clock data; timings live in a sidecar so repeated mock
 runs emit byte-identical reports.
 
-Every stage that makes, changes or tests cases runs through one driver,
-`_drive`. A RagfuzzError or an OSError abandons that case with its reason;
-ToolNotFound, no case's fault, and any other exception end the campaign and
-leave the case to resume, and the stage starts no further unit.
+Every stage runs through one driver, `_drive`. A stage's method only lists
+its pending units, read from the artifacts, each a (case or None, work)
+pair, with the stage's worker count and fault prefix. A RagfuzzError or an
+OSError from a case's unit abandons that case with "<fault>: <error>", and
+the campaign goes on; a corrupt line in one of the case's logs is one. The
+same error from a unit without a case, ToolNotFound (no case's fault) and
+any other exception end the campaign and leave the case to resume, and the
+stage starts no further unit.
 
 Annotations here are evaluated at import, not postponed: the record codec
 reads each config field's type as an object instead of compiling its string
@@ -34,7 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .difftest import ComparisonPolicy, Discrepancy, ResultsMatrix, classify, summarize
 from .errors import (
@@ -522,18 +526,10 @@ class CampaignReport:
         }
 
 
-def emit_report(report: CampaignReport, out_dir: Path, fmt: str) -> Path:
-    """Write the report in one format; 'jsonl' is the canonical JSON form."""
-    out_dir = Path(out_dir)
-    if fmt == "jsonl":
-        path = out_dir / "report.json"
-        _write_json(path, report.to_canonical_dict())
-        return path
-    if fmt == "markdown":
-        path = out_dir / "report.md"
-        write_text(path, render_markdown(report))
-        return path
-    raise ValueError(f"unknown report format {fmt!r}")
+def emit_report(report: CampaignReport, out_dir: Path) -> None:
+    """Write report.json, the canonical JSON form, and report.md."""
+    _write_json(Path(out_dir) / "report.json", report.to_canonical_dict())
+    write_text(Path(out_dir) / "report.md", render_markdown(report))
 
 
 def _table(header: tuple[str, ...], rows) -> list[str]:
@@ -592,32 +588,16 @@ def mutant_stub(parent: TestCase, j: int, catalog: FeatureCatalog, campaign_seed
     )
 
 
-def _pmap(fn, items, workers: int) -> None:
-    """fn(item) for each item, over workers threads. Once a unit raises, no
-    further unit starts: the queued ones are cancelled, those in flight
-    finish, and the earliest failed item's exception propagates."""
-    if workers <= 1:
-        for item in items:
-            fn(item)
-        return
-    failed = threading.Event()
+class Stage(NamedTuple):
+    """A stage's pending units, read from the artifacts, and how they run.
 
-    def unit(item) -> None:
-        # set in the failing thread, before its worker can take another item
-        if failed.is_set():
-            return
-        try:
-            fn(item)
-        except BaseException:
-            failed.set()
-            raise
+    A unit is (case or None, work). work() returns the case to save, or
+    None; fault begins the reason a unit's case is abandoned with.
+    """
 
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        for _ in pool.map(unit, items):
-            pass
-    finally:
-        pool.shutdown(cancel_futures=True)
+    units: list[tuple[TestCase | None, Callable[[], TestCase | None]]]
+    workers: int = 1
+    fault: str = ""
 
 
 class CampaignRunner:
@@ -646,18 +626,15 @@ class CampaignRunner:
         self.store.root.mkdir(parents=True, exist_ok=True)
         self._check_or_write_manifest()
         self.ledger = CostLedger(self.store.ledger_path)
-        self.prompts = PromptFactory()
         self.llm, self.embedder = self._build_providers(scenario)
-        self.index: VectorIndex | None = None
+        # retrieval starts once the index stage sets the pipeline's index
         self.pipeline = GenerationPipeline(
-            self.prompts,
+            PromptFactory(),
             self.llm,
-            index=None,
-            embedder=None,
+            embedder=self.embedder,
             retrieval_threshold=config.rag.threshold,
             retrieval_k=config.rag.k,
         )
-        self.policy = config.report
         self._timing: dict[str, float] = {}
         if self.store.timing_path.exists():
             self._timing = json.loads(self.store.timing_path.read_text())
@@ -686,17 +663,19 @@ class CampaignRunner:
 
     def _build_providers(self, scenario: Scenario | None) -> tuple[LLMService, EmbeddingService]:
         spec = self.config.providers
-        rate_limiter = None
         if scenario is not None:
             backend = ScriptedLLM(scenario.llm_entries)
             embed_backend = HashEmbedder(dim=self.config.rag.embedding_dim, seed=0)
-            max_retries, backoff = 0, 0.0
         else:
             backend = HttpChatBackend(spec.llm)
             embed_backend = HttpEmbeddingBackend(spec.embedding, dim=self.config.rag.embedding_dim)
-            max_retries, backoff = spec.llm.max_retries, spec.llm.backoff_base
-            if spec.llm.requests_per_minute > 0:
-                rate_limiter = RateLimiter(spec.llm.requests_per_minute)
+
+        def retry(section: ProviderConfig) -> dict:
+            """A providers section's retry settings; mock mode retries nothing."""
+            if scenario is not None:
+                return {"max_retries": 0}
+            return {"max_retries": section.max_retries, "backoff_base": section.backoff_base,
+                    "rate_limiter": RateLimiter(section.requests_per_minute)}
 
         exchanges = RecordLog(self.store.exchanges_path, Exchange)
         exchanges.records.clear()  # its torn tail is cut; nothing reads it back
@@ -708,16 +687,10 @@ class CampaignRunner:
                 completion.model_id,
             ))
 
-        llm = LLMService(
-            backend,
-            self.ledger,
-            max_retries=max_retries,
-            backoff_base=backoff,
-            rate_limiter=rate_limiter,
-            on_exchange=log_exchange,
-        )
+        llm = LLMService(backend, self.ledger, on_exchange=log_exchange, **retry(spec.llm))
         embedder = EmbeddingService(
-            embed_backend, self.ledger, cache_path=self.store.root / "embeddings.cache.jsonl"
+            embed_backend, self.ledger, cache_path=self.store.root / "embeddings.cache.jsonl",
+            **retry(spec.embedding),
         )
         return llm, embedder
 
@@ -729,102 +702,120 @@ class CampaignRunner:
         for tc in self.config.toolchains:
             tc.probe()
         prlimit_path()  # run jobs set their limits through it
-        report: CampaignReport | None = None
+        self.report: CampaignReport | None = None  # the report stage's unit sets it
         for stage in STAGES:
             started = time.monotonic()
-            report = getattr(self, f"_stage_{stage}")()
+            self._drive(getattr(self, f"_stage_{stage}")())
             self._timing[stage] = round(time.monotonic() - started, 6)
             _write_json(self.store.timing_path, self._timing)
             if stage == halt_after:
-                return report
-        return report
+                break
+        return self.report
 
-    def _drive(
-        self, units: list[tuple[TestCase, Callable[[], TestCase | None]]], workers: int,
-        fault: str,
-    ) -> None:
-        """Run each pending (stub, work) unit over workers and save the case
-        work() returns, if any; on a RagfuzzError or an OSError, save the
-        stub abandoned with the reason "<fault>: <error>". Any other
-        exception propagates."""
+    def _drive(self, stage: Stage) -> None:
+        """Run the stage's units over its workers and save the case each
+        work() returns. A RagfuzzError or an OSError abandons the unit's
+        case, saved with the reason "<fault>: <error>", each path under the
+        campaign root written relative to it. Such an error from a unit with
+        no case, a ToolNotFound and any other exception stop the stage: no
+        further unit starts, those in flight finish, and the earliest failed
+        unit's exception propagates."""
+        failed = threading.Event()
 
         def run(unit) -> None:
-            stub, work = unit
+            case, work = unit
+            # set in the failing thread, before its worker can take another unit
+            if failed.is_set():
+                return
             try:
-                case = work()
-            except ToolNotFound:
+                try:
+                    done = work()
+                except (RagfuzzError, OSError) as exc:
+                    if case is None or isinstance(exc, ToolNotFound):
+                        raise
+                    reason = f"{stage.fault}: {exc}".replace(f"{self.store.root}{os.sep}", "")
+                    done = replace(case, status=CaseStatus.ABANDONED, abandon_reason=reason)
+                if done is not None:
+                    self.store.save_case(done)
+            except BaseException:
+                failed.set()
                 raise
-            except (RagfuzzError, OSError) as exc:
-                case = replace(stub, status=CaseStatus.ABANDONED, abandon_reason=f"{fault}: {exc}")
-            if case is not None:
-                self.store.save_case(case)
 
-        _pmap(run, units, workers)
+        if stage.workers <= 1:
+            for unit in stage.units:
+                run(unit)
+            return
+        pool = ThreadPoolExecutor(max_workers=stage.workers)
+        try:
+            for _ in pool.map(run, stage.units):
+                pass
+        finally:
+            pool.shutdown(cancel_futures=True)
 
-    # -- stages ---------------------------------------------------------
+    # -- stages: each lists its pending units ----------------------------
 
-    def _stage_extract(self) -> None:
-        for spec in self.config.passes:
-            out_path = self.store.functions_path(spec.pass_name)
-            if out_path.exists():
-                continue
+    def _stage_extract(self) -> Stage:
+        def extract(spec: PassSpec) -> None:
             functions: list[PassFunction] = []
             for pattern in spec.sources:
-                for file_path in sorted(globlib.glob(pattern)):
-                    source = PassSource(
-                        pass_name=spec.pass_name,
-                        file_path=Path(file_path),
-                        content=Path(file_path).read_text(),
-                    )
+                for path in map(Path, sorted(globlib.glob(pattern))):
+                    source = PassSource(spec.pass_name, path, path.read_text())
                     functions.extend(extract_functions(source))
-            functions = filter_candidates(
-                functions,
-                self.config.extraction.min_lines,
-                list(self.config.extraction.name_patterns),
-            )
-            _write_json(out_path, to_record(functions))
+            names = list(self.config.extraction.name_patterns)
+            functions = filter_candidates(functions, self.config.extraction.min_lines, names)
+            _write_json(self.store.functions_path(spec.pass_name), to_record(functions))
+
+        return Stage([
+            (None, partial(extract, spec))
+            for spec in self.config.passes
+            if not self.store.functions_path(spec.pass_name).exists()
+        ])
 
     def _load_functions(self, pass_name: str) -> list[PassFunction]:
         return _read_json(list[PassFunction], self.store.functions_path(pass_name))
 
-    def _stage_index(self) -> None:
-        meta = self.store.index_dir / VectorIndex.META
-        if meta.exists():
-            self.index = VectorIndex.load(self.store.index_dir)
-        else:
-            # the rows are written into the index directory as they are embedded
-            index = VectorIndex(self.config.rag.embedding_dim, self.store.index_dir)
-            policy = ChunkPolicy(self.config.rag.max_chars, self.config.rag.overlap_chars)
-            doc_paths: list[str] = []
-            for spec in self.config.passes:
-                for pattern in spec.docs:
-                    doc_paths.extend(sorted(globlib.glob(pattern)))
-            # every document is chunked first, so embedding batches span documents.
-            # A chunk's id begins with its file's name, so two files may not share one
-            chunks, names = [], {}
-            for doc_path in sorted(set(doc_paths)):
-                name = Path(doc_path).name
-                first = names.setdefault(name, doc_path)
-                if first != doc_path:
-                    raise ConfigError("passes", f"docs {first!r} and {doc_path!r} share one name")
-                content = Path(doc_path).read_text()
-                if content.strip():
-                    chunks.extend(chunk_document(name, content, policy))
-            index.index_chunks(chunks, self.embedder)
-            self.index = index
-        if len(self.index) > 0:
-            self.pipeline.index = self.index
-            self.pipeline.embedder = self.embedder
+    def _stage_index(self) -> Stage:
+        return Stage([(None, self._index)])
 
-    def _stage_characteristics(self) -> None:
+    def _index(self) -> None:
+        """Load the built index, or build it; retrieval uses it from here on."""
+        if (self.store.index_dir / VectorIndex.META).exists():
+            self.pipeline.index = VectorIndex.load(self.store.index_dir)
+            return
+        # the rows are written into the index directory as they are embedded
+        index = VectorIndex(self.config.rag.embedding_dim, self.store.index_dir)
+        policy = ChunkPolicy(self.config.rag.max_chars, self.config.rag.overlap_chars)
+        doc_paths: list[str] = []
+        for spec in self.config.passes:
+            for pattern in spec.docs:
+                doc_paths.extend(sorted(globlib.glob(pattern)))
+        # every document is chunked first, so embedding batches span documents.
+        # A chunk's id begins with its file's name, so two files may not share one
+        chunks, names = [], {}
+        for doc_path in sorted(set(doc_paths)):
+            name = Path(doc_path).name
+            first = names.setdefault(name, doc_path)
+            if first != doc_path:
+                raise ConfigError("passes", f"docs {first!r} and {doc_path!r} share one name")
+            content = Path(doc_path).read_text()
+            if content.strip():
+                chunks.extend(chunk_document(name, content, policy))
+        index.index_chunks(chunks, self.embedder)
+        self.pipeline.index = index
+
+    def _stage_characteristics(self) -> Stage:
+        def characterize(fn: PassFunction, path: Path) -> None:
+            _write_json(path, to_record(self.pipeline.generate_characteristics(fn)))
+
+        units = []
         for spec in self.config.passes:
             functions = self._load_functions(spec.pass_name)
             paths = self.store.characteristics_paths(spec.pass_name, functions)
-            for fn, path in zip(functions, paths):
-                if not path.exists():
-                    _write_json(path, to_record(self.pipeline.generate_characteristics(fn)))
+            pending = [(fn, path) for fn, path in zip(functions, paths) if not path.exists()]
+            units += [(None, partial(characterize, fn, path)) for fn, path in pending]
+        return Stage(units)
 
-    def _stage_generate(self) -> None:
+    def _stage_generate(self) -> Stage:
         units, catalog = [], self.catalog or default_catalog()
         for spec in self.config.passes:
             functions = self._load_functions(spec.pass_name)
@@ -837,7 +828,7 @@ class CampaignRunner:
                         continue
                     stub = seed_stub(ch, case_id, catalog, self.config.campaign.seed)
                     units.append((stub, partial(self.pipeline.generate_testcase, ch, stub)))
-        self._drive(units, 1, "generation_failed")
+        return Stage(units, 1, "generation_failed")
 
     def _gate_compile(self, case: TestCase, launcher: JobLauncher):
         """The gate compiler for repair_loop. Each compile's input is a new
@@ -861,7 +852,7 @@ class CampaignRunner:
 
         return compile_source
 
-    def _repair_cases(self, parent_filter) -> None:
+    def _repair_cases(self, parent_filter) -> Stage:
         launcher = JobLauncher()
 
         def repair(case: TestCase) -> TestCase:
@@ -884,12 +875,12 @@ class CampaignRunner:
             for case in self.store.all_cases()
             if case.status == CaseStatus.DRAFT and parent_filter(case)
         ]
-        self._drive(units, self.config.campaign.workers_llm, "repair_failed")
+        return Stage(units, self.config.campaign.workers_llm, "repair_failed")
 
-    def _stage_repair(self) -> None:
-        self._repair_cases(lambda case: case.parent_id is None)
+    def _stage_repair(self) -> Stage:
+        return self._repair_cases(lambda case: case.parent_id is None)
 
-    def _stage_mutate(self) -> None:
+    def _stage_mutate(self) -> Stage:
         units, catalog = [], self.catalog or default_catalog()
         for parent in self.store.all_cases():
             if parent.parent_id is not None or parent.status != CaseStatus.COMPILES:
@@ -899,16 +890,13 @@ class CampaignRunner:
                     continue
                 stub = mutant_stub(parent, j, catalog, self.config.campaign.seed)
                 units.append((stub, partial(self.pipeline.mutate_one, parent, stub)))
-        self._drive(units, 1, "generation_failed")
+        return Stage(units, 1, "generation_failed")
 
-    def _stage_repair_mutants(self) -> None:
-        self._repair_cases(lambda case: case.parent_id is not None)
+    def _stage_repair_mutants(self) -> Stage:
+        return self._repair_cases(lambda case: case.parent_id is not None)
 
-    def _stage_matrix(self) -> None:
-        limits = RunLimits(
-            address_space_mb=self.config.limits.address_space_mb,
-            file_size_mb=self.config.limits.file_size_mb,
-        )
+    def _stage_matrix(self) -> Stage:
+        limits = RunLimits(self.config.limits.address_space_mb, self.config.limits.file_size_mb)
         launcher = JobLauncher()
 
         def process_case(case: TestCase) -> None:
@@ -942,32 +930,37 @@ class CampaignRunner:
             for case in self.store.all_cases()
             if case.status == CaseStatus.COMPILES
         ]
-        self._drive(units, self.config.campaign.workers_tool, "matrix_failed")
+        return Stage(units, self.config.campaign.workers_tool, "matrix_failed")
 
-    def _stage_classify(self) -> None:
+    def _stage_classify(self) -> Stage:
         if self.store.findings_path.exists():
-            return
-        suppress = [re.compile(p) for p in self.policy.suppress_source_patterns]
-        lines = []
-        for case in self.store.all_cases():
-            if case.status != CaseStatus.COMPILES:
-                continue
-            if suppress and any(p.search(case.source) for p in suppress):
-                continue  # operator triage valve: known-noise sources
-            logged = RecordLog(self.store.results_path(case.case_id), ResultLine).records
-            runs = [line.run for line in logged if line.run]
-            matrix = ResultsMatrix(case_id=case.case_id, cells={r.cell: r for r in runs})
-            if len(matrix.cells) < 2:
-                continue
-            findings = classify(matrix, self.policy)
-            lines += [json.dumps(to_record(d), sort_keys=True) + "\n" for d in findings]
-        write_text(self.store.findings_path, "".join(lines))
+            return Stage([])
+        suppress = [re.compile(p) for p in self.config.report.suppress_source_patterns]
+        lines: list[str] = []  # the units run in case order, at one worker
 
-    def _stage_report(self) -> CampaignReport:
-        report = self.build_report()
-        emit_report(report, self.store.root, "jsonl")
-        emit_report(report, self.store.root, "markdown")
-        return report
+        def classify_case(case: TestCase) -> None:
+            logged = RecordLog(self.store.results_path(case.case_id), ResultLine).records
+            cells = {line.run.cell: line.run for line in logged if line.run}
+            if len(cells) >= 2:
+                findings = classify(ResultsMatrix(case.case_id, cells), self.config.report)
+                lines.extend([json.dumps(to_record(d), sort_keys=True) + "\n" for d in findings])
+
+        units = [
+            (case, partial(classify_case, case))
+            for case in self.store.all_cases()
+            if case.status == CaseStatus.COMPILES
+            # operator triage valve: known-noise sources
+            and not any(p.search(case.source) for p in suppress)
+        ]
+        units.append((None, lambda: write_text(self.store.findings_path, "".join(lines))))
+        return Stage(units, 1, "classify_failed")
+
+    def _stage_report(self) -> Stage:
+        def report() -> None:
+            self.report = self.build_report()
+            emit_report(self.report, self.store.root)
+
+        return Stage([(None, report)])
 
     # -- report assembly -------------------------------------------------
 

@@ -18,7 +18,7 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Callable
 
-from .errors import RecordError, UnpricedModel
+from .errors import CorruptManifest, RecordError, UnpricedModel
 from .records import from_record, to_record
 
 STAGES = ("characteristics", "codegen", "repair", "mutation", "embedding")
@@ -30,7 +30,7 @@ def read_jsonl(path: Path, decode: Callable[[bytes], object]) -> list:
     A final line that ``decode`` rejects (ValueError, KeyError, TypeError or
     RecordError) was torn by a kill mid-append: it is cut from the file, so the next
     append starts a fresh line. A valid final line missing its newline gets
-    one. A line that fails anywhere else is corruption and raises.
+    one. Any other rejected line is corruption: CorruptManifest names it.
 
     Lines are decoded as they are read, so only the records stay in memory.
     A missing file holds no lines.
@@ -40,9 +40,9 @@ def read_jsonl(path: Path, decode: Callable[[bytes], object]) -> list:
         return records
     kept, line, torn = 0, b"", None
     with open(path, "rb") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if torn is not None:  # the rejected line was not the last
-                raise torn
+                raise CorruptManifest(f"{path}: line {number - 1}: {torn}") from torn
             if line.strip():
                 try:
                     records.append(decode(line))

@@ -255,12 +255,14 @@ class ScriptedLLM:
 # Services: retry + ledger + cache wiring
 # --------------------------------------------------------------------------
 
-class LLMService:
-    """Retry/ledger wrapper over a completion backend, whose
-    ``complete(prompt, wire_text)`` returns one Completion.
+class _ProviderService:
+    """A backend, the ledger its calls are billed to, and the retry rule
+    every call to the backend goes through (``_call``).
 
-    Transient transport failures are retried with exponential backoff up to
-    max_retries; content-level provider responses are never retried.
+    A transient transport failure (TransportError) is retried after
+    backoff_base seconds, each further wait twice the last, up to
+    max_retries times; content-level provider responses are never retried.
+    With a rate limiter, each attempt first waits for its turn.
     """
 
     def __init__(
@@ -271,7 +273,6 @@ class LLMService:
         backoff_base: float = 0.5,
         rate_limiter: RateLimiter | None = None,
         sleep=time.sleep,
-        on_exchange=None,
     ):
         self.backend = backend
         self.ledger = ledger
@@ -279,31 +280,37 @@ class LLMService:
         self.backoff_base = backoff_base
         self.rate_limiter = rate_limiter
         self._sleep = sleep
-        self._on_exchange = on_exchange
 
-    def llm_complete(
-        self,
-        prompt: RenderedPrompt,
-        context: list[RetrievedChunk],
-        stage: str,
-    ) -> Completion:
-        wire_text = build_request_text(prompt, context)
-        attempts = 0
-        delay = self.backoff_base
+    def _call(self, call, *args) -> tuple:
+        """call(*args)'s result and the attempts it took; ProviderUnavailable
+        once the retries are spent."""
+        attempts, delay = 0, self.backoff_base
         while True:
             attempts += 1
             if self.rate_limiter:
                 self.rate_limiter.acquire()
             try:
-                completion = self.backend.complete(prompt, wire_text)
-                break
+                return call(*args), attempts
             except TransportError as exc:
-                if attempts >= self.max_retries + 1:
-                    raise ProviderUnavailable(
-                        f"gave up after {attempts} attempts: {exc}"
-                    ) from exc
+                if attempts > self.max_retries:
+                    raise ProviderUnavailable(f"gave up after {attempts} attempts: {exc}") from exc
                 self._sleep(delay)
                 delay *= 2
+
+
+class LLMService(_ProviderService):
+    """Retry/ledger wrapper over a completion backend, whose
+    ``complete(prompt, wire_text)`` returns one Completion."""
+
+    def __init__(self, backend, ledger: CostLedger, *, on_exchange=None, **retry):
+        super().__init__(backend, ledger, **retry)
+        self._on_exchange = on_exchange
+
+    def llm_complete(
+        self, prompt: RenderedPrompt, context: list[RetrievedChunk], stage: str
+    ) -> Completion:
+        wire_text = build_request_text(prompt, context)
+        completion, attempts = self._call(self.backend.complete, prompt, wire_text)
         self.ledger.record(
             stage=stage,
             model_id=completion.model_id,
@@ -396,9 +403,9 @@ class CachedEmbedding:
         return vector
 
 
-class EmbeddingService:
-    """Ledger accounting around an embedding backend, and a content-hash
-    cache of the texts embedded one at a time.
+class EmbeddingService(_ProviderService):
+    """Ledger accounting and retries around an embedding backend, and a
+    content-hash cache of the texts embedded one at a time.
 
     ``embed_texts`` makes one backend call and records one ledger entry
     billing its texts' tokens; it caches nothing, since the index keeps the
@@ -415,9 +422,8 @@ class EmbeddingService:
     text once, and different texts embed at once.
     """
 
-    def __init__(self, backend, ledger: CostLedger, cache_path: Path | None = None):
-        self.backend = backend
-        self.ledger = ledger
+    def __init__(self, backend, ledger: CostLedger, cache_path: Path | None = None, **retry):
+        super().__init__(backend, ledger, **retry)
         self.dim = backend.dim
         self._log = RecordLog(cache_path, CachedEmbedding) if cache_path else None
         self._cache: dict[str, np.ndarray] = {}
@@ -455,10 +461,10 @@ class EmbeddingService:
 
     def embed_texts(self, texts: list[str]) -> np.ndarray:
         """The ``(len(texts), dim)`` float64 matrix of the texts' vectors,
-        from one backend call billed as one ledger entry."""
+        from one answered backend call billed as one ledger entry."""
         if not all(texts):
             raise ValueError("cannot embed empty text")
-        vectors = np.asarray(self.backend.embed_texts(texts), dtype=np.float64)
+        vectors = np.asarray(self._call(self.backend.embed_texts, texts)[0], dtype=np.float64)
         if vectors.shape != (len(texts), self.dim):
             raise ProviderError(
                 f"embeddings of shape {vectors.shape} returned for {len(texts)} inputs "

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import os
@@ -8,6 +9,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from oracles import validate_partition
@@ -118,6 +120,37 @@ def test_passes_sharing_a_directory_are_rejected(tmp_path):
         load_config(data, tmp_path)
     assert exc.value.field_path == "passes"
     assert "'Device Globals' and 'Device_Globals'" in str(exc.value)
+
+
+def test_each_providers_section_sets_its_own_service_retries(tmp_path):
+    data = minimal_config_dict()
+    data["providers"] = {
+        "mode": "http",
+        "llm": {"max_retries": 2, "backoff_base": 0.25, "requests_per_minute": 30},
+        "embedding": {"max_retries": 5, "backoff_base": 1.5},
+    }
+    config = load_config_file(materialize_scenario(build_tiny(), tmp_path / "work"))
+    runner = CampaignRunner(load_config(data, config.base_dir), tmp_path / "campaign")
+    llm, embedder = runner.llm, runner.embedder
+    assert (llm.max_retries, llm.backoff_base, llm.rate_limiter.limit) == (2, 0.25, 30)
+    assert (embedder.max_retries, embedder.backoff_base, embedder.rate_limiter.limit) == (5, 1.5, 0)
+    mock = CampaignRunner(config, tmp_path / "mock")
+    assert mock.llm.max_retries == mock.embedder.max_retries == 0
+
+
+def test_the_stage_list_is_one_list():
+    """campaign.STAGES, the runner's _stage_* methods and the copy the
+    benchmark's tracer keeps name the same stages in the same order."""
+    tracing = ast.parse((Path(__file__).parents[1] / "perfbench" / "tracing.py").read_text())
+    copy = next(
+        ast.literal_eval(node.value) for node in tracing.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["STAGES"]
+    )
+    methods = tuple(
+        name.removeprefix("_stage_") for name in vars(CampaignRunner) if name.startswith("_stage_")
+    )
+    assert methods == campaign.STAGES
+    assert copy == campaign.STAGES
 
 
 def test_repair_attempts_capped(tmp_path):
@@ -324,8 +357,7 @@ def test_a_repair_writes_its_case_twice_and_logs_each_attempt_once(
         materialize_scenario(build_tiny(), tmp_path / "work"),
         overrides={"generation.max_repair_attempts": max_attempts},
     )
-    write, append = campaign.write_text, RecordLog.append
-    repair_cases = CampaignRunner._repair_cases
+    write, append, drive = campaign.write_text, RecordLog.append, CampaignRunner._drive
     writes, appends, repairing = Counter(), Counter(), threading.Event()
 
     def counting_write(path, text):
@@ -338,16 +370,17 @@ def test_a_repair_writes_its_case_twice_and_logs_each_attempt_once(
             appends[log.path.parent.name] += 1
         append(log, record)
 
-    def counting_repairs(self, parent_filter):
-        repairing.set()
+    def counting_drive(self, stage):
+        if stage.fault == "repair_failed":
+            repairing.set()
         try:
-            repair_cases(self, parent_filter)
+            drive(self, stage)
         finally:
             repairing.clear()
 
     monkeypatch.setattr(campaign, "write_text", counting_write)
     monkeypatch.setattr(RecordLog, "append", counting_append)
-    monkeypatch.setattr(CampaignRunner, "_repair_cases", counting_repairs)
+    monkeypatch.setattr(CampaignRunner, "_drive", counting_drive)
     run_campaign(config, tmp_path / "campaign")
     attempts = Counter({
         c.case_id: len(c.repair_transcript) for c in CampaignStore(tmp_path / "campaign").all_cases()
@@ -443,11 +476,11 @@ def test_resumed_index_holds_the_corpus_once(tmp_path):
     try:
         start = tracemalloc.get_traced_memory()[0]
         runner = CampaignRunner(config, campaign_dir)
-        runner._stage_index()
+        runner._drive(runner._stage_index())
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    n = len(runner.index)
+    n = len(runner.pipeline.index)
     assert n >= 1000
     manifest = (campaign_dir / "index" / "chunks.jsonl").stat().st_size
     assert peak <= 0.6 * n * 1536 * 8 + manifest
@@ -876,10 +909,9 @@ def fixed_report() -> CampaignReport:
 
 def test_emit_report_matches_goldens(tmp_path, fixtures_dir):
     report = fixed_report()
-    json_path = emit_report(report, tmp_path, "jsonl")
-    md_path = emit_report(report, tmp_path, "markdown")
-    assert json_path.read_text() == (fixtures_dir / "golden" / "report.golden.json").read_text()
-    assert md_path.read_text() == (fixtures_dir / "golden" / "report.golden.md").read_text()
+    emit_report(report, tmp_path)
+    for name, golden in (("report.json", "report.golden.json"), ("report.md", "report.golden.md")):
+        assert (tmp_path / name).read_text() == (fixtures_dir / "golden" / golden).read_text()
 
 
 def test_emit_report_zeroed_tables(tmp_path):
@@ -891,13 +923,9 @@ def test_emit_report_zeroed_tables(tmp_path):
     )
     md = render_markdown(report)
     assert "Flagged cases (union): **0**" in md
-    path = emit_report(report, tmp_path, "jsonl")
-    assert json.loads(path.read_text())["findings"]["total_flagged"] == 0
-
-
-def test_emit_report_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValueError):
-        emit_report(fixed_report(), tmp_path, "pdf")
+    emit_report(report, tmp_path)
+    assert json.loads((tmp_path / "report.json").read_text())["findings"]["total_flagged"] == 0
+    assert (tmp_path / "report.md").read_text() == md
 
 
 def test_canonical_report_excludes_timing():

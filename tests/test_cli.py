@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from test_campaign import MALFORMED
@@ -168,6 +169,84 @@ def test_a_file_planted_at_a_cell_workdir_abandons_only_that_case(
     ]
     assert want and (campaign_dir / "findings.jsonl").read_text() == "".join(want)
     assert (campaign_dir / "report.json").exists()
+
+
+def test_a_planted_file_leaves_the_same_case_json_wherever_the_campaign_ran(tmp_path):
+    from ragfuzz.campaign import CampaignStore, load_config_file, run_campaign
+
+    config = load_config_file(materialize_scenario(build_tiny(), tmp_path / "work"))
+    case_id = "DeviceGlobals.f0.s0"
+    stored = []
+    for campaign_dir in (tmp_path / "one" / "campaign", tmp_path / "two" / "deeper" / "campaign"):
+        run_campaign(config, campaign_dir, halt_after="repair_mutants")
+        build = campaign_dir / "cases" / case_id / "build"
+        build.mkdir(parents=True)
+        (build / "cc1_mock-spir_O2").write_text("left by a program under test\n")
+        run_campaign(config, campaign_dir)
+        store = CampaignStore(campaign_dir)
+        stored.append(store.case_path(case_id).read_bytes())
+    reason = json.loads(stored[0])["abandon_reason"]
+    assert reason == (
+        "matrix_failed: [Errno 17] File exists: "
+        f"'cases/{case_id}/build/cc1_mock-spir_O2'"
+    )
+    assert stored[0] == stored[1]
+
+
+def test_a_line_a_program_writes_into_its_results_log_abandons_only_that_case(
+    workdir, tiny_campaign, capsys, monkeypatch
+):
+    import ragfuzz.campaign as campaign
+    from ragfuzz.campaign import CampaignStore
+    from ragfuzz.pipeline import CaseStatus
+
+    config_path, campaign_dir = workdir
+    case_id, run_job, wrote = "DeviceGlobals.f0.s0", campaign.run_job, []
+
+    def writing(job, limits, launcher):
+        # the case's first program writes a line to ../../results.jsonl from
+        # its workdir build/<cell>/: that is its own case's results log
+        if job.case_id == case_id and not wrote:
+            with open(Path(job.binary_path).parent / "../../results.jsonl", "a") as fh:
+                fh.write("program output\n")
+            wrote.append(job.cell)
+        return run_job(job, limits, launcher)
+
+    monkeypatch.setattr(campaign, "run_job", writing)
+    args = ["--config", str(config_path), "--campaign-dir", str(campaign_dir)]
+    assert main(["run", *args]) == 2
+    assert "abandoned=1" in capsys.readouterr().out
+    cases = {c.case_id: c for c in CampaignStore(campaign_dir).all_cases()}
+    assert cases[case_id].status == CaseStatus.ABANDONED
+    assert cases[case_id].abandon_reason.startswith(
+        f"classify_failed: cases/{case_id}/results.jsonl: line 2: "
+    )
+    undisturbed = {c.case_id: c for c in CampaignStore(tiny_campaign.campaign_dir).all_cases()}
+    assert {i: c for i, c in cases.items() if i != case_id} == {
+        i: c for i, c in undisturbed.items() if i != case_id
+    }
+    # the other cases are classified as in an undisturbed run
+    want = [
+        line for line in (tiny_campaign.campaign_dir / "findings.jsonl").open()
+        if json.loads(line)["case_id"] != case_id
+    ]
+    assert want and (campaign_dir / "findings.jsonl").read_text() == "".join(want)
+    report = (campaign_dir / "report.json").read_bytes()
+    assert main(["resume", "--campaign-dir", str(campaign_dir)]) == 2
+    assert (campaign_dir / "report.json").read_bytes() == report
+
+
+def test_a_corrupt_inner_ledger_line_exits_one_with_one_error_line(workdir, capsys):
+    config_path, campaign_dir = workdir
+    args = ["--config", str(config_path), "--campaign-dir", str(campaign_dir)]
+    assert main(["index", *args]) == 0
+    ledger = campaign_dir / "ledger.jsonl"
+    ledger.write_text("not a usage entry\n" + ledger.read_text())
+    capsys.readouterr()
+    assert main(["resume", "--campaign-dir", str(campaign_dir)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {ledger}: line 1: Expecting value: line 1 column 1 (char 0)"
+    ]
 
 
 def test_compiler_that_cannot_start_exits_one_and_resumes(workdir, capsys, fixtures_dir):

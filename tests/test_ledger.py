@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import json
+import re
 import threading
 from decimal import Decimal
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ragfuzz
-from ragfuzz.errors import UnpricedModel
+from ragfuzz.errors import CorruptManifest, UnpricedModel
 from ragfuzz.ledger import (
     CostLedger,
     ModelRate,
@@ -165,8 +166,9 @@ def test_corrupt_inner_ledger_line_still_raises(tmp_path):
     ledger.record(stage="repair", model_id="gpt-4", input_tokens=2, output_tokens=2)
     first, second = path.read_text().splitlines(keepends=True)
     path.write_text(first[:20] + "\n" + second)
-    with pytest.raises(ValueError):
+    with pytest.raises(CorruptManifest, match=re.escape(f"{path}: line 1: ")) as exc:
         CostLedger(path)
+    assert isinstance(exc.value.__cause__, ValueError)
 
 
 def test_final_line_that_decodes_to_no_usage_record_is_dropped(tmp_path):

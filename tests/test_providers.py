@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 from helpers import FlakyBackend
 
-from ragfuzz.errors import OpenWorldKey, ProviderUnavailable
+from ragfuzz.errors import (
+    CorruptManifest,
+    OpenWorldKey,
+    ProviderUnavailable,
+    TransportError,
+)
 from ragfuzz.ledger import CostLedger
 from ragfuzz.prompts import RenderedPrompt
 from ragfuzz.providers import (
@@ -118,6 +123,34 @@ def test_retries_exhausted_raise_provider_unavailable():
         service.llm_complete(prompt(), [], stage="codegen")
     assert backend.calls == 3  # 1 try + 2 retries
     assert len(ledger) == 0  # failed transport calls bill nothing
+
+
+class FlakyEmbedder(HashEmbedder):
+    """A HashEmbedder whose first calls fail as a busy provider's do."""
+
+    def __init__(self, failures: int):
+        super().__init__(dim=8)
+        self.failures = failures
+
+    def embed_texts(self, texts):
+        if self.failures:
+            self.failures -= 1
+            raise TransportError("provider returned 429")
+        return super().embed_texts(texts)
+
+
+def test_an_embedder_that_fails_twice_builds_the_index_with_one_ledger_entry(tmp_path):
+    chunks = [Chunk(f"d#{i}", "d", f"text {i}", i) for i in range(3)]
+    ledger, slept = CostLedger(), []
+    service = EmbeddingService(FlakyEmbedder(2), ledger, max_retries=2, sleep=slept.append)
+    index = VectorIndex(directory=tmp_path / "index")
+    index.index_chunks(chunks, service)
+    assert len(index) == 3
+    assert len(ledger) == 1
+    assert slept == [0.5, 1.0]
+    service = EmbeddingService(FlakyEmbedder(2), CostLedger(), max_retries=1, sleep=slept.append)
+    with pytest.raises(ProviderUnavailable, match="gave up after 2 attempts"):
+        VectorIndex(directory=tmp_path / "again").index_chunks(chunks, service)
 
 
 def test_context_prepended_with_delimiters():
@@ -254,7 +287,7 @@ def test_corrupt_inner_cache_line_still_raises(tmp_path):
     s1.embed_text("two")
     first, second = cache.read_text().splitlines(keepends=True)
     cache.write_text(first[:20] + "\n" + second)
-    with pytest.raises(ValueError):
+    with pytest.raises(CorruptManifest):
         EmbeddingService(HashEmbedder(dim=16), CostLedger(), cache_path=cache)
 
 
