@@ -2,17 +2,22 @@
 
 The campaign directory is the source of truth. Every stage persists each unit
 of work as it finishes, one file per unit or one line per unit in an
-append-only log, and skips units already persisted. The ledger, the exchange
-log, the embedding cache, the index's batch log, each case's results.jsonl
-and each repair's attempts are RecordLogs, which share one rule: one sort_keys
-JSON line per record, flushed as it is written, and a torn last line cut when
-the log is opened. A resumed repair replays its
-case's repair.jsonl and goes on from there. A file that commits another is
-written last: source.cpp before case.json, the config snapshot before
-manifest.json. So an interrupted campaign resumes exactly where it stopped and
-re-bills the provider at most for the call a kill cut short. The canonical
-report contains no wall-clock data; timings live in a sidecar so repeated mock
-runs emit byte-identical reports.
+append-only log, and skips units already persisted. The ledger (one line per
+provider call, with an LLM call's prompt digest and response), the embedding
+cache, the index's batch log, each case's results.jsonl and each repair's
+attempts are RecordLogs, which share one rule: one sort_keys JSON line per
+record, flushed as it is written, and a torn last line cut when the log is
+opened. A line holds what the campaign decided and nothing of how the run
+went: no wall-clock time, no arrival order and no absolute path, so a
+directory moved elsewhere resumes as it would have where it was; a run job
+takes its binary's path from the layout, not from the compile's line. The
+exchanges.jsonl of an older directory is left where it is, unread. A resumed
+repair replays its case's repair.jsonl and goes on from there. A file that
+commits another is written last: source.cpp before case.json, the config
+snapshot before manifest.json. So an interrupted campaign resumes exactly
+where it stopped and re-bills the provider at most for the call a kill cut
+short. The canonical report contains no wall-clock data; timings live in a
+sidecar so repeated mock runs emit byte-identical reports.
 
 Every stage runs through one driver, `_drive`. A stage's method only lists
 its pending units, read from the artifacts, each a (case or None, work)
@@ -413,18 +418,6 @@ class ResultLine:
 
 
 @dataclass(frozen=True)
-class Exchange:
-    """One line of exchanges.jsonl: a completed provider call, its prompt by digest."""
-
-    template_id: str
-    prompt_sha256: str
-    response: str
-    input_tokens: int
-    output_tokens: int
-    model_id: str
-
-
-@dataclass(frozen=True)
 class ConfigSnapshot:
     """config.snapshot.json: the raw config a campaign started from, and the
     directory its relative paths resolve against, for ``resume``."""
@@ -456,7 +449,6 @@ class CampaignStore:
         self.manifest_path = root / "manifest.json"
         self.snapshot_path = root / "config.snapshot.json"
         self.ledger_path = root / "ledger.jsonl"
-        self.exchanges_path = root / "exchanges.jsonl"
         self.index_dir = root / "index"
         self.findings_path = root / "findings.jsonl"
         self.timing_path = root / "timing.json"
@@ -677,17 +669,7 @@ class CampaignRunner:
             return {"max_retries": section.max_retries, "backoff_base": section.backoff_base,
                     "rate_limiter": RateLimiter(section.requests_per_minute)}
 
-        exchanges = RecordLog(self.store.exchanges_path, Exchange)
-        exchanges.records.clear()  # its torn tail is cut; nothing reads it back
-
-        def log_exchange(prompt, completion):
-            exchanges.append(Exchange(
-                prompt.template_id, hashlib.sha256(prompt.text.encode("utf-8")).hexdigest(),
-                completion.text, completion.input_tokens, completion.output_tokens,
-                completion.model_id,
-            ))
-
-        llm = LLMService(backend, self.ledger, on_exchange=log_exchange, **retry(spec.llm))
+        llm = LLMService(backend, self.ledger, **retry(spec.llm))
         embedder = EmbeddingService(
             embed_backend, self.ledger, cache_path=self.store.root / "embeddings.cache.jsonl",
             **retry(spec.embedding),
@@ -905,9 +887,10 @@ class CampaignRunner:
                 self.store.case_dir(case.case_id) / "build",
                 timeout=self.config.limits.compile_timeout,
             )
-            # a resume skips every cell the log holds; a line is appended as
-            # {"compile": ...} or {"run": ...}, the bytes of a ResultLine
-            # without its null field
+            # a resume skips every cell the log holds, and runs a logged
+            # compile's binary at the path the layout gives it now; a line is
+            # appended as {"compile": ...} or {"run": ...}, the bytes of a
+            # ResultLine without its null field
             with RecordLog(self.store.results_path(case.case_id), ResultLine) as log:
                 compiles = {line.compile.cell: line.compile for line in log.records if line.compile}
                 ran = {line.run.cell for line in log.records if line.run}
@@ -917,6 +900,7 @@ class CampaignRunner:
                         result = compile_job(job, launcher)
                         log.append({"compile": result})
                     for run in expand_run_jobs(
+                        job,
                         result,
                         self.config.devices,
                         self.config.compatibility or None,

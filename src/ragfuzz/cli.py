@@ -23,11 +23,14 @@ _HALT_AFTER = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser, config_required: bool) -> None:
+def _add_paths(parser: argparse.ArgumentParser, config_required: bool) -> None:
     parser.add_argument("--config", type=Path, required=config_required,
                         help="campaign config file (YAML or JSON)")
     parser.add_argument("--campaign-dir", type=Path, required=True,
                         help="directory holding all campaign artifacts")
+
+
+def _add_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mock-providers", action="store_true",
                         help="force scripted mock providers (no network)")
     parser.add_argument("--seed", type=int, default=None, help="override campaign seed")
@@ -35,14 +38,13 @@ def _add_common(parser: argparse.ArgumentParser, config_required: bool) -> None:
                         help="worker lanes for LLM-bound stages")
     parser.add_argument("--workers-tool", type=int, default=None,
                         help="worker lanes for compile/run stages")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume from existing campaign artifacts")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ragfuzz",
-        description="Retrieval-augmented LLM compiler fuzzing with differential testing",
+        description="Retrieval-augmented LLM compiler fuzzing with differential testing. "
+        "A subcommand run again on its campaign directory resumes it.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
@@ -52,9 +54,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("report", "run all stages and emit reports"),
         ("run", "run all stages (same as report)"),
     ):
-        _add_common(sub.add_parser(name, help=help_text), config_required=True)
-    _add_common(sub.add_parser("resume", help="complete an interrupted campaign"),
-                config_required=False)
+        stage = sub.add_parser(name, help=help_text)
+        _add_paths(stage, config_required=True)
+        _add_overrides(stage)
+    # a resume runs the config the directory is bound to, so it takes no overrides
+    _add_paths(sub.add_parser("resume", help="complete an interrupted campaign"),
+               config_required=False)
     return parser
 
 
@@ -101,10 +106,8 @@ def _print_summary(report: CampaignReport | None, campaign_dir: Path) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "resume" or args.resume:
-            config = None
-            if args.config is not None:
-                config = load_config_file(args.config, _overrides(args))
+        if args.command == "resume":
+            config = None if args.config is None else load_config_file(args.config)
             report = resume(args.campaign_dir, config)
         else:
             config = load_config_file(args.config, _overrides(args))

@@ -113,12 +113,18 @@ class RecordLog:
 
 @dataclass(frozen=True)
 class UsageEntry:
-    call_id: int
+    """One ledger line: a provider call the campaign billed. An LLM call also
+    keeps its prompt's template and sha256 and the model's response; an
+    embedding call names no prompt, and its line holds none of those keys."""
+
     stage: str
     model_id: str
     input_tokens: int
     output_tokens: int
     approximate: bool = False
+    template_id: str = ""
+    prompt_sha256: str = ""
+    response: str = ""
 
 
 @dataclass(frozen=True)
@@ -173,23 +179,25 @@ class CostLedger:
         input_tokens: int,
         output_tokens: int,
         approximate: bool = False,
+        template_id: str = "",
+        prompt_sha256: str = "",
+        response: str = "",
     ) -> UsageEntry:
         if input_tokens < 0 or output_tokens < 0:
             raise ValueError("token counts must be >= 0")
         if stage not in STAGES:
             raise ValueError(f"unknown stage {stage!r}")
+        entry = UsageEntry(
+            stage, model_id, input_tokens, output_tokens, approximate,
+            template_id, prompt_sha256, response,
+        )
+        line = to_record(entry)
+        if not template_id:
+            del line["template_id"], line["prompt_sha256"], line["response"]
         with self._lock:
-            entry = UsageEntry(
-                call_id=len(self._entries),
-                stage=stage,
-                model_id=model_id,
-                input_tokens=input_tokens,
-                output_tokens=output_tokens,
-                approximate=approximate,
-            )
             self._entries.append(entry)
             if self._log:
-                self._log.append(entry)
+                self._log.append(line)
         return entry
 
     def entries(self) -> list[UsageEntry]:

@@ -2,7 +2,8 @@
 
 One production HTTP backend speaks a chat-completion wire format; scripted
 mocks make the whole pipeline runnable offline and bit-reproducible. Every
-completed provider exchange appends exactly one cost-ledger entry. Retrieved
+completed provider exchange appends exactly one cost-ledger entry, which for
+an LLM call also holds its prompt's digest and the response. Retrieved
 context is prepended to the prompt as plain delimited text so the wire
 contract stays provider-agnostic.
 
@@ -300,11 +301,8 @@ class _ProviderService:
 
 class LLMService(_ProviderService):
     """Retry/ledger wrapper over a completion backend, whose
-    ``complete(prompt, wire_text)`` returns one Completion."""
-
-    def __init__(self, backend, ledger: CostLedger, *, on_exchange=None, **retry):
-        super().__init__(backend, ledger, **retry)
-        self._on_exchange = on_exchange
+    ``complete(prompt, wire_text)`` returns one Completion. The ledger entry
+    of a call keeps its prompt by template and sha256, and the response."""
 
     def llm_complete(
         self, prompt: RenderedPrompt, context: list[RetrievedChunk], stage: str
@@ -317,11 +315,11 @@ class LLMService(_ProviderService):
             input_tokens=completion.input_tokens,
             output_tokens=completion.output_tokens,
             approximate=completion.approximate_usage,
+            template_id=prompt.template_id,
+            prompt_sha256=binding_digest(prompt.text),
+            response=completion.text,
         )
-        final = replace(completion, attempts=attempts)
-        if self._on_exchange is not None:
-            self._on_exchange(prompt, final)
-        return final
+        return replace(completion, attempts=attempts)
 
 
 class HttpEmbeddingBackend:

@@ -155,8 +155,6 @@ class CompileResult:
     opt_level: str
     status: CompileStatus
     stderr: str
-    binary_path: str | None
-    duration: float
 
     @property
     def ok(self) -> bool:
@@ -184,7 +182,6 @@ class RunResult:
     exit_code: int | None
     stdout: str
     stderr: str
-    duration: float
 
 
 @dataclass(frozen=True)
@@ -236,31 +233,34 @@ def build_matrix(
 
 
 def expand_run_jobs(
+    job: CompileJob,
     result: CompileResult,
     devices: list[DeviceConfig],
     compatibility: dict[str, list[str]] | None = None,
     timeout: float = 30.0,
 ) -> list[RunJob]:
-    """Run jobs for one successful compile: one per compatible device.
+    """Run jobs for the binary of a compile job, one per compatible device,
+    if its result is ok. The binary is the job's output_path, so a result
+    read back from a moved campaign directory runs the binary where it is.
 
     The compatibility map restricts targets to device ids; a missing entry
     means every configured device is eligible.
     """
-    if not result.ok or result.binary_path is None:
+    if not result.ok:
         return []
     allowed = None
-    if compatibility is not None and result.target in compatibility:
-        allowed = set(compatibility[result.target])
+    if compatibility is not None and job.target in compatibility:
+        allowed = set(compatibility[job.target])
     jobs = []
     for device in devices:
         if allowed is not None and device.device_id not in allowed:
             continue
-        cell = CellKey(result.compiler_id, result.target, result.opt_level, device.device_id)
+        cell = CellKey(job.compiler_id, job.target, job.opt_level, device.device_id)
         jobs.append(
             RunJob(
-                case_id=result.case_id,
+                case_id=job.case_id,
                 cell=cell,
-                binary_path=result.binary_path,
+                binary_path=str(job.output_path),
                 env=dict(device.env),
                 timeout=timeout,
             )
@@ -360,13 +360,12 @@ def _kill_group(proc: subprocess.Popen) -> None:
 
 def _execute(
     argv: tuple[str, ...], cwd: Path, env: dict[bytes, bytes], timeout: float
-) -> tuple[int | None, str, str, float, bool]:
-    """(returncode, stdout, stderr, duration, timed_out); kills the group on expiry.
+) -> tuple[int | None, str, str, bool]:
+    """(returncode, stdout, stderr, timed_out); kills the group on expiry.
 
     ``env`` is the child's whole environment (see ``JobLauncher.environ``).
     """
-    start = time.monotonic()
-    deadline = start + timeout
+    deadline = time.monotonic() + timeout
     proc = subprocess.Popen(
         argv,
         bufsize=0,
@@ -410,8 +409,7 @@ def _execute(
     finally:
         proc.stdout.close()
         proc.stderr.close()
-    duration = time.monotonic() - start
-    return proc.returncode, out.text(), err.text(), duration, timed_out
+    return proc.returncode, out.text(), err.text(), timed_out
 
 
 @functools.cache
@@ -517,25 +515,18 @@ def compile_job(job: CompileJob, launcher: JobLauncher | None = None) -> Compile
     job.workdir.mkdir(parents=True, exist_ok=True)
     env = (launcher or JobLauncher()).environ(job.env)
     try:
-        rc, _stdout, stderr, duration, timed_out = _execute(job.argv, job.workdir, env, job.timeout)
+        rc, _stdout, stderr, timed_out = _execute(job.argv, job.workdir, env, job.timeout)
     except OSError as exc:  # e.g. a "#!" interpreter that is missing
         raise ToolNotFound(f"{job.compiler_id}: cannot start {executable}: {exc}") from exc
     if timed_out:
-        return CompileResult(
-            job.case_id, job.compiler_id, job.target, job.opt_level,
-            CompileStatus.TIMEOUT, stderr, None, duration,
-        )
-    if rc == 0 and job.output_path.exists():
-        return CompileResult(
-            job.case_id, job.compiler_id, job.target, job.opt_level,
-            CompileStatus.OK, stderr, str(job.output_path), duration,
-        )
-    if rc == 0:
-        stderr = stderr + "\n[harness] compiler exited 0 without producing output\n"
-    return CompileResult(
-        job.case_id, job.compiler_id, job.target, job.opt_level,
-        CompileStatus.ERROR, stderr, None, duration,
-    )
+        status = CompileStatus.TIMEOUT
+    elif rc == 0 and job.output_path.exists():
+        status = CompileStatus.OK
+    else:
+        status = CompileStatus.ERROR
+        if rc == 0:
+            stderr = stderr + "\n[harness] compiler exited 0 without producing output\n"
+    return CompileResult(job.case_id, job.compiler_id, job.target, job.opt_level, status, stderr)
 
 
 def run_job(
@@ -545,7 +536,7 @@ def run_job(
     binary = Path(job.binary_path)
 
     def launch_error(message: str) -> RunResult:
-        return RunResult(job.case_id, job.cell, RunStatus.LAUNCH_ERROR, None, "", message, 0.0)
+        return RunResult(job.case_id, job.cell, RunStatus.LAUNCH_ERROR, None, "", message)
 
     if not binary.exists() or not os.access(binary, os.X_OK):
         return launch_error(f"binary missing or not executable: {binary}")
@@ -563,7 +554,7 @@ def run_job(
         )
     env = launcher.environ(job.env)
     try:
-        rc, stdout, stderr, duration, timed_out = _execute(argv, binary.parent, env, job.timeout)
+        rc, stdout, stderr, timed_out = _execute(argv, binary.parent, env, job.timeout)
     except OSError as exc:
         return launch_error(str(exc))
     exec_error = _prlimit_exec_error(rc, stderr, argv[-1]) if limits is not None else None
@@ -577,4 +568,4 @@ def run_job(
         status = RunStatus.OK
     else:
         status = RunStatus.NONZERO_EXIT
-    return RunResult(job.case_id, job.cell, status, rc, stdout, stderr, duration)
+    return RunResult(job.case_id, job.cell, status, rc, stdout, stderr)

@@ -65,7 +65,7 @@ def make_cell(
         RunStatus.TIMEOUT: None,
         RunStatus.LAUNCH_ERROR: None,
     }[status]
-    return RunResult(case_id, key, status, exit_code, stdout, stderr, 0.01)
+    return RunResult(case_id, key, status, exit_code, stdout, stderr)
 
 
 def random_matrix(rng: random.Random, case_id: str = "case") -> ResultsMatrix:

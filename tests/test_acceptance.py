@@ -80,12 +80,10 @@ def test_criterion_2_repair_loop_bound():
         )
 
         def failing(src):
-            return CompileResult("c", "gate", "t", "-O2", CompileStatus.ERROR,
-                                 "error: nope\n", None, 0.0)
+            return CompileResult("c", "gate", "t", "-O2", CompileStatus.ERROR, "error: nope\n")
 
         def ok(src):
-            return CompileResult("c", "gate", "t", "-O2", CompileStatus.OK,
-                                 "", "/tmp/bin", 0.0)
+            return CompileResult("c", "gate", "t", "-O2", CompileStatus.OK, "")
 
         always_fail = pipeline.repair_loop(
             TestCase("c1", "P", "int main() {}"), failing, max_attempts=5

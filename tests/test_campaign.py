@@ -20,7 +20,6 @@ from ragfuzz.campaign import (
     CampaignReport,
     CampaignRunner,
     CampaignStore,
-    Exchange,
     ResultLine,
     emit_report,
     load_config,
@@ -30,7 +29,7 @@ from ragfuzz.campaign import (
     run_campaign,
 )
 from ragfuzz.errors import ConfigError, ConfigMismatch, CorruptManifest
-from ragfuzz.ledger import CostLedger, RecordLog
+from ragfuzz.ledger import CostLedger, RecordLog, UsageEntry
 from ragfuzz.pipeline import CaseStatus, RepairAttempt, TestCase
 from ragfuzz.prompts import RenderedPrompt
 from ragfuzz.providers import Completion, ScriptEntry, binding_digest
@@ -516,36 +515,48 @@ def test_campaign_is_bit_reproducible(tiny_campaign, tmp_path):
 
 
 def campaign_files(campaign_dir) -> dict:
-    """Every file of a campaign directory by relative path, but timing.json,
-    report.md and the duration fields of the results logs, which time the run."""
+    """Every file of a campaign directory by relative path, but timing.json
+    and report.md, which time the run."""
     files = {}
     for path in campaign_dir.rglob("*"):
         name = str(path.relative_to(campaign_dir))
-        if path.is_dir() or name in ("timing.json", "report.md"):
-            continue
-        files[name] = path.read_bytes()
-        if path.name == "results.jsonl":
-            files[name] = [json.loads(line) for line in files[name].splitlines()]
-            for line in files[name]:
-                for result in line.values():
-                    del result["duration"]
+        if path.is_file() and name not in ("timing.json", "report.md"):
+            files[name] = path.read_bytes()
     return files
 
 
-def test_a_fresh_campaign_directory_is_reproducible_at_one_worker(tmp_path):
-    config = load_config_file(
-        materialize_scenario(build_tiny(), tmp_path / "work"),
-        overrides={"campaign.workers_llm": 1, "campaign.workers_tool": 1},
-    )
-    campaign_dir = tmp_path / "campaign"
-    run_campaign(config, campaign_dir)
-    campaign_dir.rename(tmp_path / "first")
-    run_campaign(config, campaign_dir)
-    first, second = campaign_files(tmp_path / "first"), campaign_files(campaign_dir)
+def test_a_fresh_campaign_directory_is_reproducible_at_any_worker_count_and_path(tmp_path):
+    config_path = materialize_scenario(build_tiny(), tmp_path / "work")
+    dirs = {1: tmp_path / "one" / "campaign", 8: tmp_path / "eight" / "elsewhere"}
+    for workers, campaign_dir in dirs.items():
+        config = load_config_file(
+            config_path,
+            overrides={"campaign.workers_llm": workers, "campaign.workers_tool": workers},
+        )
+        run_campaign(config, campaign_dir)
+    first, second = campaign_files(dirs[1]), campaign_files(dirs[8])
     assert sorted(second) == sorted(first)
     assert {"index/chunks.jsonl", "index/embeddings.npy", "index/meta.json"} <= set(first)
-    for name, data in first.items():
-        assert second[name] == data, name
+    # the worker counts are config values: its snapshot and its hash hold them
+    differ = sorted(name for name, data in first.items() if second[name] != data)
+    assert differ == ["config.snapshot.json", "manifest.json"]
+
+
+def test_a_moved_campaign_resumes_its_matrix_where_its_binaries_are_now(tiny_campaign, tmp_path):
+    config = load_config_file(materialize_scenario(build_tiny(), tmp_path / "work"))
+    run_campaign(config, tmp_path / "a")
+    moved = tmp_path / "b"
+    (tmp_path / "a").rename(moved)
+    # a kill just after the cell's first compile: its runs are not logged yet
+    log = moved / "cases" / "DeviceGlobals.f0.s0.m0" / "results.jsonl"
+    whole = log.read_bytes()
+    log.write_bytes(whole.splitlines(keepends=True)[0])
+    (moved / "findings.jsonl").unlink()
+    (moved / "report.json").unlink()
+    resume(moved)
+    golden = (tiny_campaign.campaign_dir / "report.json").read_bytes()
+    assert (moved / "report.json").read_bytes() == golden
+    assert log.read_bytes() == whole
 
 
 def test_report_is_byte_identical_across_worker_counts(tiny_campaign, tmp_path):
@@ -680,8 +691,8 @@ def test_results_log_holds_one_line_per_compile_and_run_cell(tiny_campaign):
         ]
         runs = [
             run.cell
-            for r in compiles
-            for run in expand_run_jobs(r, config.devices, config.compatibility or None)
+            for job, r in zip(jobs, compiles)
+            for run in expand_run_jobs(job, r, config.devices, config.compatibility or None)
         ]
         assert runs and [line.run.cell for line in lines if line.run] == runs
 
@@ -938,13 +949,13 @@ def test_partition_validator_detects_violation():
     assert not validate_partition(bad)
 
 
-def test_concurrent_exchange_log_lines_stay_whole(tmp_path):
+def test_concurrent_ledger_lines_stay_whole(tmp_path):
     config = load_config_file(materialize_scenario(build_tiny(), tmp_path / "work"))
     runner = CampaignRunner(config, tmp_path / "campaign")
 
     class BigBackend:
         def complete(self, prompt, text):
-            # more than one 8 KiB write buffer per exchange
+            # more than one 8 KiB write buffer per ledger line
             return Completion(text + "x" * 20_000, 1, 1, "gpt-4")
 
     runner.llm.backend = BigBackend()
@@ -959,24 +970,25 @@ def test_concurrent_exchange_log_lines_stay_whole(tmp_path):
         t.start()
     for t in threads:
         t.join()
-    lines = runner.store.exchanges_path.read_text().splitlines()
+    lines = runner.store.ledger_path.read_text().splitlines()
     assert len(lines) == 80
-    responses = sorted(from_record(Exchange, json.loads(line)).response for line in lines)
-    assert responses == sorted(
+    entries = [from_record(UsageEntry, json.loads(line)) for line in lines]
+    assert sorted(e.response for e in entries) == sorted(
         f"prompt {n}.{i}" + "x" * 20_000 for n in range(8) for i in range(10)
     )
+    assert all(e.prompt_sha256 == binding_digest(e.response[:-20_000]) for e in entries)
 
 
-def test_resume_cuts_a_torn_exchange_line(tiny_campaign, tmp_path):
+def test_resume_cuts_a_torn_ledger_line(tiny_campaign, tmp_path):
     config = load_config_file(materialize_scenario(build_tiny(), tmp_path / "work"))
     campaign_dir = tmp_path / "campaign"
     run_campaign(config, campaign_dir, halt_after="characteristics")
-    exchanges = campaign_dir / "exchanges.jsonl"
-    whole = exchanges.read_bytes()
-    with open(exchanges, "a", encoding="utf-8") as fh:
-        fh.write('{"input_tokens": 4')  # a kill tore the next exchange's line
+    ledger = campaign_dir / "ledger.jsonl"
+    whole = ledger.read_bytes()
+    with open(ledger, "a", encoding="utf-8") as fh:
+        fh.write('{"approximate": true, "input_tokens": 4')  # a kill tore the next line
     resume(campaign_dir)
-    lines = exchanges.read_bytes().splitlines(keepends=True)
-    assert all(from_record(Exchange, json.loads(line)) for line in lines)
+    lines = ledger.read_bytes().splitlines(keepends=True)
+    assert all(from_record(UsageEntry, json.loads(line)) for line in lines)
     assert b"".join(lines).startswith(whole)
-    assert exchanges.read_bytes() == (tiny_campaign.campaign_dir / "exchanges.jsonl").read_bytes()
+    assert ledger.read_bytes() == (tiny_campaign.campaign_dir / "ledger.jsonl").read_bytes()

@@ -31,10 +31,29 @@ def test_run_subcommand_completes_with_exit_zero(workdir, capsys):
 
 def test_index_subcommand_stops_after_indexing(workdir):
     config_path, campaign_dir = workdir
-    code = main(["index", "--config", str(config_path), "--campaign-dir", str(campaign_dir)])
-    assert code == 0
+    args = ["index", "--config", str(config_path), "--campaign-dir", str(campaign_dir)]
+    assert main(args) == 0
+    assert main(args) == 0  # run again, it resumes up to the index only
     assert (campaign_dir / "index" / "meta.json").exists()
+    assert not (campaign_dir / "cases").exists()
     assert not (campaign_dir / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["index", "--resume"],  # a subcommand run again resumes on its own
+    ["resume", "--seed", "1"],  # a resume runs the config the directory holds
+    ["resume", "--workers-tool", "4"],
+    ["resume", "--mock-providers"],
+], ids=["index_resume", "resume_seed", "resume_workers_tool", "resume_mock_providers"])
+def test_flags_a_command_would_not_honour_are_refused(workdir, argv, capsys):
+    config_path, campaign_dir = workdir
+    command, *flags = argv
+    paths = ["--config", str(config_path)] if command != "resume" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *paths, "--campaign-dir", str(campaign_dir), *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not campaign_dir.exists()
 
 
 def test_gen_then_test_then_report_stage_progression(workdir):

@@ -149,10 +149,11 @@ def built(tmp_path_factory):
         workdir.mkdir()
         source = workdir / "case.cpp"
         source.write_text(text)
-        result = compile_job(build_matrix(f"case{i}", source, [toolchain], workdir)[0])
+        job = build_matrix(f"case{i}", source, [toolchain], workdir)[0]
+        result = compile_job(job)
         assert result.ok, (name, result.stderr)
         python = write_python_binary(workdir / "python.bin", CASES[name])
-        binaries[name] = (Path(result.binary_path), python)
+        binaries[name] = (job.output_path, python)
     return binaries
 
 
@@ -216,11 +217,20 @@ def test_sh_binary_writes_the_same_bytes_under_every_shell(built, tmp_path, name
 
 def test_resume_runs_binaries_left_in_the_python_format(tmp_path, fixtures_dir):
     """A campaign built by the Python-binary compiler resumes to the same report."""
-    config_path = materialize_scenario(build_tiny(), tmp_path / "work")
+    config = load_config_file(materialize_scenario(build_tiny(), tmp_path / "work"))
     campaign_dir = tmp_path / "campaign"
-    run_campaign(load_config_file(config_path), campaign_dir, halt_after="matrix")
+    run_campaign(config, campaign_dir, halt_after="matrix")
     store = CampaignStore(campaign_dir)
     table = json.loads((tmp_path / "work" / "tools" / "table.json").read_text())
+    # each cell's binary, where the campaign layout puts it
+    binaries = {
+        (job.case_id, job.compiler_id, job.target, job.opt_level): job.output_path
+        for case in store.all_cases()
+        for job in build_matrix(
+            case.case_id, store.source_path(case.case_id), config.toolchains,
+            store.case_dir(case.case_id) / "build",
+        )
+    }
 
     def logged(log: Path, kind: str) -> list[dict]:
         lines = [json.loads(line) for line in log.read_text().splitlines()]
@@ -237,7 +247,8 @@ def test_resume_runs_binaries_left_in_the_python_format(tmp_path, fixtures_dir):
             source = store.source_path(result["case_id"]).read_text()
             record = table.get(source_digest(source)) or table["*"]
             coords = (result["compiler_id"], result["target"], result["opt_level"])
-            write_python_binary(Path(result["binary_path"]), record.get("runs", []), coords)
+            binary = binaries[(result["case_id"], *coords)]
+            write_python_binary(binary, record.get("runs", []), coords)
             replaced += 1
         # keep the compile lines only, so the resume runs every binary again
         log.write_text("".join(json.dumps({"compile": r}, sort_keys=True) + "\n" for r in compiles))

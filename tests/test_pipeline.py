@@ -220,11 +220,11 @@ def test_generate_testcase_fenced_passthrough(device_globals_fn):
 
 
 def ok_compile(case_id="c") -> CompileResult:
-    return CompileResult(case_id, "gate", "t", "-O2", CompileStatus.OK, "", "/tmp/bin", 0.01)
+    return CompileResult(case_id, "gate", "t", "-O2", CompileStatus.OK, "")
 
 
 def failed_compile(case_id="c", stderr="error: bad code\n") -> CompileResult:
-    return CompileResult(case_id, "gate", "t", "-O2", CompileStatus.ERROR, stderr, None, 0.01)
+    return CompileResult(case_id, "gate", "t", "-O2", CompileStatus.ERROR, stderr)
 
 
 def draft(source="int main() {}\n") -> TestCase:

@@ -2,24 +2,28 @@
 
 Every file under fixtures/golden/records was written by code that
 hand-wrote each record type field by field, but for the new-format line of
-embeddings.cache.jsonl and batches.jsonl, which pin the bytes of their
-record logs; decoding and re-encoding a file must give the same bytes, so
-a campaign directory from that release resumes unchanged. scenario.tiny.json is the built-in ``tiny`` scenario as
-that release wrote it: an entry without usages has no ``usages`` key.
+embeddings.cache.jsonl and batches.jsonl, and for ledger.jsonl, compile.json
+and run.json, which pin the bytes of their records as written now;
+decoding and re-encoding a file must give the same bytes, so a campaign
+directory from that release resumes unchanged. The ``*_legacy`` files hold
+lines of an older shape, whose fields since dropped are read past.
+scenario.tiny.json is the built-in ``tiny`` scenario as that release wrote
+it: an entry without usages has no ``usages`` key.
 """
 from __future__ import annotations
 
 import json
+import os
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from ragfuzz.campaign import Exchange
+from ragfuzz.campaign import ResultLine, resume
 from ragfuzz.difftest import Discrepancy
 from ragfuzz.errors import RecordError
 from ragfuzz.extraction import DefinitionKind, PassFunction
-from ragfuzz.ledger import CostLedger, PricingTable, RecordLog
+from ragfuzz.ledger import CostLedger, PricingTable, RecordLog, UsageEntry
 from ragfuzz.pipeline import CaseStatus, Characteristics, TestCase
 from ragfuzz.providers import EmbeddingService, HashEmbedder
 from ragfuzz.rag import Chunk, IndexBatch, VectorIndex
@@ -80,7 +84,7 @@ def test_case_without_late_fields_takes_their_defaults(records_dir):
 
 
 def test_missing_required_field_names_its_path():
-    record = to_record(RunResult("c", CellKey("cc1", "t", "-O0"), RunStatus.OK, 0, "", "", 0.1))
+    record = to_record(RunResult("c", CellKey("cc1", "t", "-O0"), RunStatus.OK, 0, "", ""))
     del record["cell"]["compiler_id"]
     with pytest.raises(RecordError) as exc:
         from_record(RunResult, record)
@@ -110,35 +114,53 @@ def test_tiny_report_is_byte_identical_to_golden(tiny_campaign, fixtures_dir):
 
 
 def test_ledger_lines_round_trip_byte_for_byte(records_dir, tmp_path):
+    # lines without prompt keys, as an embedding call writes, then an LLM call's
     text = (records_dir / "ledger.jsonl").read_text()
     path = tmp_path / "ledger.jsonl"
     path.write_text(text)
     entries = CostLedger(path).entries()
-    assert [json.dumps(to_record(e), sort_keys=True) + "\n" for e in entries] == (
-        text.splitlines(keepends=True)
-    )
+    assert [e.template_id for e in entries] == ["", "", "characteristics"]
     assert path.read_text() == text  # loading rewrote nothing
-    # the last line was the first record of a fresh ledger
-    fresh = tmp_path / "fresh.jsonl"
-    last = entries[-1]
-    CostLedger(fresh).record(
-        last.stage, last.model_id, last.input_tokens, last.output_tokens, last.approximate
-    )
-    assert fresh.read_text() == text.splitlines(keepends=True)[-1]
+    fresh = CostLedger(tmp_path / "fresh.jsonl")
+    for entry in entries:
+        fresh.record(**vars(entry))
+    assert (tmp_path / "fresh.jsonl").read_text() == text
 
 
-def test_exchange_lines_round_trip_byte_for_byte(records_dir, tmp_path):
-    # lines the campaign wrote as plain dicts, before exchanges had a record type
-    text = (records_dir / "exchanges.jsonl").read_text()
-    path = tmp_path / "exchanges.jsonl"
+def test_a_ledger_line_with_a_call_id_decodes_and_new_lines_take_the_new_shape(
+    records_dir, tmp_path
+):
+    text = (records_dir / "ledger_legacy.jsonl").read_text()
+    assert '"call_id"' in text
+    path = tmp_path / "ledger.jsonl"
     path.write_text(text)
-    exchanges = RecordLog(path, Exchange).records
-    assert [e.template_id for e in exchanges] == ["characteristics", "codegen", "repair"]
-    assert path.read_text() == text  # loading rewrote nothing
-    fresh = RecordLog(tmp_path / "fresh.jsonl", Exchange)
-    for exchange in exchanges:
-        fresh.append(exchange)
-    assert fresh.path.read_text() == text
+    ledger = CostLedger(path)
+    assert ledger.entries() == [UsageEntry("characteristics", "mock-llm", 477, 37, True)]
+    new = (records_dir / "ledger.jsonl").read_text().splitlines(keepends=True)[-1]
+    ledger.record(**vars(from_record(UsageEntry, json.loads(new))))
+    assert path.read_text() == text + new
+
+
+def test_a_results_line_with_a_duration_and_a_binary_path_resumes_with_lines_of_the_new_shape(
+    records_dir, tiny_campaign, tmp_path
+):
+    import shutil
+
+    # the line holds the path the binary had in a directory since moved
+    legacy = (records_dir / "results_legacy.jsonl").read_text()
+    assert not os.path.exists(json.loads(legacy)["compile"]["binary_path"])
+    clone = tmp_path / "clone"
+    shutil.copytree(tiny_campaign.campaign_dir, clone)
+    log = clone / "cases" / "DeviceGlobals.f1.s0" / "results.jsonl"
+    whole = log.read_text().splitlines(keepends=True)
+    assert RecordLog(log, ResultLine).records[0] == from_record(ResultLine, json.loads(legacy))
+    log.write_text(legacy)  # a kill just after the first compile of an older release
+    (clone / "findings.jsonl").unlink()
+    (clone / "report.json").unlink()
+    resume(clone)
+    assert log.read_text() == legacy + "".join(whole[1:])
+    golden = (tiny_campaign.campaign_dir / "report.json").read_bytes()
+    assert (clone / "report.json").read_bytes() == golden
 
 
 def test_chunk_manifest_round_trips_byte_for_byte(records_dir, tmp_path):

@@ -1,8 +1,8 @@
 """Resume and the case driver's fault paths on the tiny scenario.
 
 A kill is simulated in-process: the campaign's artifact writer, or the
-append of any of its record logs (the ledger, the exchanges, the embedding
-cache, the index's batch log, each case's results and repair attempts),
+append of any of its record logs (the ledger, the embedding cache, the
+index's batch log, each case's results and repair attempts),
 raises a BaseException, which no stage
 catches, at a chosen call; an append may first write half its line. The
 resumed campaign must then reach the uninterrupted run's report, findings
@@ -23,7 +23,6 @@ import ragfuzz.campaign as campaign
 import ragfuzz.rag as rag
 from ragfuzz.campaign import (
     CampaignStore,
-    Exchange,
     ResultLine,
     load_config_file,
     mutant_stub,
@@ -40,26 +39,27 @@ from ragfuzz.scenarios import build_tiny, materialize_scenario, scenario_to_dict
 
 # one uninterrupted tiny run: its artifact writes (write_text calls of the
 # campaign and of the index, whose one is meta.json) and its record-log
-# appends (RecordLog.append calls): 21 to the ledger, 12 to the exchanges,
+# appends (RecordLog.append calls): 21 to the ledger (12 of them LLM calls),
 # 8 to the embedding cache (one per query), 1 to the index's batch log (its
 # one batch), 36 to the results logs of 3 cases and 6 to repair logs
 TINY_WRITES = 35
-TINY_APPENDS = 84
+TINY_APPENDS = 72
 TINY_LOGS = {
-    "ledger.jsonl": 21, "exchanges.jsonl": 12, "embeddings.cache.jsonl": 8, "batches.jsonl": 1,
+    "ledger.jsonl": 21, "embeddings.cache.jsonl": 8, "batches.jsonl": 1,
     "results.jsonl": 36, "repair.jsonl": 6,
 }
 TINY_RESULTS_LOGS = 3
-# a kill before each write or append; one in the middle of each repair
-# append; and one in the middle of the first and the last append of the
-# ledger, the exchanges, the embedding cache and each results log, and of
-# the batch log's one append
-TINY_TORN = TINY_LOGS["repair.jsonl"] + 2 * (3 + TINY_RESULTS_LOGS) + 1
+# a kill before each write or append; one in the middle of each ledger and
+# repair append, whose lines carry the model's text; and one in the middle
+# of the first and the last append of the embedding cache and each results
+# log, and of the batch log's one append
+TINY_TORN = (
+    TINY_LOGS["ledger.jsonl"] + TINY_LOGS["repair.jsonl"] + 2 * (1 + TINY_RESULTS_LOGS) + 1
+)
 TINY_KILL_POINTS = TINY_WRITES + TINY_APPENDS + TINY_TORN
 
 LOG_RECORDS = {
     "ledger.jsonl": UsageEntry,
-    "exchanges.jsonl": Exchange,
     "embeddings.cache.jsonl": CachedEmbedding,
     "batches.jsonl": IndexBatch,
     "results.jsonl": ResultLine,
@@ -124,7 +124,7 @@ def tiny(tmp_path_factory):
         if kind == "append":
             appends.setdefault(log, []).append(i)
     torn = {i for log, indices in appends.items() for i in (
-        indices if log.name == "repair.jsonl" else (indices[0], indices[-1])
+        indices if log.name in ("ledger.jsonl", "repair.jsonl") else (indices[0], indices[-1])
     )}
     points = [(i, False) for i in range(len(calls))] + [(i, True) for i in sorted(torn)]
     return config, outcome(campaign_dir), calls, points
